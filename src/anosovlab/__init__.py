@@ -17,7 +17,6 @@ from .surface_group import (  # noqa: F401
     conjugacy_canonical,
     extend_cocycle,
     free_reduce,
-    reduce,
     solve_cocycle_space,
 )
 from .fuchsian import (  # noqa: F401

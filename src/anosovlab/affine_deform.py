@@ -153,11 +153,7 @@ def margulis_invariants(rho, omegas, word, basis):
     if not w:
         raise ValueError("Margulis invariant of the trivial class")
     if rho.base is None:
-        # generic fallback: direct pairing (moderate words only)
-        x = neutral_vector(rho, w, basis).vector
-        return np.array(
-            [float(om.value(w) @ basis.form_v.matrix @ x) for om in omegas]
-        )
+        raise ValueError("margulis_invariants needs the SL(2,R) base representation")
     q = basis.form_v.matrix
     p = basis.p
     m = len(w)
@@ -203,9 +199,8 @@ class DeformationDirection:
 
     matrices: dict
     omega: Cocycle = field(repr=False)
-    form_e: np.ndarray = field(repr=False)
 
-    def value(self, word, rho_e=None):
+    def value(self, word):
         """Cocycle value ρ̇_w = ρ̇_u + Ad(ρ_E(u)) ρ̇_v along the word.
 
         The adjoint action preserves the special shape, Ad(ρ_E(u))·X_v =
@@ -250,8 +245,7 @@ def deformation_direction(omega, basis):
     q_v = basis.form_v.matrix
     mats = {g: 0.5 * special_shape(omega[g], q_v)
             for g in range(1, omega.vectors.shape[0] + 1)}
-    return DeformationDirection(matrices=mats, omega=omega,
-                                form_e=basis.form_e.matrix)
+    return DeformationDirection(matrices=mats, omega=omega)
 
 
 def eigenvalue_derivative(eig, rho_dot_w, matrix):
@@ -356,7 +350,7 @@ class FiniteDeformation:
         gens = {}
         for letter in letters:
             gens[letter] = expm(t * direction.matrices[letter]) @ rho_e.generator(letter)
-        self.rep = Representation(gens, form=rho_e.form, p=rho_e.p)
+        self.rep = Representation(gens, form=rho_e.form)
         self.rho_e = rho_e
 
     def evaluate(self, word):

@@ -12,11 +12,11 @@ scan            entropy of perturbed length functionals over an s-grid
 
 Configuration comes from --config JSON plus flag overrides; every run with
 randomness requires a seed, and identical config + seed produces
-byte-identical outputs (computations are deterministic regardless of the
-thread count; ANOSOVLAB_THREADS, default "all cores", only caps BLAS
-parallelism). Outputs are written atomically (temp file + rename) with 17
-significant digits. Exit codes: 0 success, 1 invalid input, 2 numerical
-failure; errors emit machine-readable JSON on stderr.
+byte-identical outputs. Outputs are byte-identical at any BLAS thread
+count; cap threads with OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set before
+the process starts. Outputs are written atomically (temp file + rename)
+with 17 significant digits. Exit codes: 0 success, 1 invalid input,
+2 numerical failure; errors emit machine-readable JSON on stderr.
 """
 
 import argparse
@@ -55,7 +55,6 @@ from .principal_rep import (
     sym_representation,
 )
 from .spectra import (
-    LengthFunctional,
     bm_average,
     critical_exponent,
     entropy_estimate,
@@ -76,7 +75,6 @@ class ConfigError(ValueError):
 
 DEFAULTS = {
     "p": 2,
-    "group": "genus2-octagon",
     "radius": 8.0,
     "slack": 2.0,
     "margin": 3.0,
@@ -129,8 +127,6 @@ def _validate(config):
             raise ConfigError("window must satisfy 0 < T0 < T1")
     if config["seed"] is not None and int(config["seed"]) != config["seed"]:
         raise ConfigError("seed must be an integer")
-    if config["group"] != "genus2-octagon" and not isinstance(config["group"], dict):
-        raise ConfigError("group must be 'genus2-octagon' or explicit matrices")
     if config["source"] not in ("elements", "classes"):
         raise ConfigError("source must be 'elements' or 'classes'")
     if config["count"] < 1:
@@ -144,47 +140,30 @@ def need_seed(config, why):
 
 
 class Workspace:
-    """Lazy bundle of group, representations and balls for one run."""
+    """Group, representations and on-demand orbit balls for one run."""
 
     def __init__(self, config):
         self.config = config
         self.p = int(config["p"])
-        if config["group"] == "genus2-octagon":
-            self.presentation, sl2_gens = octagon_group()
-        else:
-            spec = config["group"]["generators"]
-            from .surface_group import GroupPresentation
-
-            self.presentation = GroupPresentation.genus2()
-            sl2_gens = {
-                i + 1: np.asarray(spec[label], float)
-                for i, label in enumerate(GENERATOR_LABELS)
-            }
+        self.presentation, sl2_gens = octagon_group()
         self.sl2 = Representation(sl2_gens, labels=GENERATOR_LABELS)
         self.basis = principal_basis(self.p)
         self.rho_v = sym_representation(self.p, self.sl2)
         self.rho_e = embedded_representation(self.p, self.sl2)
-        self._ball = None
-        self._spectrum = {}
 
     def ball(self, radius=None):
         radius = self.config["radius"] if radius is None else radius
-        if self._ball is None or self._ball.radius < radius - 1e-12:
-            self._ball = enumerate_ball(
-                self.sl2.generators, radius, self.config["slack"],
-                presentation=self.presentation,
-            )
-        return self._ball
+        return enumerate_ball(
+            self.sl2.generators, radius, self.config["slack"],
+            presentation=self.presentation,
+        )
 
     def spectrum(self, omega=None):
-        key = id(omega)
-        if key not in self._spectrum:
-            radius = self.config["radius"]
-            ball = self.ball(radius + self.config["margin"])
-            self._spectrum[key] = length_spectrum(
-                self.rho_v, ball, self.basis, omega=omega, radius=radius
-            )
-        return self._spectrum[key]
+        radius = self.config["radius"]
+        ball = self.ball(radius + self.config["margin"])
+        return length_spectrum(
+            self.rho_v, ball, self.basis, omega=omega, radius=radius
+        )
 
     def window(self):
         if self.config["window"] is not None:
@@ -250,10 +229,6 @@ def atomic_write(path, data):
 
 def write_json(path, payload):
     atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def jfloat(x):
-    return float17(x) if isinstance(x, float) else x
 
 
 def run_check_rep(ws, out_dir):
@@ -346,15 +321,11 @@ def run_entropy(ws, out_dir):
     if ws.config["source"] == "elements":
         ball = ws.ball()
         values = ball.distances
-        lastroot = _lastroot_orbit_values(ws, ball)
         _write_count_summary(ball, out_dir)
     else:
-        spec = ws.spectrum()
-        values = spec.lengths()
-        lastroot = spec.lengths(LengthFunctional.last_root())
+        values = ws.spectrum().lengths()
     slope = entropy_estimate(values, window)
     crit = critical_exponent(values, window)
-    slope_lr = entropy_estimate(lastroot, window)
     payload = {
         "source": ws.config["source"],
         "window": [float17(window[0]), float17(window[1])],
@@ -362,8 +333,6 @@ def run_entropy(ws, out_dir):
         "residual": float17(slope.residual),
         "count": slope.count,
         "critical_exponent": float17(crit.estimate),
-        "estimate_lastroot": float17(slope_lr.estimate),
-        "residual_lastroot": float17(slope_lr.residual),
         "counting_constant_note": "N(T) grows like e^T/4 for this group",
     }
     write_json(os.path.join(out_dir, "entropy.json"), payload)
@@ -381,16 +350,6 @@ def _write_count_summary(ball, out_dir):
         rate = math.log(n) / t if n else float("-inf")
         writer.writerow([float17(float(t)), n, float17(rate)])
     atomic_write(os.path.join(out_dir, "entropy_counts.csv"), buf.getvalue())
-
-
-def _lastroot_orbit_values(ws, ball):
-    """Per-element last-root displacement log(σ_{p-1}σ_p) of the embedding.
-
-    For the Fuchsian embedding the (p-1)-th and p-th singular values of
-    ρ_E(γ) multiply to e^{d(o, γo)}, so this equals the orbit distance;
-    computed from the distances to keep the CSV reproducible at scale.
-    """
-    return ball.distances.copy()
 
 
 def run_margulis(ws, out_dir):
@@ -505,7 +464,7 @@ def derivative_check(ws, n_pairs, seed, t):
         direction = deformation_direction(omega, ws.basis)
         alpha = margulis_invariant(ws.rho_v, omega, word, ws.basis)
         eig = eigendata_fuchsian(ws.p, ws.sl2.evaluate(word), ws.basis)
-        rho_dot = direction.value(word, ws.rho_e)
+        rho_dot = direction.value(word)
         lam_dot, _ = eigenvalue_derivative(eig, rho_dot, ws.rho_e.evaluate(word))
         if abs(alpha) > 1e-9:
             worst_formula = max(worst_formula,
@@ -611,11 +570,6 @@ def build_parser():
 
 
 def main(argv=None):
-    threads = os.environ.get("ANOSOVLAB_THREADS")
-    if threads:
-        # best-effort BLAS cap; results are identical at any thread count
-        os.environ.setdefault("OMP_NUM_THREADS", threads)
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", threads)
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args)

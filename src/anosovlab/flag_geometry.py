@@ -33,10 +33,9 @@ def is_isotropic(span, q, tol=1e-10):
 
 @dataclass
 class IsotropicFlag:
-    """Nested isotropic subspaces L_1 ⊂ ... ⊂ L_p with the sign of L_p."""
+    """Nested isotropic subspaces L_1 ⊂ ... ⊂ L_p."""
 
     subspaces: list
-    sign: int = 0
 
     @property
     def p(self):
@@ -243,13 +242,6 @@ def transversality_margin(theta_z, e_p_line, e_pm1_line, theta_bar_y, q):
         raise NumericalFailure("F(x,y) is degenerate")
     theta_on = orthonormal_span(theta_z)
     return float(abs(np.linalg.det(np.hstack([theta_on, f_xy]))))
-
-
-def flag_of_eigendata(eig, reference=None):
-    """The isotropic flag ξ of an EigenData, with orientation sign."""
-    subs = eig.flag
-    sign = classify_orientation(subs[-1], reference) if reference is not None else 0
-    return IsotropicFlag(subs, sign)
 
 
 def alpha_system(basis, z):

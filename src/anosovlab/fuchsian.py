@@ -26,6 +26,9 @@ BASEPOINT = 1j
 # smallest |trace| margin accepted as hyperbolic
 HYPERBOLIC_MARGIN = 1e-12
 
+# grid spacing of the matrix-entry keys that deduplicate ball elements
+QUANTUM = 1e-7
+
 
 def rotation(theta):
     """SL(2,R) rotation about i by Möbius angle theta."""
@@ -203,14 +206,14 @@ def _sign_normalize(mats):
     return mats * signs[:, None, None]
 
 
-def _quantized_keys(mats, quantum=1e-7):
+def _quantized_keys(mats):
     normalized = _sign_normalize(mats.copy())
-    q = np.round(normalized.reshape(len(normalized), 4) / quantum).astype(np.int64)
+    q = np.round(normalized.reshape(len(normalized), 4) / QUANTUM).astype(np.int64)
     return np.ascontiguousarray(q).view([("", np.int64)] * 4).ravel()
 
 
 def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
-                   presentation=None, quantum=1e-7):
+                   presentation=None):
     """Enumerate the orbit ball of radius `radius` around o = i.
 
     Breadth-first search over freely reduced words pruned at orbit
@@ -324,7 +327,7 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     mats, dists = mats[within], dists[within]
     words = [w for w, ok in zip(words, within) if ok]
 
-    mats, dists, words = _proximity_merge(mats, dists, words, quantum)
+    mats, dists, words = _proximity_merge(mats, dists, words)
 
     order = sorted(range(len(dists)), key=lambda i: (dists[i], len(words[i]), words[i]))
     mats = mats[order]
@@ -336,7 +339,7 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     )
 
 
-def _proximity_merge(mats, dists, words, quantum):
+def _proximity_merge(mats, dists, words):
     """Merge residual duplicates straddling quantization cell boundaries."""
     if len(mats) <= 1:
         return mats, dists, words
@@ -346,7 +349,7 @@ def _proximity_merge(mats, dists, words, quantum):
     keep = np.ones(len(mats), dtype=bool)
     for i in range(1, len(mats)):
         a, b = order[i - 1], order[i]
-        if np.abs(normalized[i] - normalized[i - 1]).max() < 10 * quantum:
+        if np.abs(normalized[i] - normalized[i - 1]).max() < 10 * QUANTUM:
             # same isometry seen twice: keep the better word
             wa, wb = words[a], words[b]
             worse = b if (len(wa), wa) <= (len(wb), wb) else a

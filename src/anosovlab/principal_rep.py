@@ -82,9 +82,6 @@ class QuadraticForm:
     def dim(self):
         return self.matrix.shape[0]
 
-    def pair(self, u, v):
-        return float(np.asarray(u, float) @ self.matrix @ np.asarray(v, float))
-
 
 def invariant_form(p):
     """The SL(2,R)-invariant form on degree-(2p-2) binary forms.
@@ -264,24 +261,13 @@ class Representation:
     Generators are keyed by positive letters 1..n; inverses are cached.
     Evaluation is a pure function of the word, so the cache is safe under
     concurrent readers.
-
-    When the representation factors through another one (`base`, here
-    always the SL(2,R) representation) a `lift` map may be supplied;
-    words are then evaluated as lift(base(word)). This is the same
-    homomorphism evaluated in a better order: long products of the big
-    matrices accumulate cancellation error with the product of all the
-    generator norms, while the 2x2 chain stays near machine precision and
-    one lift is exact.
     """
 
-    def __init__(self, generators, form=None, labels=None, base=None, p=None,
-                 lift=None):
+    def __init__(self, generators, form=None, labels=None, base=None):
         self.generators = {k: np.asarray(m, float) for k, m in generators.items()}
         self.form = form
         self.labels = labels
         self.base = base  # underlying SL(2,R) representation, if any
-        self.p = p
-        self.lift = lift
         first = next(iter(self.generators.values()))
         self.dim = first.shape[0]
         self._cache = {(): np.eye(self.dim)}
@@ -300,12 +286,9 @@ class Representation:
         cached = self._cache.get(word)
         if cached is not None:
             return cached
-        if self.lift is not None and self.base is not None:
-            m = self.lift(self.base.evaluate(word))
-        else:
-            m = np.eye(self.dim)
-            for letter in word:
-                m = m @ self.generator(letter)
+        m = np.eye(self.dim)
+        for letter in word:
+            m = m @ self.generator(letter)
         self._cache[word] = m
         return m
 
@@ -342,7 +325,7 @@ def sym_representation(p, sl2_rep):
     """Principal (2p-1)-dimensional representation of an SL(2,R) group."""
     gens = {k: sym_power_rep(p, m) for k, m in sl2_rep.generators.items()}
     return Representation(gens, form=invariant_form(p), labels=sl2_rep.labels,
-                          base=sl2_rep, p=p)
+                          base=sl2_rep)
 
 
 def embedded_representation(p, sl2_rep):
@@ -350,19 +333,19 @@ def embedded_representation(p, sl2_rep):
     gens = {k: embed_so_pp(p, sym_power_rep(p, m))
             for k, m in sl2_rep.generators.items()}
     return Representation(gens, form=form_on_e(p), labels=sl2_rep.labels,
-                          base=sl2_rep, p=p)
+                          base=sl2_rep)
 
 
 @dataclass
 class EigenData:
-    """Sorted eigenvalues with Q-normalized eigenvectors and induced flags.
+    """Sorted eigenvalues with Q-normalized eigenvectors.
 
     `eigenvalues` lists λ_1 > ... > λ_p followed by λ̄_p > ... > λ̄_1 (so
     entry i pairs with entry 2p-1-i and λ_i λ̄_i = 1). `vectors` holds the
     right eigenvectors as aligned columns, normalized so Q(v_i, v̄_i) = 1;
     the two middle columns are isotropic. `theta` / `theta_bar` are
     orthonormalized spans of the attracting and repelling maximal
-    isotropics; `flag` lists the nested attracting subspaces L_1 ⊂ ... ⊂ L_p.
+    isotropics.
     """
 
     p: int
@@ -386,10 +369,6 @@ class EigenData:
     def line_bar(self, i):
         """Repelling eigenline Ē_i (1-indexed, i <= p)."""
         return self.vectors[:, 2 * self.p - i : 2 * self.p - i + 1]
-
-    @property
-    def flag(self):
-        return [orthonormal_span(self.vectors[:, :i]) for i in range(1, self.p + 1)]
 
     @property
     def lambdas(self):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .affine_deform import margulis_invariant, margulis_invariants
 from .fuchsian import translation_length
+from .linalg import NumericalFailure
 from .principal_rep import eigendata_fuchsian
 from .surface_group import conjugacy_canonical
 
@@ -76,7 +77,6 @@ class LengthSpectrum:
     slack: float
     records: list
     dropped: int = 0
-    cocycle_tag: str = ""
 
     def __len__(self):
         return len(self.records)
@@ -105,15 +105,16 @@ class LengthSpectrum:
         return np.array([r.alpha for r in self.records])
 
 
-def length_spectrum(rho, ball, basis, omega=None, radius=None, margin=None):
+def length_spectrum(rho, ball, basis, omega=None, *, radius):
     """Assemble the conjugacy-class spectrum from an orbit ball.
 
     Classes are the canonical cyclic words of ball elements with
     translation length ≤ `radius`; γ and γ⁻¹ are distinct classes and
     both retained. Completeness below `radius` relies on the ball
     reaching radius + margin and is certified by the margin-doubling
-    stabilization test (see tests); per-class numerical failures are
-    counted in `dropped` (must be zero for acceptance).
+    stabilization test (see tests); per-class NumericalFailures are
+    counted in `dropped` (must be zero for acceptance), any other error
+    propagates.
 
     Parameters
     ----------
@@ -123,13 +124,11 @@ def length_spectrum(rho, ball, basis, omega=None, radius=None, margin=None):
     basis : PrincipalBasis
     omega : Cocycle, optional
         If given, each record carries the Margulis invariant.
-    radius : float, optional
-        Class-length cutoff; defaults to ball.radius - 3.0.
+    radius : float
+        Class-length cutoff; required, keyword only.
     """
     presentation = ball.presentation
     p = basis.p
-    if radius is None:
-        radius = ball.radius - (3.0 if margin is None else margin)
     sl2 = rho.base
     seen = {}
     dropped = 0
@@ -144,7 +143,7 @@ def length_spectrum(rho, ball, basis, omega=None, radius=None, margin=None):
             continue
         try:
             record = _class_record(canonical.letters, sl2, rho, basis, omega)
-        except Exception:
+        except NumericalFailure:
             dropped += 1
             continue
         seen[canonical.letters] = record
@@ -152,7 +151,6 @@ def length_spectrum(rho, ball, basis, omega=None, radius=None, margin=None):
     return LengthSpectrum(
         p=p, radius=float(radius), ball_radius=ball.radius, slack=ball.slack,
         records=records, dropped=dropped,
-        cocycle_tag="" if omega is None else "cocycle",
     )
 
 
@@ -192,7 +190,7 @@ def spectrum_with_alpha(spectrum, alphas):
     """Copy of a spectrum with the α column replaced."""
     records = [replace(rec, alpha=float(a))
                for rec, a in zip(spectrum.records, alphas)]
-    return replace(spectrum, records=records, cocycle_tag="cocycle")
+    return replace(spectrum, records=records)
 
 
 @dataclass

@@ -166,38 +166,6 @@ def _relator_tables(relator):
     return long_moves, half_moves
 
 
-def _apply_linear_dehn(word, long_moves):
-    """Leftmost longest strictly-shortening replacement, or None."""
-    n = len(word)
-    lengths = sorted({len(s) for s in long_moves}, reverse=True)
-    for k in lengths:
-        if k > n:
-            continue
-        for i in range(n - k + 1):
-            s = word[i : i + k]
-            if s in long_moves:
-                return free_reduce(word[:i] + long_moves[s] + word[i + k :])
-    return None
-
-
-def reduce(word, presentation=None):
-    """Free reduction, optionally followed by Dehn reduction.
-
-    With a presentation, any subword matching more than half of a cyclic
-    rotation of the relator (or its inverse) is replaced by the shorter
-    complement until no such subword remains.
-    """
-    w = free_reduce(word)
-    if presentation is None:
-        return w
-    long_moves, _ = _relator_tables(presentation.relator)
-    while True:
-        nxt = _apply_linear_dehn(w, long_moves)
-        if nxt is None:
-            return w
-        w = nxt
-
-
 def _cyclic_dehn_step(word, long_moves):
     """Best strictly-shortening cyclic replacement, or None.
 

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import anosovlab
 from anosovlab.cli import random_cocycle
 from anosovlab.fuchsian import enumerate_ball, octagon_group
 from anosovlab.principal_rep import (
@@ -47,3 +52,28 @@ def lab():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+# BLAS thread settings the determinism tests compare; None leaves both unset
+THREAD_SETTINGS = ("1", "2", None)
+
+
+def run_cli_process(args, threads):
+    """Run ``python -m anosovlab.cli ARGS`` in a fresh process.
+
+    The BLAS thread count is fixed at process start, so thread-count
+    independence can only be tested across processes: OPENBLAS_NUM_THREADS
+    and OMP_NUM_THREADS are both set to `threads`, or both unset for None.
+    Returns the exit code.
+    """
+    env = dict(os.environ)
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(key, None)
+        if threads is not None:
+            env[key] = threads
+    package_root = os.path.dirname(os.path.dirname(anosovlab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return subprocess.run([sys.executable, "-m", "anosovlab.cli", *args],
+                          env=env).returncode

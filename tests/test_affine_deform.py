@@ -190,7 +190,7 @@ def test_eigenvalue_derivative_identity(lab, p, rng):
     direction = deformation_direction(omega, lab.basis[p])
     for w in [(1,), (2, 1), (1, 2, -1, 4), (3, 3, 2)]:
         eig = eigendata_fuchsian(p, lab.sl2.evaluate(w), lab.basis[p])
-        rho_dot = direction.value(w, lab.rho_e[p])
+        rho_dot = direction.value(w)
         lam_dot, lam_bar_dot = eigenvalue_derivative(
             eig, rho_dot, lab.rho_e[p].evaluate(w)
         )

@@ -1,9 +1,11 @@
 import json
-import os
 
 import numpy as np
+import pytest
 
 from anosovlab.cli import main
+
+from conftest import THREAD_SETTINGS, run_cli_process
 
 
 def run_cli(tmp_path, command, config=None, extra=()):
@@ -56,7 +58,7 @@ def test_entropy_report(tmp_path):
     assert code == 0
     report = read_json(out / "entropy.json")
     assert 0.9 <= float(report["estimate"]) <= 1.1
-    assert float(report["estimate_lastroot"]) == float(report["estimate"])
+    assert not {"estimate_lastroot", "residual_lastroot"} & set(report)
     counts = (out / "entropy_counts.csv").read_text().splitlines()
     assert counts[0] == "T,N,log_N_over_T"
     last = counts[-1].split(",")
@@ -64,22 +66,19 @@ def test_entropy_report(tmp_path):
 
 
 def test_spectrum_and_determinism(tmp_path):
-    config = {"seed": 5, "radius": 6.0, "cocycle": "random"}
-    code1, out1 = run_cli(tmp_path, "spectrum", config)
-    assert code1 == 0
-    first = (out1 / "spectrum.csv").read_bytes()
-    meta = read_json(out1 / "spectrum_meta.json")
-    assert meta["dropped"] == 0
-
     # identical config + seed => byte-identical output, independent of the
-    # thread environment
-    os.environ["ANOSOVLAB_THREADS"] = "1"
-    try:
-        code2, out2 = run_cli(tmp_path / "again", "spectrum", config)
-    finally:
-        os.environ.pop("ANOSOVLAB_THREADS")
-    assert code2 == 0
-    assert (out2 / "spectrum.csv").read_bytes() == first
+    # BLAS thread count (fixed per process, hence one process per setting)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 5, "radius": 6.0, "cocycle": "random"}))
+    outputs = []
+    for i, threads in enumerate(THREAD_SETTINGS):
+        out = tmp_path / f"out{i}"
+        code = run_cli_process(["spectrum", "--config", str(config),
+                                "--out", str(out)], threads)
+        assert code == 0, threads
+        assert read_json(out / "spectrum_meta.json")["dropped"] == 0
+        outputs.append((out / "spectrum.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_random_cocycle_requires_seed(tmp_path, capsys):
@@ -101,6 +100,20 @@ def test_invalid_config_rejected(tmp_path, capsys):
 
     code, _ = run_cli(tmp_path, "entropy", {"bogus_key": 1})
     assert code == 1
+
+    # the group is always the genus-2 octagon group; there is no such key
+    code, _ = run_cli(tmp_path, "entropy", {"group": "genus2-octagon"})
+    assert code == 1
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: check-rep --seed 1 exits 2 at p = 3 (form_residual_v "
+    "1.03e-9 > 1e-9) and at p = 4 (2.5e-6) because it samples raw letter "
+    "strings with g.g^-1 backtracks, worst (-3, -2, 2, 3, 4, -3, -1, -4); "
+    "freely reduced, the same words give at most 2.0e-14 and 1.6e-13"))
+def test_check_rep_p3(tmp_path):
+    code, _ = run_cli(tmp_path, "check-rep", extra=("--seed", "1", "--p", "3"))
+    assert code == 0
 
 
 def test_explicit_cocycle_projection(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from anosovlab import spectra
 from anosovlab.affine_deform import Cocycle, coboundary
 from anosovlab.fuchsian import enumerate_ball
+from anosovlab.linalg import NumericalFailure
 from anosovlab.spectra import (
     LengthFunctional,
     anosov_gap_report,
@@ -192,3 +194,28 @@ def test_spectrum_stabilization_certificate(lab):
 
     counts = spectrum_stabilization(make, (3.0, 4.5))
     assert counts[0] == counts[1] > 0
+
+
+def test_only_numerical_failures_are_dropped(lab, monkeypatch):
+    full = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
+    victim = full.records[0].word
+    original = spectra._class_record
+
+    def failing(word, *args):
+        if word == victim:
+            raise NumericalFailure("simulated ill-conditioned class")
+        return original(word, *args)
+
+    monkeypatch.setattr(spectra, "_class_record", failing)
+    spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
+    # a failed class is retried for each of its ball elements, and every
+    # failure counts
+    assert spec.dropped >= 1 and len(spec) == len(full) - 1
+
+    # any other exception is a bug and must not be counted as a dropped class
+    def broken(word, *args):
+        raise TypeError("simulated bug")
+
+    monkeypatch.setattr(spectra, "_class_record", broken)
+    with pytest.raises(TypeError):
+        length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)

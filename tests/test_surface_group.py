@@ -12,7 +12,6 @@ from anosovlab.surface_group import (
     inverse_word,
     min_rotation,
     parse_word,
-    reduce,
     solve_cocycle_space,
 )
 
@@ -31,20 +30,9 @@ def random_word(rng, length, letters=(1, -1, 2, -2, 3, -3, 4, -4)):
 
 
 def test_free_reduction_examples():
-    assert reduce((1, -1, 2)) == (2,)
-    assert reduce(()) == ()
+    assert free_reduce((1, -1, 2)) == (2,)
+    assert free_reduce(()) == ()
     assert free_reduce((1, 2, -2, -1)) == ()
-
-
-def test_relator_reduces_to_empty():
-    assert reduce(RELATOR, PRES) == ()
-
-
-def test_reduce_is_idempotent(rng):
-    for _ in range(200):
-        w = random_word(rng, int(rng.integers(0, 14)))
-        r = reduce(w, PRES)
-        assert reduce(r, PRES) == r
 
 
 def test_word_round_trip():
