@@ -8,10 +8,14 @@ translation and satisfy the genus-2 commutator relation exactly; the
 construction is closed-form and self-checked at 1e-9.
 
 Ball enumeration is a breadth-first search over freely reduced words,
-pruned by orbit distance with a configurable slack, deduplicated by
-quantized matrix keys (projectively, i.e. up to sign). The traversal is
-level-synchronous with canonical tie-breaks, so the output is independent
-of internal evaluation order.
+pruned by orbit distance with a configurable slack and deduplicated by
+quantized matrix keys (projectively, i.e. up to sign). Keys are sorted
+and looked up by a fixed 64-bit hash, and every hash match is confirmed
+on the exact key, so the ball does not depend on the hash. Words are
+kept as letter-code arrays during the search and become tuples only for
+elements inside the radius. The traversal is level-synchronous with
+canonical tie-breaks, so the output is independent of internal
+evaluation order.
 """
 
 from dataclasses import dataclass, field
@@ -172,9 +176,9 @@ def boundary_separation(u, v):
 class BallEnumeration:
     """Orbit ball: group elements γ with d(o, γo) ≤ T.
 
-    Elements are deduplicated projectively (±M is one isometry) keeping the
-    lexicographically smallest among the shortest words. `matrices`,
-    `words` and `distances` are aligned and sorted by (distance, word).
+    Elements are deduplicated projectively (±M is one isometry) keeping
+    the smallest among the shortest words. `matrices`, `words` and
+    `distances` are aligned and sorted by (distance, word length, word).
     """
 
     radius: float
@@ -207,9 +211,65 @@ def _sign_normalize(mats):
 
 
 def _quantized_keys(mats):
-    normalized = _sign_normalize(mats.copy())
-    q = np.round(normalized.reshape(len(normalized), 4) / QUANTUM).astype(np.int64)
-    return np.ascontiguousarray(q).view([("", np.int64)] * 4).ravel()
+    """Exact dedup keys: sign-normalized entries on the QUANTUM grid, (n, 4) int64."""
+    normalized = _sign_normalize(mats).reshape(len(mats), 4)
+    return np.round(normalized / QUANTUM).astype(np.int64)
+
+
+# odd 64-bit multipliers of the key mix (splitmix64-style constants)
+_MIX = np.array(
+    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
+     0xD6E8FEB86659FD93],
+    dtype=np.uint64,
+)
+
+
+def _key_hash(keys):
+    """Fixed 64-bit mix of the four quantized entries of each key.
+
+    Only a sort order: equal hashes are always confirmed on the exact
+    keys, so the ball does not depend on this function.
+    """
+    bits = keys.view(np.uint64)
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for j in range(4):
+        h = (h ^ bits[:, j]) * _MIX[j]
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def _first_occurrences(hashes, keys):
+    """Indices of the first occurrence of each distinct key, in hash order.
+
+    The sorts are stable, so within a group of equal keys the element
+    that comes first in the input is kept.
+    """
+    order = np.argsort(hashes, kind="stable")
+    pairs = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]])
+    same = (keys[order[pairs + 1]] == keys[order[pairs]]).all(axis=1)
+    if not same.all():
+        # two different keys share a hash: order exactly within each hash
+        order = np.lexsort(tuple(keys.T[::-1]) + (hashes,))
+        pairs = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]])
+        same = (keys[order[pairs + 1]] == keys[order[pairs]]).all(axis=1)
+    first = np.ones(len(order), dtype=bool)
+    first[pairs[same] + 1] = False
+    return order[first]
+
+
+def _contained(seen_hashes, seen_keys, hashes, keys):
+    """Mask of keys present in the hash-sorted `seen` table (exact compare)."""
+    last = len(seen_hashes) - 1
+    at = np.minimum(np.searchsorted(seen_hashes, hashes), last)
+    found = np.zeros(len(hashes), dtype=bool)
+    pending = np.flatnonzero(seen_hashes[at] == hashes)
+    while len(pending):
+        # compare with the next seen entry of the same hash
+        found[pending] = (seen_keys[at[pending]] == keys[pending]).all(axis=1)
+        pending = pending[~found[pending] & (at[pending] < last)]
+        at[pending] += 1
+        pending = pending[seen_hashes[at[pending]] == hashes[pending]]
+    return found
 
 
 def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
@@ -217,11 +277,15 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     """Enumerate the orbit ball of radius `radius` around o = i.
 
     Breadth-first search over freely reduced words pruned at orbit
-    distance radius + slack. Deduplication quantizes matrix entries on a
-    1e-7 grid after projective sign normalization; candidate collisions
-    are re-checked by exact matrix distance in a final merge pass. The
-    per-level merge is order independent: ties keep the lexicographically
-    smallest shortest word.
+    distance radius + slack. Each element is keyed by its matrix entries
+    quantized on a 1e-7 grid after projective sign normalization; keys
+    are sorted and looked up by a 64-bit hash, and every hash match is
+    confirmed on the exact key, so a collision never merges two elements.
+    Each level is kept in code-lexicographic word order, so the element
+    kept for a key is the code-smallest of its shortest words (a1 < b1 <
+    a2 < b2 < a1⁻¹ < … < b2⁻¹). Word tuples are built only for elements
+    within `radius`. Candidate collisions across quantization cells are
+    re-checked by exact matrix distance in a final merge pass.
 
     Parameters
     ----------
@@ -243,118 +307,132 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     if radius <= 0 or slack < 0:
         raise ValueError("need radius > 0 and slack >= 0")
     n_gen = len(generators)
-    gens8 = np.zeros((2 * n_gen, 2, 2))
+    n_codes = 2 * n_gen
+    gens = np.zeros((n_codes, 2, 2))
     for k in range(1, n_gen + 1):
-        gens8[k - 1] = generators[k]
-        gens8[k - 1 + n_gen] = np.linalg.inv(generators[k])
+        gens[k - 1] = generators[k]
+        gens[k - 1 + n_gen] = np.linalg.inv(generators[k])
     horizon = radius + slack
+    # squared-norm prefilter: its margin covers the rounding of the Gram
+    # form, so it keeps a superset of the children with dists <= horizon,
+    # which is still tested exactly below
+    gram = gens @ gens.transpose(0, 2, 1)
+    norm_cap = 2.0 * np.cosh(horizon) * (1.0 + 1e-9)
 
     # letters: 0..n-1 positive, n..2n-1 inverse; inverse code of c is (c+n) mod 2n
-    def letter_of_code(code):
-        return int(code) + 1 if code < n_gen else -(int(code) - n_gen + 1)
+    codes = np.arange(n_codes, dtype=np.int16)
+    letters = np.where(codes < n_gen, codes + 1, -(codes - n_gen + 1)).astype(np.int8)
 
+    # the frontier is kept in code-lexicographic word order
     frontier_mats = np.eye(2)[None, :, :]
     frontier_codes = np.full(1, -1, dtype=np.int16)  # last letter codes
     frontier_words = np.zeros((1, 0), dtype=np.int16)
 
-    all_mats = [frontier_mats]
-    all_dists = [np.zeros(1)]
-    all_words = [frontier_words]
+    ball_mats = [frontier_mats]
+    ball_dists = [np.zeros(1)]
+    ball_words = [frontier_words]
 
-    seen = np.sort(_quantized_keys(frontier_mats))
+    seen_keys = _quantized_keys(frontier_mats)
+    seen_hashes = _key_hash(seen_keys)
     total = 1
     depth = 0
     while len(frontier_mats):
         depth += 1
-        children = np.einsum("fij,gjk->fgik", frontier_mats, gens8)
-        codes = np.broadcast_to(
-            np.arange(2 * n_gen, dtype=np.int16), (len(frontier_mats), 2 * n_gen)
+        # ‖F·g‖² = Σ_jl (FᵀF)_jl (g gᵀ)_jl: the squared norms of all
+        # children from the Gram matrix of each parent
+        rows = frontier_mats.reshape(-1, 4)
+        norms = np.multiply.outer(rows[:, 0] ** 2 + rows[:, 2] ** 2, gram[:, 0, 0])
+        norms += np.multiply.outer(
+            2.0 * (rows[:, 0] * rows[:, 1] + rows[:, 2] * rows[:, 3]), gram[:, 0, 1]
         )
-        keep = codes != ((frontier_codes[:, None] + n_gen) % (2 * n_gen))
-        if depth == 1:
-            keep = np.ones_like(keep, dtype=bool)
+        norms += np.multiply.outer(rows[:, 1] ** 2 + rows[:, 3] ** 2, gram[:, 1, 1])
+        keep = norms <= norm_cap
+        if depth > 1:
+            keep &= codes != (frontier_codes[:, None] + n_gen) % n_codes
+        # row-major nonzero: children stay in code-lexicographic order
         parent_idx, code_idx = np.nonzero(keep)
-        mats = children[parent_idx, code_idx]
-        codes = codes[parent_idx, code_idx]
+        del norms, keep
+        # only the survivors are formed, by the explicit 2×2 product
+        left, right = frontier_mats[parent_idx], gens[code_idx]
+        mats = np.empty((len(parent_idx), 2, 2))
+        for i in range(2):
+            for k in range(2):
+                mats[:, i, k] = (left[:, i, 0] * right[:, 0, k]
+                                 + left[:, i, 1] * right[:, 1, k])
+        del left, right
         dists = np.arccosh(np.maximum(1.0, (mats**2).sum(axis=(1, 2)) / 2.0))
-        within = dists <= horizon
-        mats, codes, dists = mats[within], codes[within], dists[within]
-        parent_idx = parent_idx[within]
-        words = np.column_stack(
-            [frontier_words[parent_idx], codes.astype(np.int16)[:, None]]
-        )
+        within = np.nonzero(dists <= horizon)[0]
+        mats, dists = mats[within], dists[within]
+        parent_idx, code_idx = parent_idx[within], code_idx[within]
 
         keys = _quantized_keys(mats)
-        # canonical in-level dedup: sort by (key, word) and keep firsts
-        order = np.lexsort(tuple(words.T[::-1]) + (keys,))
-        keys, mats, codes, dists, words = (
-            keys[order], mats[order], codes[order], dists[order], words[order]
-        )
-        firsts = np.ones(len(keys), dtype=bool)
-        firsts[1:] = keys[1:] != keys[:-1]
-        keys, mats, codes, dists, words = (
-            keys[firsts], mats[firsts], codes[firsts], dists[firsts], words[firsts]
-        )
-        # cross-level dedup (earlier level = shorter word wins)
-        if len(seen):
-            pos = np.clip(np.searchsorted(seen, keys), 0, len(seen) - 1)
-            fresh = seen[pos] != keys
-        else:
-            fresh = np.ones(len(keys), dtype=bool)
-        mats, codes, dists, words = mats[fresh], codes[fresh], dists[fresh], words[fresh]
-        keys = keys[fresh]
+        hashes = _key_hash(keys)
+        # in-level dedup keeps the first, i.e. code-smallest, word per key;
+        # cross-level dedup drops keys of earlier levels (shorter words)
+        firsts = _first_occurrences(hashes, keys)
+        fresh = firsts[~_contained(seen_hashes, seen_keys,
+                                   hashes[firsts], keys[firsts])]
 
-        total += len(mats)
+        total += len(fresh)
         if total > max_elements:
             raise MemoryError(
                 f"ball enumeration exceeded budget of {max_elements} elements "
-                f"(frontier size {len(mats)} at depth {depth})"
+                f"(frontier size {len(fresh)} at depth {depth})"
             )
-        seen = np.sort(np.concatenate([seen, keys]))
-        all_mats.append(mats)
-        all_dists.append(dists)
-        all_words.append(words)
-        frontier_mats, frontier_codes, frontier_words = mats, codes, words
+        # merge the new keys (already in hash order) into `seen`
+        at = np.searchsorted(seen_hashes, hashes[fresh])
+        seen_hashes = np.insert(seen_hashes, at, hashes[fresh])
+        seen_keys = np.insert(seen_keys, at, keys[fresh], axis=0)
 
-    mats = np.concatenate(all_mats)
-    dists = np.concatenate(all_dists)
-    words = [
-        tuple(letter_of_code(c) for c in row)
-        for level in all_words
-        for row in level
-    ]
-    within = dists <= radius
-    mats, dists = mats[within], dists[within]
-    words = [w for w, ok in zip(words, within) if ok]
+        new = np.sort(fresh)  # back to code-lexicographic order
+        frontier_mats, dists = mats[new], dists[new]
+        frontier_codes = code_idx[new].astype(np.int16)
+        frontier_words = np.column_stack(
+            [frontier_words[parent_idx[new]], frontier_codes]
+        )
+        inside = dists <= radius
+        ball_mats.append(frontier_mats[inside])
+        ball_dists.append(dists[inside])
+        ball_words.append(frontier_words[inside])
 
-    mats, dists, words = _proximity_merge(mats, dists, words)
+    mats = np.concatenate(ball_mats)
+    dists = np.concatenate(ball_dists)
+    lengths = np.concatenate([np.full(len(w), w.shape[1]) for w in ball_words])
+    padded = np.zeros((len(dists), depth), dtype=np.int8)
+    words = []
+    start = 0
+    for codes_of_level in ball_words:
+        spelled = letters[codes_of_level]
+        padded[start:start + len(spelled), :spelled.shape[1]] = spelled
+        words.extend(map(tuple, spelled.tolist()))
+        start += len(spelled)
 
-    order = sorted(range(len(dists)), key=lambda i: (dists[i], len(words[i]), words[i]))
-    mats = mats[order]
-    dists = dists[order]
-    words = [words[i] for i in order]
+    kept = _proximity_merge(mats, words)
+    order = kept[np.lexsort(
+        tuple(padded[kept].T[::-1]) + (lengths[kept], dists[kept])
+    )]
     return BallEnumeration(
-        radius=float(radius), slack=float(slack), matrices=mats,
-        distances=dists, words=words, presentation=presentation,
+        radius=float(radius), slack=float(slack), matrices=mats[order],
+        distances=dists[order], words=[words[i] for i in order],
+        presentation=presentation,
     )
 
 
-def _proximity_merge(mats, dists, words):
-    """Merge residual duplicates straddling quantization cell boundaries."""
-    if len(mats) <= 1:
-        return mats, dists, words
-    normalized = _sign_normalize(mats.copy()).reshape(len(mats), 4)
+def _proximity_merge(mats, words):
+    """Merge residual duplicates straddling quantization cell boundaries.
+
+    Walks the elements in sorted sign-normalized order; of each adjacent
+    pair within 10·QUANTUM in every entry, the one with the greater
+    (length, word) is dropped. Returns the indices kept, in input order.
+    """
+    normalized = _sign_normalize(mats).reshape(len(mats), 4)
     order = np.lexsort(normalized.T[::-1])
     normalized = normalized[order]
+    close = np.abs(np.diff(normalized, axis=0)).max(axis=1, initial=0.0) < 10 * QUANTUM
     keep = np.ones(len(mats), dtype=bool)
-    for i in range(1, len(mats)):
-        a, b = order[i - 1], order[i]
-        if np.abs(normalized[i] - normalized[i - 1]).max() < 10 * QUANTUM:
-            # same isometry seen twice: keep the better word
-            wa, wb = words[a], words[b]
-            worse = b if (len(wa), wa) <= (len(wb), wb) else a
-            keep[worse] = False
-    if keep.all():
-        return mats, dists, words
-    idx = np.nonzero(keep)[0]
-    return mats[idx], dists[idx], [words[i] for i in idx]
+    for i in np.nonzero(close)[0]:
+        # same isometry seen twice: keep the better word
+        a, b = order[i], order[i + 1]
+        wa, wb = words[a], words[b]
+        keep[b if (len(wa), wa) <= (len(wb), wb) else a] = False
+    return np.nonzero(keep)[0]

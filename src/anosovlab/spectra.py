@@ -112,9 +112,9 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
     translation length ≤ `radius`; γ and γ⁻¹ are distinct classes and
     both retained. Completeness below `radius` relies on the ball
     reaching radius + margin and is certified by the margin-doubling
-    stabilization test (see tests); per-class NumericalFailures are
-    counted in `dropped` (must be zero for acceptance), any other error
-    propagates.
+    stabilization test (see tests); classes whose record raises
+    NumericalFailure are counted once each in `dropped` (must be zero for
+    acceptance), any other error propagates.
 
     Parameters
     ----------
@@ -131,7 +131,7 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
     p = basis.p
     sl2 = rho.base
     seen = {}
-    dropped = 0
+    failed = set()  # canonical words whose record raised NumericalFailure
     for word, mat in zip(ball.words, ball.matrices):
         trace = abs(float(np.trace(mat)))
         if trace <= 2.0 + 1e-12:
@@ -139,18 +139,19 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
         if 2.0 * math.acosh(trace / 2.0) > radius + 1e-12:
             continue
         canonical = conjugacy_canonical(word, presentation)
-        if canonical.is_trivial or canonical.letters in seen:
+        if (canonical.is_trivial or canonical.letters in seen
+                or canonical.letters in failed):
             continue
         try:
             record = _class_record(canonical.letters, sl2, rho, basis, omega)
         except NumericalFailure:
-            dropped += 1
+            failed.add(canonical.letters)
             continue
         seen[canonical.letters] = record
     records = sorted(seen.values(), key=lambda r: (r.length_hyp, r.word))
     return LengthSpectrum(
         p=p, radius=float(radius), ball_radius=ball.radius, slack=ball.slack,
-        records=records, dropped=dropped,
+        records=records, dropped=len(failed),
     )
 
 

@@ -1,10 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from anosovlab import fuchsian
 from anosovlab.linalg import NumericalFailure
 from anosovlab.fuchsian import (
     APOTHEM,
+    QUANTUM,
     distance,
     enumerate_ball,
     fixed_points,
@@ -16,7 +20,7 @@ from anosovlab.fuchsian import (
     translation,
     translation_length,
 )
-from anosovlab.surface_group import evaluate_word, inverse_word
+from anosovlab.surface_group import evaluate_word, format_word, inverse_word
 
 
 def test_relator_holonomy_is_identity():
@@ -148,6 +152,57 @@ def test_ball_deterministic(lab):
     reference = enumerate_ball(lab.sl2.generators, 6.5, 2.0)
     assert again.words == reference.words
     assert np.array_equal(again.matrices, reference.matrices)
+
+
+def test_ball_independent_of_key_hash(monkeypatch):
+    # a 2-bit hash makes most keys collide; exact key compares must keep
+    # every element apart, so the ball cannot change
+    _, gens = octagon_group()
+    reference = enumerate_ball(gens, 8.0, 2.0)
+    monkeypatch.setattr(fuchsian, "_key_hash",
+                        lambda keys: (keys[:, 0] & 3).astype(np.uint64))
+    degenerate = enumerate_ball(gens, 8.0, 2.0)
+    assert degenerate.words == reference.words
+    assert degenerate.matrices.tobytes() == reference.matrices.tobytes()
+    assert degenerate.distances.tobytes() == reference.distances.tobytes()
+
+
+def test_ball_radius_11_pinned():
+    _, gens = octagon_group()
+    ball = enumerate_ball(gens, 11.0, 2.0)
+    assert len(ball) == 15_337
+    text = "\n".join(sorted(format_word(w) for w in ball.words))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c2158cf2a400299c84d1d83a4f28e8be94ebfcc9b5a2ca3e526fe7d6a7ea40aa"
+    )
+
+
+def _sequential_merge(mats, words):
+    """Reference rule: walk sorted matrices, drop the worse of close pairs."""
+    rows = [tuple(fuchsian._sign_normalize(m[None])[0].ravel()) for m in mats]
+    order = sorted(range(len(mats)), key=lambda i: rows[i])
+    kept = set(range(len(mats)))
+    for a, b in zip(order, order[1:]):
+        if max(abs(x - y) for x, y in zip(rows[a], rows[b])) < 10 * QUANTUM:
+            kept.discard(b if (len(words[a]), words[a]) <= (len(words[b]), words[b])
+                         else a)
+    return sorted(kept)
+
+
+@pytest.mark.parametrize("words", [
+    [(1, 2, 3), (1,), (2, 1), (4,)],        # the middle of the chain wins
+    [(1,), (1, 2, 3), (2, 1), (4,)],        # the first wins, the worst is hit twice
+    [(3, 3), (2, 2), (1, 1), (-1, 2, 2)],   # equal lengths: lexicographic rule
+])
+def test_proximity_merge_follows_sequential_rule(words):
+    # a chain of three matrices, neighbours 6 quanta apart (ends 12 apart),
+    # plus one distinct matrix
+    base = translation(0.7) @ rotation(0.3)
+    nudge = np.array([[6 * QUANTUM, 0.0], [0.0, 0.0]])
+    mats = np.array([base, base + nudge, base + 2 * nudge, translation(1.9)])
+    kept = fuchsian._proximity_merge(mats, words)
+    assert list(kept) == _sequential_merge(mats, words)
+    assert 3 in kept and 1 <= len(kept) - 1 <= 2
 
 
 def test_ball_memory_budget():

@@ -5,6 +5,7 @@ from anosovlab import spectra
 from anosovlab.affine_deform import Cocycle, coboundary
 from anosovlab.fuchsian import enumerate_ball
 from anosovlab.linalg import NumericalFailure
+from anosovlab.surface_group import conjugacy_canonical
 from anosovlab.spectra import (
     LengthFunctional,
     anosov_gap_report,
@@ -208,8 +209,7 @@ def test_only_numerical_failures_are_dropped(lab, monkeypatch):
 
     monkeypatch.setattr(spectra, "_class_record", failing)
     spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
-    # a failed class is retried for each of its ball elements, and every
-    # failure counts
+    # the failed class is left out of the records and counted in `dropped`
     assert spec.dropped >= 1 and len(spec) == len(full) - 1
 
     # any other exception is a bug and must not be counted as a dropped class
@@ -219,3 +219,24 @@ def test_only_numerical_failures_are_dropped(lab, monkeypatch):
     monkeypatch.setattr(spectra, "_class_record", broken)
     with pytest.raises(TypeError):
         length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
+
+
+def test_failed_class_counted_once(lab, monkeypatch):
+    full = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
+    elements = {}
+    for word, mat in zip(lab.ball.words, lab.ball.matrices):
+        trace = abs(float(np.trace(mat)))
+        if trace > 2.0 + 1e-12 and 2.0 * np.arccosh(trace / 2.0) <= 5.0 + 1e-12:
+            letters = conjugacy_canonical(word, lab.presentation).letters
+            elements[letters] = elements.get(letters, 0) + 1
+    victim = next(r.word for r in full.records if elements[r.word] >= 2)
+    original = spectra._class_record
+
+    def failing(word, *args):
+        if word == victim:
+            raise NumericalFailure("simulated ill-conditioned class")
+        return original(word, *args)
+
+    monkeypatch.setattr(spectra, "_class_record", failing)
+    spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
+    assert spec.dropped == 1 and len(spec) == len(full) - 1
