@@ -140,47 +140,69 @@ def neutral_vector(rho, word, basis, tol=1e-9):
     return NeutralVector(vector=x, word=tuple(word), certificate=certificate)
 
 
-def margulis_invariants(rho, omegas, word, basis):
-    """Margulis invariants α(word) = Q(ω_word, x_word) for several cocycles.
+def margulis_invariants(rho, omegas, words, basis):
+    """Margulis invariants α(w) = Q(ω_w, x_w) of several cocycles.
 
+    `words` is one word (a tuple of signed letters), giving shape
+    (n_cocycles,), or a list of words, giving (n_words, n_cocycles).
     Orbit-sum evaluation over the cyclic word: each letter pairs its
     generator vector with the neutral vector of the corresponding
     rotation, so the neutral-section work is shared across cocycles and
     the sum stays at unit scale for long words. Conjugation invariant and
-    a class function (the input is cyclically reduced first).
+    a class function (each word is cyclically reduced first).
+
+    Batched: the reduced words are grouped by length. Per group, the 2×2
+    product of every rotation the sum reads is built left to right as one
+    stacked product per letter position, the neutral vectors of all those
+    rotations come from one stacked `sl2_eigenbasis` and `sym_power_rep`,
+    and the pairings are stacked dot products summed letter by letter.
+    These are the per-word products, dots and summation order, so every
+    α has the bits of the word evaluated alone.
     """
-    w = cyclic_reduce(word)
-    if not w:
+    single = isinstance(words, tuple)
+    reduced = [cyclic_reduce(w) for w in ([words] if single else words)]
+    if not all(reduced):
         raise ValueError("Margulis invariant of the trivial class")
     if rho.base is None:
         raise ValueError("margulis_invariants needs the SL(2,R) base representation")
     q = basis.form_v.matrix
     p = basis.p
-    m = len(w)
-    mats2 = [rho.base.generator(letter) for letter in w]
-    totals = np.zeros(len(omegas))
-    rotation_cache = {}
-
-    def qx_at(j):
-        j = j % m
-        if j not in rotation_cache:
-            prod = np.eye(2)
-            for mm in mats2[j:] + mats2[:j]:
-                prod = prod @ mm
-            h, _ = sl2_eigenbasis(prod)
-            rotation_cache[j] = q @ (sym_power_rep(p, h) @ basis.eps[:, p - 1])
-        return rotation_cache[j]
-
-    for j, letter in enumerate(w):
-        if letter > 0:
-            qx = qx_at(j)
-            for i, om in enumerate(omegas):
-                totals[i] += om[letter] @ qx
-        else:
-            qx = qx_at(j + 1)
-            for i, om in enumerate(omegas):
-                totals[i] -= om[-letter] @ qx
-    return totals
+    n_gen = len(rho.base.generators)
+    # letter codes: g -> g - 1 and g⁻¹ -> n_gen + g - 1
+    mats2 = np.array([rho.base.generator(g) for g in range(1, n_gen + 1)]
+                     + [rho.base.generator(-g) for g in range(1, n_gen + 1)])
+    vectors = np.array([[om[g] for g in range(1, n_gen + 1)] for om in omegas])
+    totals = np.zeros((len(reduced), len(omegas)))
+    by_length = {}
+    for index, w in enumerate(reduced):
+        by_length.setdefault(len(w), []).append(index)
+    for m, indices in by_length.items():
+        letters = np.array([reduced[i] for i in indices])
+        positive = letters > 0
+        # a positive letter j reads rotation j, a negative one rotation j + 1
+        reads = np.where(positive, np.arange(m), (np.arange(m) + 1) % m)
+        needed = np.zeros(letters.shape, dtype=bool)
+        needed[np.arange(len(indices))[:, None], reads] = True
+        word_of, start = np.nonzero(needed)
+        codes = np.where(positive, letters - 1, n_gen - letters - 1)
+        spelled = codes[word_of[:, None], (start[:, None] + np.arange(m)) % m]
+        prod = np.broadcast_to(np.eye(2), (len(start), 2, 2)).copy()
+        for column in spelled.T:
+            prod = prod @ mats2[column]
+        h, _ = sl2_eigenbasis(prod)
+        x = sym_power_rep(p, h) @ basis.eps[:, p - 1]
+        qx_of = (q @ x[:, :, None])[:, :, 0]
+        slot = np.zeros(letters.shape, dtype=np.intp)
+        slot[word_of, start] = np.arange(len(start))
+        qx = qx_of[slot[np.arange(len(indices))[:, None], reads]]
+        omega_rows = np.ascontiguousarray(vectors[:, np.abs(letters) - 1])
+        dots = (omega_rows[..., None, :] @ qx[None, ..., None])[..., 0, 0]
+        sums = np.zeros((len(omegas), len(indices)))
+        for j in range(m):
+            sums = np.where(positive[:, j], sums + dots[:, :, j],
+                            sums - dots[:, :, j])
+        totals[indices] = sums.T
+    return totals[0] if single else totals
 
 
 def margulis_invariant(rho, omega, word, basis):

@@ -18,6 +18,7 @@ canonical tie-breaks, so the output is independent of internal
 evaluation order.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -128,29 +129,55 @@ def sl2_eigenbasis(m, tol=HYPERBOLIC_MARGIN):
 
     h has determinant +1 with the attracting eigenvector first and λ > 1.
     Closed-form and stable; the PSL sign ambiguity is absorbed into ±.
+
+    Stacked: `m` is one (2, 2) matrix, giving (h, float λ), or an
+    (N, 2, 2) stack, giving (h of shape (N, 2, 2), λ of shape (N,)); a
+    single matrix is evaluated as a one-element stack. The two library
+    steps, the vector norms (by the BLAS dot that np.linalg.norm uses on a
+    vector) and the determinants, run once over the whole stack; the
+    scalar arithmetic around them is done on Python floats, which round
+    exactly as numpy's float64 does and cost far less per call on small
+    stacks. Each matrix of a stack gets the bits it gets alone.
     """
-    tr = float(np.trace(m))
-    if abs(tr) <= 2.0 + tol:
-        raise NumericalFailure(f"non-hyperbolic element, |trace| = {abs(tr)}")
-    ms = m if tr > 0 else -m
-    atr = abs(tr)
-    lam = (atr + np.sqrt(atr * atr - 4.0)) / 2.0
-
-    def eigvec(mu):
-        a, b, c, d = ms[0, 0], ms[0, 1], ms[1, 0], ms[1, 1]
-        v1 = np.array([b, mu - a])
-        v2 = np.array([mu - d, c])
-        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
-        return v / np.linalg.norm(v)
-
-    h = np.column_stack([eigvec(lam), eigvec(1.0 / lam)])
-    det = float(np.linalg.det(h))
-    if abs(det) < 1e-14:
-        raise NumericalFailure("eigenbasis degenerate (nearly parabolic element)")
-    if det < 0:
-        h[:, 1] = -h[:, 1]
-        det = -det
-    return h / np.sqrt(det), float(lam)
+    m = np.asarray(m, float)
+    single = m.ndim == 2
+    entries = m.reshape(-1).tolist()
+    lams, candidates = [], []
+    for a, b, c, d in zip(*[iter(entries)] * 4):
+        tr = a + d
+        atr = abs(tr)
+        if atr <= 2.0 + tol:
+            raise NumericalFailure(f"non-hyperbolic element, |trace| = {atr}")
+        if tr < 0:
+            a, b, c, d = -a, -b, -c, -d
+        lam = (atr + math.sqrt(atr * atr - 4.0)) / 2.0
+        inv = 1.0 / lam
+        lams.append(lam)
+        # per eigenvalue μ = λ, 1/λ: the candidates (b, μ - a), (μ - d, c)
+        candidates += (b, lam - a, lam - d, c, b, inv - a, inv - d, c)
+    vectors = np.array(candidates).reshape(-1, 2)
+    squares = (vectors[:, None, :] @ vectors[:, :, None]).reshape(-1).tolist()
+    columns = []  # the longer candidate of each eigenvalue, over its norm
+    for i in range(0, len(squares), 2):
+        n1, n2 = math.sqrt(squares[i]), math.sqrt(squares[i + 1])
+        if n1 >= n2:
+            columns += (candidates[2 * i] / n1, candidates[2 * i + 1] / n1)
+        else:
+            columns += (candidates[2 * i + 2] / n2, candidates[2 * i + 3] / n2)
+    h = np.array(columns).reshape(-1, 2, 2).transpose(0, 2, 1)
+    out = []
+    for j, det in enumerate(np.linalg.det(h).tolist()):
+        if abs(det) < 1e-14:
+            raise NumericalFailure("eigenbasis degenerate (nearly parabolic element)")
+        x0, x1, y0, y1 = columns[4 * j: 4 * j + 4]
+        if det < 0:
+            y0, y1, det = -y0, -y1, -det
+        root = math.sqrt(det)
+        out += (x0 / root, y0 / root, x1 / root, y1 / root)
+    h = np.array(out).reshape(-1, 2, 2)
+    if single:
+        return h[0], lams[0]
+    return h, np.array(lams)
 
 
 def _canonical_line(v):
@@ -257,18 +284,33 @@ def _first_occurrences(hashes, keys):
     return order[first]
 
 
-def _contained(seen_hashes, seen_keys, hashes, keys):
-    """Mask of keys present in the hash-sorted `seen` table (exact compare)."""
-    last = len(seen_hashes) - 1
-    at = np.minimum(np.searchsorted(seen_hashes, hashes), last)
+def _stored_keys(store, offsets, rows):
+    """Keys at global `rows` of the append-only store of per-level blocks."""
+    level = np.searchsorted(offsets, rows, side="right") - 1
+    out = np.empty((len(rows), 4), dtype=np.int64)
+    for block in np.unique(level).tolist():
+        pick = level == block
+        out[pick] = store[block][rows[pick] - offsets[block]]
+    return out
+
+
+def _contained(index_hashes, index_rows, store, offsets, hashes, keys):
+    """Mask of keys present in the `seen` store (exact compare).
+
+    `index_hashes` is sorted and `index_rows` holds the global store row of
+    each entry; every entry with a matching hash is compared on its key.
+    """
+    last = len(index_hashes) - 1
+    at = np.minimum(np.searchsorted(index_hashes, hashes), last)
     found = np.zeros(len(hashes), dtype=bool)
-    pending = np.flatnonzero(seen_hashes[at] == hashes)
+    pending = np.flatnonzero(index_hashes[at] == hashes)
     while len(pending):
         # compare with the next seen entry of the same hash
-        found[pending] = (seen_keys[at[pending]] == keys[pending]).all(axis=1)
+        stored = _stored_keys(store, offsets, index_rows[at[pending]])
+        found[pending] = (stored == keys[pending]).all(axis=1)
         pending = pending[~found[pending] & (at[pending] < last)]
         at[pending] += 1
-        pending = pending[seen_hashes[at[pending]] == hashes[pending]]
+        pending = pending[index_hashes[at[pending]] == hashes[pending]]
     return found
 
 
@@ -281,6 +323,8 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     quantized on a 1e-7 grid after projective sign normalization; keys
     are sorted and looked up by a 64-bit hash, and every hash match is
     confirmed on the exact key, so a collision never merges two elements.
+    Keys of earlier levels live in an append-only store of per-level
+    blocks; only a hash-sorted (hash, row) index is merged level by level.
     Each level is kept in code-lexicographic word order, so the element
     kept for a key is the code-smallest of its shortest words (a1 < b1 <
     a2 < b2 < a1⁻¹ < … < b2⁻¹). Word tuples are built only for elements
@@ -332,8 +376,13 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     ball_dists = [np.zeros(1)]
     ball_words = [frontier_words]
 
-    seen_keys = _quantized_keys(frontier_mats)
-    seen_hashes = _key_hash(seen_keys)
+    # `seen`: append-only blocks of keys, one per level, and a hash-sorted
+    # index of (hash, global row) that new keys are merged into
+    store = [_quantized_keys(frontier_mats)]
+    offsets = np.zeros(1, dtype=np.int64)
+    index_hashes = _key_hash(store[0])
+    row_type = np.int32 if max_elements < 2**31 else np.int64
+    index_rows = np.zeros(1, dtype=row_type)
     total = 1
     depth = 0
     while len(frontier_mats):
@@ -370,19 +419,23 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
         # in-level dedup keeps the first, i.e. code-smallest, word per key;
         # cross-level dedup drops keys of earlier levels (shorter words)
         firsts = _first_occurrences(hashes, keys)
-        fresh = firsts[~_contained(seen_hashes, seen_keys,
+        fresh = firsts[~_contained(index_hashes, index_rows, store, offsets,
                                    hashes[firsts], keys[firsts])]
 
-        total += len(fresh)
-        if total > max_elements:
+        if total + len(fresh) > max_elements:
             raise MemoryError(
                 f"ball enumeration exceeded budget of {max_elements} elements "
                 f"(frontier size {len(fresh)} at depth {depth})"
             )
-        # merge the new keys (already in hash order) into `seen`
-        at = np.searchsorted(seen_hashes, hashes[fresh])
-        seen_hashes = np.insert(seen_hashes, at, hashes[fresh])
-        seen_keys = np.insert(seen_keys, at, keys[fresh], axis=0)
+        # append the new keys as a block and merge their (hash, row)
+        # entries, already in hash order, into the index
+        store.append(keys[fresh])
+        offsets = np.append(offsets, total)
+        at = np.searchsorted(index_hashes, hashes[fresh])
+        index_hashes = np.insert(index_hashes, at, hashes[fresh])
+        index_rows = np.insert(index_rows, at,
+                               np.arange(total, total + len(fresh), dtype=row_type))
+        total += len(fresh)
 
         new = np.sort(fresh)  # back to code-lexicographic order
         frontier_mats, dists = mats[new], dists[new]

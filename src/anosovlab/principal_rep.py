@@ -21,7 +21,10 @@ e_p) is the orientation under which the eigenvalue-derivative identity of
 `affine_deform` holds with its stated sign.
 """
 
+import itertools
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -36,28 +39,113 @@ def sym_power_rep(p, m):
     Multiplicative in m; the image of the monomial m_k is
     (a x + c y)^(d-k) (b x + d y)^k expanded in the monomial basis.
 
+    Stacked: `m` is one 2x2 matrix or an (N, 2, 2) stack, and the result
+    is (2p-1, 2p-1) or (N, 2p-1, 2p-1); a single matrix is evaluated as a
+    one-element stack. Column k is the convolution of the coefficient
+    lists C(d-k, i) a^(d-k-i) c^i and C(k, j) b^(k-j) d^j, evaluated the
+    way ``np.convolve`` evaluates it (see `_sym_power_plan`), with powers
+    taken by the C library ``pow`` like Python's float power, so every
+    matrix gets the bits of that one-matrix formula.
+
     Parameters
     ----------
     p : int
         Half-dimension parameter, p >= 2; the result is (2p-1) x (2p-1).
     m : ndarray
-        2x2 real matrix with determinant 1 (checked to 1e-10).
+        2x2 real matrix, or stack of them, with determinant 1 (checked to
+        1e-10).
     """
     if p < 2:
         raise ValueError("p must be >= 2")
     m = np.asarray(m, float)
-    if abs(np.linalg.det(m) - 1.0) > 1e-10:
-        raise ValueError("matrix must have determinant 1")
-    d = 2 * p - 2
+    single = m.ndim == 2
+    m = m.reshape(-1, 2, 2)
+    entries = m.reshape(-1).tolist()
+    for a, b, c, d in zip(*[iter(entries)] * 4):
+        if abs(a * d - b * c - 1.0) > 1e-10:
+            raise ValueError("matrix must have determinant 1")
     n = 2 * p - 1
-    a, b, c, dd = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    out = np.zeros((n, n))
+    coefficients, first, second, groups, order = _sym_power_plan(p)
+    # powers[i, entry * n + e] = (entry of matrix i) ** e, entries a, b, c, d = 0..3
+    powers = np.array([list(map(math.pow, entries, itertools.repeat(float(e))))
+                       for e in range(n)])
+    powers = powers.reshape(n, -1, 4).transpose(1, 2, 0).reshape(len(m), 4 * n)
+    slots = coefficients * powers[:, first] * powers[:, second]
+    values = []
+    for by_dot, xs, ys in groups:
+        if by_dot:
+            # unit strides, so BLAS takes its contiguous dot kernel
+            x, y = np.ascontiguousarray(slots[:, xs]), np.ascontiguousarray(slots[:, ys])
+            values.append((x[..., None, :] @ y[..., :, None])[..., 0, 0])
+        else:
+            terms = slots[:, xs] * slots[:, ys]
+            value = 0.0
+            for t in range(terms.shape[2]):
+                value = value + terms[..., t]
+            values.append(value)
+    out = np.concatenate(values, axis=1)[:, order].reshape(len(m), n, n)
+    return out[0] if single else out
+
+
+@lru_cache(maxsize=None)
+def _sym_power_plan(p):
+    """Evaluation plan of `sym_power_rep` for one p.
+
+    Column k of the degree-d power is ``np.convolve(left_k, right_k)``.
+    With a the longer list (the left one on a tie) and v the other,
+    np.convolve forms entry r as the sum over i ascending of a[i]·v[r-i]:
+    a running sum from 0.0 where v fits inside a, and a BLAS dot product
+    in the overhang at both ends. The running sums of all columns form one
+    group, padded in front with zero terms (0.0 + 0.0·0.0 leaves the sum
+    at 0.0); the dot products are grouped by their number of terms (they
+    cannot be padded).
+
+    Returns (coefficients, first, second, groups, order): slot s holds
+    coefficients[s]·powers[first[s]]·powers[second[s]] (binomials of the
+    left then the right lists, then a zero slot); each group is (by_dot,
+    xs, ys) with xs, ys the (entries, terms) slots of the two factors; and
+    `order` takes the concatenated group values to row-major matrix order.
+    """
+    d = 2 * p - 2
+    n = d + 1
+    slots, at = [], {}
+    # slot: (binomial, entry, exponent, entry, exponent), entries a, b, c, d = 0..3
     for k in range(n):
-        left = np.array([comb(d - k, i) * a ** (d - k - i) * c**i
-                         for i in range(d - k + 1)])
-        right = np.array([comb(k, j) * b ** (k - j) * dd**j for j in range(k + 1)])
-        out[:, k] = np.convolve(left, right)
-    return out
+        for i in range(d - k + 1):
+            at["left", k, i] = len(slots)
+            slots.append((comb(d - k, i), 0, d - k - i, 2, i))
+        for j in range(k + 1):
+            at["right", k, j] = len(slots)
+            slots.append((comb(k, j), 1, k - j, 3, j))
+    zero = len(slots)
+    slots.append((0, 0, 0, 0, 0))
+    grouped = {}
+    for k in range(n):
+        n_left, n_right = d - k + 1, k + 1
+        short, long = min(n_left, n_right), max(n_left, n_right)
+        for r in range(n):
+            terms = []
+            for i in range(long):
+                if 0 <= r - i < short:
+                    # (index into a, index into v) as (left, right) indices
+                    left, right = (i, r - i) if n_left >= n_right else (r - i, i)
+                    terms.append((at["left", k, left], at["right", k, right]))
+            by_dot = len(terms) > 1 and not short - 1 <= r <= long - 1
+            group = grouped.setdefault(len(terms) if by_dot else 0, ([], [], []))
+            group[0].append(r * n + k)
+            group[1].append([t[0] for t in terms])
+            group[2].append([t[1] for t in terms])
+    groups, positions = [], []
+    for size, (where, xs, ys) in sorted(grouped.items()):
+        if size == 0:
+            width = max(len(x) for x in xs)
+            xs = [[zero] * (width - len(x)) + x for x in xs]
+            ys = [[zero] * (width - len(y)) + y for y in ys]
+        groups.append((size > 0, np.array(xs), np.array(ys)))
+        positions += where
+    columns = np.array(slots).T
+    return (columns[0].astype(float), columns[1] * n + columns[2],
+            columns[3] * n + columns[4], tuple(groups), np.argsort(positions))
 
 
 @dataclass

@@ -20,11 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .affine_deform import margulis_invariant, margulis_invariants
+from .affine_deform import margulis_invariants
 from .fuchsian import translation_length
 from .linalg import NumericalFailure
 from .principal_rep import eigendata_fuchsian
-from .surface_group import conjugacy_canonical
+from .surface_group import conjugacy_canonical, min_rotation
 
 MIN_WINDOW_COUNT = 100
 
@@ -116,6 +116,12 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
     NumericalFailure are counted once each in `dropped` (must be zero for
     acceptance), any other error propagates.
 
+    The elements come from `_ball_classes`: one vectorized |trace| pass
+    over `ball.matrices`, then `conjugacy_canonical` once per cyclic word,
+    memoized on min_rotation(cyclic_reduce(w)). With a cocycle, the α
+    column comes from one batched `margulis_invariants` call over all
+    classes.
+
     Parameters
     ----------
     rho : Representation
@@ -127,35 +133,58 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
     radius : float
         Class-length cutoff; required, keyword only.
     """
-    presentation = ball.presentation
     p = basis.p
     sl2 = rho.base
     seen = {}
     failed = set()  # canonical words whose record raised NumericalFailure
-    for word, mat in zip(ball.words, ball.matrices):
-        trace = abs(float(np.trace(mat)))
-        if trace <= 2.0 + 1e-12:
-            continue  # identity or (impossible here) elliptic/parabolic
-        if 2.0 * math.acosh(trace / 2.0) > radius + 1e-12:
-            continue
-        canonical = conjugacy_canonical(word, presentation)
-        if (canonical.is_trivial or canonical.letters in seen
-                or canonical.letters in failed):
+    for letters, _ in _ball_classes(ball, radius):
+        if letters in seen or letters in failed:
             continue
         try:
-            record = _class_record(canonical.letters, sl2, rho, basis, omega)
+            seen[letters] = _class_record(letters, sl2, basis)
         except NumericalFailure:
-            failed.add(canonical.letters)
-            continue
-        seen[canonical.letters] = record
+            failed.add(letters)
     records = sorted(seen.values(), key=lambda r: (r.length_hyp, r.word))
-    return LengthSpectrum(
+    spectrum = LengthSpectrum(
         p=p, radius=float(radius), ball_radius=ball.radius, slack=ball.slack,
         records=records, dropped=len(failed),
     )
+    if omega is not None:
+        spectrum = spectrum_with_alpha(
+            spectrum, multi_alphas(spectrum, rho, basis, [omega])[:, 0])
+    return spectrum
 
 
-def _class_record(word, sl2, rho, basis, omega):
+def _ball_classes(ball, radius):
+    """Canonical class and |trace| of each hyperbolic ball element of
+    translation length ≤ `radius`, in ball order.
+
+    The |trace| bound is applied to all of `ball.matrices` at once with a
+    margin, and the exact scalar test 2·acosh(t/2) ≤ radius + 1e-12 decides
+    for the survivors. Ball words are freely reduced, so peeling the
+    wrap-around gives the cyclic reduction; `conjugacy_canonical` depends
+    only on the cyclic word, so it runs once per min_rotation of it.
+    """
+    presentation = ball.presentation
+    traces = np.abs(ball.matrices[:, 0, 0] + ball.matrices[:, 1, 1])
+    bound = 2.0 * math.cosh(0.5 * (radius + 1e-12)) * (1.0 + 1e-9)
+    candidates = np.flatnonzero((traces > 2.0 + 1e-12) & (traces <= bound))
+    canonical_of = {}
+    for index, trace in zip(candidates.tolist(), traces[candidates].tolist()):
+        if 2.0 * math.acosh(trace / 2.0) > radius + 1e-12:
+            continue
+        word = ball.words[index]
+        while len(word) >= 2 and word[0] == -word[-1]:
+            word = word[1:-1]
+        key = min_rotation(word)
+        letters = canonical_of.get(key)
+        if letters is None:
+            letters = canonical_of[key] = conjugacy_canonical(key, presentation).letters
+        if letters:
+            yield letters, trace
+
+
+def _class_record(word, sl2, basis):
     p = basis.p
     m2 = sl2.evaluate(word)
     trace = abs(float(np.trace(m2)))
@@ -165,26 +194,23 @@ def _class_record(word, sl2, rho, basis, omega):
     lambdas = eig.lambdas
     lambdas_bar = eig.eigenvalues[p:][::-1]
     lastroot = float(np.log(lambdas[p - 1]) + np.log(lambdas[p - 2]))
-    alpha = math.nan
-    if omega is not None:
-        alpha = margulis_invariant(rho, omega, word, basis)
     return ClassRecord(
         word=word, trace=trace, length_hyp=ell, length_lastroot=lastroot,
         sl2_eigenvalue=lam, lambdas=np.array(lambdas),
-        lambdas_bar=np.array(lambdas_bar), alpha=alpha,
+        lambdas_bar=np.array(lambdas_bar),
     )
 
 
 def multi_alphas(spectrum, rho, basis, omegas):
     """Margulis invariants of several cocycles over one spectrum.
 
-    Returns an (n_classes, n_cocycles) array; the per-class neutral
-    sections are computed once and shared across cocycles.
+    Returns an (n_classes, n_cocycles) array from one batched
+    `margulis_invariants` call over the class words: the neutral sections
+    are built once per rotation of each class, stacked across all classes
+    of a word length, and shared across cocycles.
     """
-    return np.array([
-        margulis_invariants(rho, omegas, rec.word, basis)
-        for rec in spectrum.records
-    ])
+    return margulis_invariants(rho, omegas, [rec.word for rec in spectrum.records],
+                               basis)
 
 
 def spectrum_with_alpha(spectrum, alphas):
@@ -423,22 +449,14 @@ def counting_consistency(spectrum, ball, tol=1e-7):
     |traces| must agree (canonical moves preserve conjugacy exactly).
     Distinct classes may legitimately share a trace (inverses, isometry
     symmetry), so only intra-class disagreement counts as a violation.
+    The elements and their classes come from `_ball_classes`, as in
+    `length_spectrum`.
 
     Returns (n_classes, n_trace_groups, violations).
     """
-    presentation = ball.presentation
     by_class = {}
-    for word, mat in zip(ball.words, ball.matrices):
-        trace = abs(float(np.trace(mat)))
-        if trace <= 2.0 + 1e-12:
-            continue
-        ell = 2.0 * math.acosh(trace / 2.0)
-        if ell > spectrum.radius + 1e-12:
-            continue
-        canonical = conjugacy_canonical(word, presentation)
-        if canonical.is_trivial:
-            continue
-        by_class.setdefault(canonical.letters, []).append(trace)
+    for letters, trace in _ball_classes(ball, spectrum.radius):
+        by_class.setdefault(letters, []).append(trace)
     violations = sum(
         1 for traces in by_class.values() if max(traces) - min(traces) > 1e-9 * max(traces)
     )

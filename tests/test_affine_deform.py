@@ -254,3 +254,16 @@ class TestFiniteDeformation:
                 - minus.middle_eigenvalue(w, ref_line)
             ) / (2 * t)
             assert abs(fd - 0.5 * alpha) <= 1e-4 * max(1e-9, abs(0.5 * alpha))
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_margulis_invariants_batch_has_the_bits_of_each_word(lab, p):
+    omegas = [make_cocycle(lab, p, s) for s in (1, 2)]
+    words = lab.hyperbolic_words(max_count=300, rng=np.random.default_rng(3))
+    words += [w + (1, 2) + inverse_word(w) for w in words[:20]]  # not cyclically reduced
+    batch = margulis_invariants(lab.rho_v[p], omegas, words, lab.basis[p])
+    assert batch.shape == (len(words), 2)
+    for w, row in zip(words, batch):
+        single = margulis_invariants(lab.rho_v[p], omegas, w, lab.basis[p])
+        assert row.tobytes() == single.tobytes()
+    assert margulis_invariants(lab.rho_v[p], omegas, [], lab.basis[p]).shape == (0, 2)

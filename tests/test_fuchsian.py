@@ -218,3 +218,38 @@ def test_distance_formulas_agree():
     assert abs(orbit_distance(m) - distance(1j, mobius(m, 1j))) <= 1e-10
     # translation along imaginary axis displaces the basepoint by t
     assert abs(orbit_distance(translation(1.3)) - 1.3) <= 1e-12
+
+
+def _eigenbasis_formula(m):
+    """The single-matrix closed form, as written before stacking."""
+    tr = float(np.trace(m))
+    ms = m if tr > 0 else -m
+    atr = abs(tr)
+    lam = (atr + np.sqrt(atr * atr - 4.0)) / 2.0
+
+    def eigvec(mu):
+        a, b, c, d = ms[0, 0], ms[0, 1], ms[1, 0], ms[1, 1]
+        v1 = np.array([b, mu - a])
+        v2 = np.array([mu - d, c])
+        v = v1 if np.linalg.norm(v1) >= np.linalg.norm(v2) else v2
+        return v / np.linalg.norm(v)
+
+    h = np.column_stack([eigvec(lam), eigvec(1.0 / lam)])
+    det = float(np.linalg.det(h))
+    if det < 0:
+        h[:, 1] = -h[:, 1]
+        det = -det
+    return h / np.sqrt(det), float(lam)
+
+
+def test_sl2_eigenbasis_stack_has_the_bits_of_the_formula(lab):
+    mats = lab.ball.matrices[np.abs(np.trace(lab.ball.matrices, axis1=1, axis2=2)) > 2.001]
+    h_stack, lam_stack = sl2_eigenbasis(mats)
+    assert h_stack.shape == mats.shape and h_stack.flags.c_contiguous
+    for m, h_row, lam_row in zip(mats, h_stack, lam_stack):
+        h_ref, lam_ref = _eigenbasis_formula(m)
+        h_one, lam_one = sl2_eigenbasis(m)
+        assert h_row.tobytes() == h_ref.tobytes() == h_one.tobytes()
+        assert lam_row == lam_ref == lam_one and isinstance(lam_one, float)
+    with pytest.raises(NumericalFailure, match="non-hyperbolic"):
+        sl2_eigenbasis(np.stack([mats[0], np.eye(2)]))

@@ -228,3 +228,34 @@ def test_representation_cache_and_residuals(lab):
     assert m1 is m2  # memoized
     assert rho.relator_residual(lab.presentation) <= 1e-9
     assert lab.rho_e[2].relator_residual(lab.presentation) <= 1e-9
+
+
+def _sym_power_formula(p, m):
+    """The single-matrix column-by-column np.convolve form."""
+    from math import comb
+
+    d = 2 * p - 2
+    a, b, c, dd = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
+    out = np.zeros((d + 1, d + 1))
+    for k in range(d + 1):
+        left = np.array([comb(d - k, i) * a ** (d - k - i) * c**i
+                         for i in range(d - k + 1)])
+        right = np.array([comb(k, j) * b ** (k - j) * dd**j for j in range(k + 1)])
+        out[:, k] = np.convolve(left, right)
+    return out
+
+
+@pytest.mark.parametrize("p", (2, 3, 4, 5))
+def test_sym_power_stack_has_the_bits_of_the_formula(lab, p):
+    from anosovlab.fuchsian import sl2_eigenbasis
+
+    mats = lab.ball.matrices[np.abs(np.trace(lab.ball.matrices, axis1=1, axis2=2)) > 2.001]
+    hs, _ = sl2_eigenbasis(mats[:600])
+    inputs = np.concatenate([mats[:600], hs, [[[1.0, 0.0], [0.0, 1.0]],
+                                              [[2.0, 0.0], [0.0, 0.5]],
+                                              [[1.0, 0.0], [-0.3, 1.0]]]])
+    stacked = sym_power_rep(p, inputs)
+    assert stacked.shape == (len(inputs), 2 * p - 1, 2 * p - 1)
+    for m, row in zip(inputs, stacked):
+        reference = _sym_power_formula(p, m).tobytes()
+        assert row.tobytes() == reference == sym_power_rep(p, m).tobytes()

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from anosovlab import spectra
 from anosovlab.affine_deform import Cocycle, coboundary
 from anosovlab.fuchsian import enumerate_ball
 from anosovlab.linalg import NumericalFailure
-from anosovlab.surface_group import conjugacy_canonical
+from anosovlab.surface_group import conjugacy_canonical, format_word
 from anosovlab.spectra import (
     LengthFunctional,
     anosov_gap_report,
@@ -240,3 +242,49 @@ def test_failed_class_counted_once(lab, monkeypatch):
     monkeypatch.setattr(spectra, "_class_record", failing)
     spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
     assert spec.dropped == 1 and len(spec) == len(full) - 1
+
+
+# measured before the spectrum and α paths were batched; any moved bit fails.
+# The bits are those of numpy 2.4.6 with OpenBLAS on x86-64: another BLAS
+# build may round the dot products differently, at the parent as well.
+PINNED_COUNTS = [210, 210]
+PINNED_RECORDS_SHA256 = (
+    "bc790ed32562d8d07f700183d7b8ec8287b367fe64706a6044919ddc0f63b888"
+)
+PINNED_ALPHAS_SHA256 = (
+    "333b2c662a7af1beda85519741592f1f91d318984db46b9db799ae633502eaa4"
+)
+
+
+@pytest.fixture(scope="module")
+def pinned_spectra(lab):
+    ball = enumerate_ball(lab.sl2.generators, 10.0, 2.0,
+                          presentation=lab.presentation)
+    return {p: length_spectrum(lab.rho_v[p], ball, lab.basis[p], radius=7.0)
+            for p in (2, 3)}
+
+
+def test_spectrum_records_pinned(pinned_spectra):
+    # every bit of every record, at p = 2 and 3 (R = 10 ball, T = 7)
+    digest = hashlib.sha256()
+    for p, spec in pinned_spectra.items():
+        assert spec.dropped == 0
+        for rec in sorted(spec.records, key=lambda r: r.word):
+            digest.update(f"{p} {format_word(rec.word)}\n".encode())
+            for value in (rec.trace, rec.length_hyp, rec.length_lastroot):
+                digest.update(np.float64(value).tobytes())
+            digest.update(rec.lambdas.tobytes())
+            digest.update(rec.lambdas_bar.tobytes())
+    assert [len(s) for s in pinned_spectra.values()] == PINNED_COUNTS
+    assert digest.hexdigest() == PINNED_RECORDS_SHA256
+
+
+def test_multi_alphas_pinned(lab, pinned_spectra):
+    # every bit of the α columns of cocycle seeds 1-3, at p = 2 and 3
+    digest = hashlib.sha256()
+    for p, spec in pinned_spectra.items():
+        omegas = [lab.random_cocycle(p, seed) for seed in (1, 2, 3)]
+        alphas = multi_alphas(spec, lab.rho_v[p], lab.basis[p], omegas)
+        assert alphas.shape == (len(spec), 3)
+        digest.update(alphas.tobytes())
+    assert digest.hexdigest() == PINNED_ALPHAS_SHA256
