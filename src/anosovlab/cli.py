@@ -38,7 +38,7 @@ from .affine_deform import (
     eigenvalue_derivative,
     margulis_invariant,
 )
-from .flag_geometry import standard_reference, transversality_margin
+from .flag_geometry import transversality_margin
 from .fuchsian import (
     boundary_separation,
     enumerate_ball,
@@ -376,22 +376,14 @@ def sample_transversality(ws, count, seed, separation):
     Triples are boundary points of cyclically reduced ball elements
     (conjugated words carry ill-conditioned eigenbases), subject to a
     pairwise separation floor: coinciding points are degenerate triples
-    and are rejected by the precondition.
+    and are rejected by the precondition. The pool is the sorted set of
+    the ball's hyperbolic cyclic words (`BallEnumeration.cyclic_words`);
+    only the words actually drawn are evaluated.
     """
-    from .surface_group import cyclic_reduce
-
     rng = np.random.default_rng(seed)
-    pool_words = sorted({cyclic_reduce(w) for w in ws.ball(6.5).words})
-    pool = []
-    for w in pool_words:
-        if not w:
-            continue
-        m = ws.sl2.evaluate(w)
-        if abs(float(np.trace(m))) > 2.001:
-            pool.append((w, m))
+    pool = sorted({w for w, _ in ws.ball(6.5).cyclic_words()})
     if len(pool) < 4:
         raise NumericalFailure("element pool too small for triple sampling")
-    reference = standard_reference(ws.basis)
     q = ws.basis.form_e
     rows = []
     attempts = 0
@@ -399,8 +391,9 @@ def sample_transversality(ws, count, seed, separation):
         attempts += 1
         if attempts > 100 * count:
             raise NumericalFailure("could not sample separated triples")
-        wa, ma = pool[rng.integers(0, len(pool))]
-        wb, mb = pool[rng.integers(0, len(pool))]
+        wa = pool[rng.integers(0, len(pool))]
+        wb = pool[rng.integers(0, len(pool))]
+        ma, mb = ws.sl2.evaluate(wa), ws.sl2.evaluate(wb)
         ha, _ = sl2_eigenbasis(ma)
         hb, _ = sl2_eigenbasis(mb)
         x, y, z = ha[:, 0], ha[:, 1], hb[:, 0]
@@ -443,14 +436,12 @@ def derivative_check(ws, n_pairs, seed, t):
     """Two-route eigenvalue-derivative comparison over random pairs.
 
     Both routes are conjugation invariant, so classes are represented by
-    cyclically reduced words (well-conditioned eigenbases).
+    cyclically reduced words (well-conditioned eigenbases): the pool is the
+    sorted set of the ball's hyperbolic cyclic words
+    (`BallEnumeration.cyclic_words`), and only drawn words are evaluated.
     """
-    from .surface_group import cyclic_reduce
-
     rng = np.random.default_rng(seed)
-    pool = sorted({cyclic_reduce(w) for w in ws.ball(6.0).words})
-    pool = [w for w in pool
-            if w and abs(float(np.trace(ws.sl2.evaluate(w)))) > 2.001]
+    pool = sorted({w for w, _ in ws.ball(6.0).cyclic_words()})
     basis = solve_cocycle_space(ws.rho_v, ws.presentation)
     worst_formula = 0.0
     worst_lower = 0.0

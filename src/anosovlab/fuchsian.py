@@ -227,6 +227,28 @@ class BallEnumeration:
     def count_function(self, grid):
         return np.array([self.count(t) for t in grid], dtype=int)
 
+    def cyclic_words(self, radius=math.inf):
+        """Cyclically reduced word and |trace| of each hyperbolic element
+        of translation length ≤ `radius`, in ball order.
+
+        The one rule for which ball elements are closed orbits: a |trace|
+        bound over all of `matrices` at once (relative margin 1e-9), then
+        the exact test 2·acosh(t/2) ≤ radius + HYPERBOLIC_MARGIN. Ball
+        words are freely reduced, so peeling the wrap-around cyclically
+        reduces them; no matrix is evaluated.
+        """
+        traces = np.abs(self.matrices[:, 0, 0] + self.matrices[:, 1, 1])
+        bound = 2.0 * math.cosh(0.5 * (radius + HYPERBOLIC_MARGIN)) * (1.0 + 1e-9)
+        candidates = np.flatnonzero((traces > 2.0 + HYPERBOLIC_MARGIN)
+                                    & (traces <= bound))
+        for index, trace in zip(candidates.tolist(), traces[candidates].tolist()):
+            if 2.0 * math.acosh(trace / 2.0) > radius + HYPERBOLIC_MARGIN:
+                continue
+            word = self.words[index]
+            while len(word) >= 2 and word[0] == -word[-1]:
+                word = word[1:-1]
+            yield word, trace
+
 
 def _sign_normalize(mats):
     """Canonical PSL sign: first entry with |e| ≥ 0.5 made positive."""

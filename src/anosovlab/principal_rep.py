@@ -380,9 +380,6 @@ class Representation:
         self._cache[word] = m
         return m
 
-    def __call__(self, word):
-        return self.evaluate(word)
-
     def relator_residual(self, presentation):
         """Distance of the relator image from ±identity."""
         h = self.evaluate(presentation.relator)
@@ -439,7 +436,6 @@ class EigenData:
     p: int
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    min_gap: float
     form: QuadraticForm = field(repr=False, default=None)
 
     @property
@@ -453,10 +449,6 @@ class EigenData:
     def line(self, i):
         """Attracting eigenline E_i (1-indexed, i <= p)."""
         return self.vectors[:, i - 1 : i]
-
-    def line_bar(self, i):
-        """Repelling eigenline Ē_i (1-indexed, i <= p)."""
-        return self.vectors[:, 2 * self.p - i : 2 * self.p - i + 1]
 
     @property
     def lambdas(self):
@@ -499,11 +491,8 @@ def eigendata_fuchsian(p, m_sl2, basis):
     vectors[:n, p] = x / root2
     vectors[n, p] = -1.0 / root2        # ē_p-side lightlike line
     eigenvalues[p] = 1.0
-
-    gaps = -np.diff(eigenvalues[: p])
-    min_gap = float(gaps.min()) if gaps.size else np.inf
     return EigenData(p=p, eigenvalues=eigenvalues, vectors=vectors,
-                     min_gap=min_gap, form=form_on_e(p))
+                     form=basis.form_e)
 
 
 def eigendata(a, q, p=None, tol=1e-7):
@@ -550,11 +539,7 @@ def eigendata(a, q, p=None, tol=1e-7):
         if abs(pairing) < 1e-12:
             raise NumericalFailure("defective Q-pairing of eigenvectors")
         vectors[:, j] = vectors[:, j] / pairing
-    if structural:
-        gaps[p - 1] = np.inf
-    min_gap = float(gaps.min())
-    return EigenData(p=p, eigenvalues=evals, vectors=vectors, min_gap=min_gap,
-                     form=QuadraticForm(qm))
+    return EigenData(p=p, eigenvalues=evals, vectors=vectors, form=QuadraticForm(qm))
 
 
 def _isotropic_split(plane, qm):

@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affine_deform import margulis_invariants
-from .fuchsian import translation_length
+from .fuchsian import sl2_eigenbasis, translation_length
 from .linalg import NumericalFailure
-from .principal_rep import eigendata_fuchsian
 from .surface_group import conjugacy_canonical, min_rotation
 
 MIN_WINDOW_COUNT = 100
@@ -116,9 +115,10 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
     NumericalFailure are counted once each in `dropped` (must be zero for
     acceptance), any other error propagates.
 
-    The elements come from `_ball_classes`: one vectorized |trace| pass
-    over `ball.matrices`, then `conjugacy_canonical` once per cyclic word,
-    memoized on min_rotation(cyclic_reduce(w)). With a cocycle, the α
+    The elements come from `_ball_classes`: the hyperbolic cyclic words of
+    `ball.cyclic_words`, then `conjugacy_canonical` once per cyclic word,
+    memoized on its min_rotation. Each record is built from the class's
+    SL(2,R) eigenvalue alone (`_class_record`). With a cocycle, the α
     column comes from one batched `margulis_invariants` call over all
     classes.
 
@@ -159,45 +159,41 @@ def _ball_classes(ball, radius):
     """Canonical class and |trace| of each hyperbolic ball element of
     translation length ≤ `radius`, in ball order.
 
-    The |trace| bound is applied to all of `ball.matrices` at once with a
-    margin, and the exact scalar test 2·acosh(t/2) ≤ radius + 1e-12 decides
-    for the survivors. Ball words are freely reduced, so peeling the
-    wrap-around gives the cyclic reduction; `conjugacy_canonical` depends
-    only on the cyclic word, so it runs once per min_rotation of it.
+    The elements and their cyclic words come from `ball.cyclic_words`.
+    `conjugacy_canonical` depends only on the cyclic word, so it runs once
+    per min_rotation of it.
     """
-    presentation = ball.presentation
-    traces = np.abs(ball.matrices[:, 0, 0] + ball.matrices[:, 1, 1])
-    bound = 2.0 * math.cosh(0.5 * (radius + 1e-12)) * (1.0 + 1e-9)
-    candidates = np.flatnonzero((traces > 2.0 + 1e-12) & (traces <= bound))
     canonical_of = {}
-    for index, trace in zip(candidates.tolist(), traces[candidates].tolist()):
-        if 2.0 * math.acosh(trace / 2.0) > radius + 1e-12:
-            continue
-        word = ball.words[index]
-        while len(word) >= 2 and word[0] == -word[-1]:
-            word = word[1:-1]
+    for word, trace in ball.cyclic_words(radius):
         key = min_rotation(word)
         letters = canonical_of.get(key)
         if letters is None:
-            letters = canonical_of[key] = conjugacy_canonical(key, presentation).letters
+            letters = canonical_of[key] = conjugacy_canonical(
+                key, ball.presentation).letters
         if letters:
             yield letters, trace
 
 
 def _class_record(word, sl2, basis):
+    """Record of one class from its SL(2,R) eigenvalue λ alone.
+
+    On the Fuchsian locus the E-eigenvalues are λ^(±2(p-i)), i = 1..p, the
+    same powers `eigendata_fuchsian` writes. `sl2_eigenbasis` still runs:
+    it raises NumericalFailure for a non-hyperbolic element or a
+    degenerate eigenbasis, and that drops the class.
+    """
     p = basis.p
     m2 = sl2.evaluate(word)
     trace = abs(float(np.trace(m2)))
     ell = translation_length(m2)
-    lam = math.exp(ell / 2.0)
-    eig = eigendata_fuchsian(p, m2, basis)
-    lambdas = eig.lambdas
-    lambdas_bar = eig.eigenvalues[p:][::-1]
+    _, lam = sl2_eigenbasis(m2)
+    lambdas = np.array([lam ** (2 * (p - i)) for i in range(1, p + 1)])
+    lambdas_bar = np.array([lam ** (-2 * (p - i)) for i in range(1, p + 1)])
     lastroot = float(np.log(lambdas[p - 1]) + np.log(lambdas[p - 2]))
     return ClassRecord(
         word=word, trace=trace, length_hyp=ell, length_lastroot=lastroot,
-        sl2_eigenvalue=lam, lambdas=np.array(lambdas),
-        lambdas_bar=np.array(lambdas_bar),
+        sl2_eigenvalue=math.exp(ell / 2.0), lambdas=lambdas,
+        lambdas_bar=lambdas_bar,
     )
 
 

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from anosovlab.cli import main
+from anosovlab.cli import derivative_check, main, sample_transversality
+from anosovlab.surface_group import format_word
 
 from conftest import THREAD_SETTINGS, run_cli_process
 
@@ -159,3 +161,70 @@ def test_scan_cli(tmp_path):
     rows = (out / "scan.csv").read_text().splitlines()
     assert rows[0] == "s,estimate,residual,count"
     assert len(rows) == 4
+
+
+class LabWorkspace:
+    """The parts of `cli.Workspace` the samplers read, on the session ball."""
+
+    def __init__(self, lab, p, sl2=None):
+        self.p = p
+        self.sl2 = lab.sl2 if sl2 is None else sl2
+        self.basis = lab.basis[p]
+        self.rho_v = lab.rho_v[p]
+        self.rho_e = lab.rho_e[p]
+        self.presentation = lab.presentation
+        self._ball = lab.ball
+
+    def ball(self, radius):
+        return self._ball
+
+
+class CountingRepresentation:
+    """SL(2,R) `Representation` stand-in that records each word it evaluates."""
+
+    def __init__(self, rep):
+        self.rep = rep
+        self.words = set()
+
+    def evaluate(self, word):
+        self.words.add(tuple(word))
+        return self.rep.evaluate(word)
+
+
+# measured before the sampler pools were rebuilt from the ball's cyclic
+# words; any moved bit of a drawn word, separation or margin fails
+PINNED_TRANSVERSALITY_SHA256 = {
+    2: "102d23cd8c46800bba0da045a1400d7d77740b168812b0a23aa20ab8d5519e79",
+    3: "474644e8fcb57ad95dfcda21d8b0169cea8f5ac8a818b2ae112cab04166b1e00",
+}
+PINNED_DERIVATIVE_WORST = ["0x1.b78966321ee19p-36", "0x0.0p+0", "0x1.4ccc4ac96818fp-25"]
+
+
+def transversality_digest(rows):
+    digest = hashlib.sha256()
+    for wa, wb, sep, margin in rows:
+        digest.update(f"{format_word(wa)} {format_word(wb)}\n".encode())
+        digest.update(np.float64(sep).tobytes() + np.float64(margin).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_transversality_rows_pinned(lab, p):
+    rows = sample_transversality(LabWorkspace(lab, p), 50, seed=404, separation=0.2)
+    assert len(rows) == 50
+    assert transversality_digest(rows) == PINNED_TRANSVERSALITY_SHA256[p]
+
+
+def test_derivative_check_worst_values_pinned(lab):
+    worst = derivative_check(LabWorkspace(lab, 2), 20, seed=404, t=1e-4)
+    assert [float(v).hex() for v in worst] == PINNED_DERIVATIVE_WORST
+
+
+def test_transversality_evaluates_only_drawn_words(lab):
+    # each attempt draws two words; a pool evaluated up front evaluates
+    # every hyperbolic cyclic word of the ball (2,944 here)
+    sl2 = CountingRepresentation(lab.sl2)
+    rows = sample_transversality(LabWorkspace(lab, 2, sl2), 50, seed=404,
+                                 separation=0.2)
+    assert len(rows) == 50
+    assert 0 < len(sl2.words) <= 4 * 50

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from anosovlab.fuchsian import (
     translation,
     translation_length,
 )
-from anosovlab.surface_group import evaluate_word, format_word, inverse_word
+from anosovlab.surface_group import (
+    cyclic_reduce,
+    evaluate_word,
+    format_word,
+    inverse_word,
+)
 
 
 def test_relator_holonomy_is_identity():
@@ -152,6 +158,28 @@ def test_ball_deterministic(lab):
     reference = enumerate_ball(lab.sl2.generators, 6.5, 2.0)
     assert again.words == reference.words
     assert np.array_equal(again.matrices, reference.matrices)
+
+
+def test_cyclic_words_are_the_hyperbolic_pool(lab):
+    # the reference is the samplers' former pool: every ball word cyclically
+    # reduced, evaluated, and kept when its |trace| exceeds 2.001
+    reference = {
+        w for w in {cyclic_reduce(w) for w in lab.ball.words} - {()}
+        if abs(float(np.trace(lab.sl2.evaluate(w)))) > 2.001
+    }
+    assert {w for w, _ in lab.ball.cyclic_words()} == reference
+
+
+def test_cyclic_words_within_a_radius(lab):
+    # the (word, |trace|) stream the class spectra read: exact length test
+    # on the ball's own traces, in ball order, wrap-around peeled
+    expected = []
+    for word, m in zip(lab.ball.words, lab.ball.matrices):
+        trace = abs(float(m[0, 0] + m[1, 1]))
+        if trace > 2.0 + 1e-12 and 2.0 * math.acosh(trace / 2.0) <= 7.0 + 1e-12:
+            expected.append((cyclic_reduce(word), trace))
+    assert len(expected) > 100
+    assert list(lab.ball.cyclic_words(7.0)) == expected
 
 
 def test_ball_independent_of_key_hash(monkeypatch):
