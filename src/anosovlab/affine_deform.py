@@ -24,12 +24,12 @@ while all other eigenvalues stay constant at first order; both facts are
 cross-checked against central finite differences on free subgroups.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-from .linalg import NumericalFailure, line_distance
+from .linalg import NumericalFailure
 from .fuchsian import boundary_separation, fixed_points, sl2_eigenbasis
 from .principal_rep import Representation, sym_power_rep
 from .surface_group import cyclic_reduce, extend_cocycle, peel_conjugator
@@ -352,57 +352,179 @@ def ping_pong_certificate(sl2_rep, letters, min_separation=0.05, probe_length=4)
 
 
 class FiniteDeformation:
-    """Finite-t representation of a free subgroup, exp(t·ρ̇_g)·ρ_E(g).
+    """Finite-t representations exp(t·ρ̇_g)·ρ_E(g) of a free subgroup, one
+    per direction of a stack.
 
     A genuine homomorphism of the free group on the chosen letters (the
     surface relator obstructs exponentiation of the full group); serves as
     the independent finite-difference oracle for the eigenvalue-derivative
-    identity.
+    identity. `directions` is one `DeformationDirection`, the N = 1 case,
+    whose matrices and eigenvalues are returned unstacked, or a sequence
+    of N of them, evaluated as (N, 2p, 2p) stacks.
     """
 
-    def __init__(self, rho_e, direction, letters, t, check_freeness=True):
+    def __init__(self, rho_e, directions, letters, t, check_freeness=True):
         if check_freeness and rho_e.base is not None:
             ok, sep = ping_pong_certificate(rho_e.base, letters)
             if not ok:
                 raise NumericalFailure(
                     f"letters {letters} failed the ping-pong certificate ({sep:.3f})"
                 )
+        self.single = isinstance(directions, DeformationDirection)
+        stack = [directions] if self.single else list(directions)
         self.letters = tuple(letters)
         self.t = float(t)
-        gens = {}
+        self.form = rho_e.form.matrix
+        self._generators = {}
         for letter in letters:
-            gens[letter] = expm(t * direction.matrices[letter]) @ rho_e.generator(letter)
-        self.rep = Representation(gens, form=rho_e.form)
-        self.rho_e = rho_e
+            x = np.array([d.matrices[letter] for d in stack])
+            g = _expm(self.t * x) @ rho_e.generator(letter)
+            residual = np.abs(g.transpose(0, 2, 1) @ self.form @ g - self.form)
+            scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)) ** 2)
+            if (residual.max(axis=(1, 2)) > 1e-10 * scale).any():
+                raise NumericalFailure(f"generator {letter} does not preserve the form")
+            self._generators[letter] = g
+            self._generators[-letter] = np.linalg.inv(g)
 
-    def evaluate(self, word):
+    def _factors(self, word):
         for letter in word:
             if abs(letter) not in self.letters:
                 raise ValueError(f"word leaves the free subgroup on {self.letters}")
-        return self.rep.evaluate(word)
+        return [self._generators[letter] for letter in word]
 
-    def middle_eigenvalue(self, word, reference_line, tol=1e-6):
-        """Eigenvalue of the middle pair tracked by eigenline continuity.
+    def generator(self, letter):
+        g = self._factors((letter,))[0]
+        return g[0] if self.single else g
 
-        Selects, among eigenvalues within 25% of 1, the one whose
-        eigenline is closest to `reference_line` (the t=0 lightlike line);
-        spectral collisions at the requested t raise with the word.
+    def _product(self, factors):
+        n = self.form.shape[0]
+        m = np.broadcast_to(np.eye(n), factors[0].shape if factors else (1, n, n))
+        for g in factors:
+            m = m @ g
+        return m
+
+    def evaluate(self, word):
+        m = self._product(self._factors(word))
+        return m[0] if self.single else m
+
+    def middle_eigenvalue(self, word, middle_pair, tol=1e-6):
+        """Eigenvalue of the middle pair tracked from its t = 0 eigenline.
+
+        `middle_pair` is the (2p, 2) t = 0 middle pair of the word, the
+        reference (e_p-side) lightlike line first, as in the columns p-1
+        and p of `eigendata_fuchsian(...).vectors`. The two middle
+        eigenvalues differ by about |α|·t, so a full eigensolver of the
+        product (whose entries reach λ_1) reads them with errors far above
+        that split. Instead:
+
+        1. Z starts from the t = 0 pair and takes two shift-invert steps,
+           Z <- qr((M - I)⁻¹ Z), converging to the middle invariant plane;
+        2. Y = M·Z is formed letter by letter, right to left, in
+           double-double arithmetic (`_dd_apply`), so Y carries the
+           product of the double factors to about 32 digits;
+        3. the two-sided Q-Rayleigh-Ritz block T = (ZᵀQZ)⁻¹ ZᵀQY has the
+           middle pair as eigenvalues: the plane is its own Q-dual (left
+           eigenvectors of an isometry are Q·(right ones)), so the error is
+           quadratic in the distance of Z from the invariant plane.
+
+        Of the two eigenvalues of T, the one whose Ritz vector is nearest
+        the reference line is returned; when the two distances differ by
+        less than `tol` (a spectral collision), or T has no real
+        eigenvalues, it raises with the word.
         """
-        m = self.evaluate(word)
-        evals, evecs = np.linalg.eig(m)
-        candidates = [
-            (line_distance(np.real(evecs[:, i]), reference_line), float(evals[i].real), i)
-            for i in range(m.shape[0])
-            if abs(evals[i].imag) <= 1e-8 * max(1.0, abs(evals[i].real))
-            and abs(evals[i].real - 1.0) < 0.25
-        ]
-        if not candidates:
+        factors = self._factors(word)
+        m = self._product(factors)
+        n = self.form.shape[0]
+        middle_pair = np.asarray(middle_pair, float)
+        z = np.broadcast_to(middle_pair, (len(m), n, 2))
+        for _ in range(2):
+            z, _ = np.linalg.qr(np.linalg.solve(m - np.eye(n), z))
+        y_hi, y_lo = _dd_apply(factors, z)
+        zq = z.transpose(0, 2, 1) @ self.form
+        # T - I from Y - Z, which the double-double Y resolves to full
+        # relative precision (T's entries near 1 would not)
+        nu, ritz = np.linalg.eig(np.linalg.solve(zq @ z, zq @ ((y_hi - z) + y_lo)))
+        if np.iscomplexobj(nu) or not np.isfinite(nu).all():
             raise NumericalFailure(
                 f"no trackable middle eigenvalue for word {word} at t={self.t}"
             )
-        candidates.sort()
-        if len(candidates) > 1 and candidates[1][0] - candidates[0][0] < tol:
+        ritz = z @ ritz
+        ritz /= np.linalg.norm(ritz, axis=1, keepdims=True)
+        reference = middle_pair[:, 0] / np.linalg.norm(middle_pair[:, 0])
+        cosines = np.minimum(np.abs(reference @ ritz), 1.0)
+        distance = np.sqrt(1.0 - cosines**2)
+        nearest = np.argmin(distance, axis=1)
+        if (np.abs(distance[:, 1] - distance[:, 0]) < tol).any():
             raise NumericalFailure(
                 f"spectral collision at t={self.t} for word {word}"
             )
-        return candidates[0][1]
+        mu = 1.0 + nu[np.arange(len(nu)), nearest]
+        return float(mu[0]) if self.single else mu
+
+
+def _expm(a):
+    """exp of a stack of matrices: a Taylor series after scaling and squaring.
+
+    The stack is scaled by 2^-k so that its largest 1-norm is at most 1/2,
+    the series is summed until its terms fall below 1e-17, and the sum is
+    squared k times. The finite deformations have |t|·‖ρ̇‖ ≪ 1, so k = 0
+    and a handful of stacked products suffice, where a per-matrix Padé
+    solver spends most of its time in call overhead.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    k = math.ceil(math.log2(2.0 * norm)) if norm > 0.5 else 0
+    a = a / 2.0**k
+    term = total = np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    order = 0
+    while np.abs(term).max() > 1e-17:
+        order += 1
+        term = term @ a / order
+        total = total + term
+    for _ in range(k):
+        total = total @ total
+    return total
+
+
+def _dd_apply(factors, z):
+    """F_1 ⋯ F_m · Z for stacks of double factors, in double-double.
+
+    Right to left, each matrix-vector step is a compensated dot product:
+    the exact products (Dekker split) and the running sums (TwoSum) keep
+    their rounding errors, which are summed beside them. The result is
+    the product of the given doubles as an unevaluated sum hi + lo of two
+    stacks of doubles.
+    """
+    hi, lo = np.asarray(z, float), np.zeros(np.shape(z))
+    for f in reversed(factors):
+        products = f[..., None] * hi[:, None]          # (N, n, n, k): f_ij·hi_jk
+        errors = _two_product_error(f[..., None], hi[:, None], products)
+        total, carry = products[:, :, 0], errors[:, :, 0] + f @ lo
+        for j in range(1, f.shape[2]):
+            total, rounding = _two_sum(total, products[:, :, j])
+            carry = carry + rounding + errors[:, :, j]
+        hi = total + carry
+        lo = carry - (hi - total)
+    return hi, lo
+
+
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _split(a):
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+def _two_product_error(a, b, product):
+    """The rounding error of product = fl(a·b), exactly (Dekker)."""
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return ((a_hi * b_hi - product) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _two_sum(a, b):
+    """s = fl(a + b) and its rounding error, exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)

@@ -36,9 +36,9 @@ from .affine_deform import (
     coboundary,
     deformation_direction,
     eigenvalue_derivative,
-    margulis_invariant,
+    margulis_invariants,
 )
-from .flag_geometry import transversality_margin
+from .flag_geometry import frame_margin, fxy_frame, theta_frame
 from .fuchsian import (
     boundary_separation,
     enumerate_ball,
@@ -71,6 +71,12 @@ from .surface_group import (
 
 class ConfigError(ValueError):
     pass
+
+
+# samples per stacked evaluation; bounds the samplers' working memory
+CHUNK = 512
+# the free pair of deriv-check's finite-difference route
+FREE_LETTERS = (1, 2)
 
 
 DEFAULTS = {
@@ -377,38 +383,54 @@ def sample_transversality(ws, count, seed, separation):
     (conjugated words carry ill-conditioned eigenbases), subject to a
     pairwise separation floor: coinciding points are degenerate triples
     and are rejected by the precondition. The pool is the sorted set of
-    the ball's hyperbolic cyclic words (`BallEnumeration.cyclic_words`);
-    only the words actually drawn are evaluated.
+    the ball's hyperbolic cyclic words (`BallEnumeration.cyclic_words`).
+
+    Whether a draw is kept depends only on the two drawn words, so the
+    draws come first, in the order of one triple at a time. Each drawn
+    word is then evaluated once, with one SL(2,R) eigenbasis, one
+    `eigendata_fuchsian` and the frame its role needs (Θ(z) for z, F(x,y)
+    for x, y); a row costs one 2p x 2p determinant (`frame_margin`, the
+    last step of `transversality_margin`).
     """
     rng = np.random.default_rng(seed)
     pool = sorted({w for w, _ in ws.ball(6.5).cyclic_words()})
     if len(pool) < 4:
         raise NumericalFailure("element pool too small for triple sampling")
-    q = ws.basis.form_e
-    rows = []
+    matrices, eigenbases = {}, {}
+
+    def eigenbasis(word):
+        if word not in eigenbases:
+            matrices[word] = ws.sl2.evaluate(word)
+            eigenbases[word], _ = sl2_eigenbasis(matrices[word])
+        return eigenbases[word]
+
+    drawn = []          # (x and y word, z word, separation) of each kept draw
     attempts = 0
-    while len(rows) < count:
+    while len(drawn) < count:
         attempts += 1
         if attempts > 100 * count:
             raise NumericalFailure("could not sample separated triples")
         wa = pool[rng.integers(0, len(pool))]
         wb = pool[rng.integers(0, len(pool))]
-        ma, mb = ws.sl2.evaluate(wa), ws.sl2.evaluate(wb)
-        ha, _ = sl2_eigenbasis(ma)
-        hb, _ = sl2_eigenbasis(mb)
+        ha, hb = eigenbasis(wa), eigenbasis(wb)
         x, y, z = ha[:, 0], ha[:, 1], hb[:, 0]
         sep = min(boundary_separation(x, z), boundary_separation(y, z),
                   boundary_separation(x, y))
-        if sep < separation:
-            continue
-        eig_a = eigendata_fuchsian(ws.p, ma, ws.basis)
-        eig_b = eigendata_fuchsian(ws.p, mb, ws.basis)
-        margin = transversality_margin(
-            eig_b.theta, eig_a.line(ws.p), eig_a.line(ws.p - 1),
-            eig_a.theta_bar, q,
-        )
-        rows.append((wa, wb, sep, margin))
-    return rows
+        if sep >= separation:
+            drawn.append((wa, wb, sep))
+    eig = {w: eigendata_fuchsian(ws.p, matrices[w], ws.basis)
+           for w in dict.fromkeys(w for row in drawn for w in row[:2])}
+    thetas = {wb: theta_frame(eig[wb].theta)
+              for wb in dict.fromkeys(row[1] for row in drawn)}
+    fxys = {wa: fxy_frame(eig[wa].line(ws.p), eig[wa].line(ws.p - 1),
+                          eig[wa].theta_bar, ws.basis.form_e)
+            for wa in dict.fromkeys(row[0] for row in drawn)}
+    for start in range(0, len(drawn), CHUNK):
+        chunk = drawn[start:start + CHUNK]
+        margins = frame_margin(np.array([thetas[wb] for _, wb, _ in chunk]),
+                               np.array([fxys[wa] for wa, _, _ in chunk]))
+        drawn[start:start + CHUNK] = [row + (m,) for row, m in zip(chunk, margins.tolist())]
+    return drawn
 
 
 def run_transversality(ws, out_dir):
@@ -439,44 +461,98 @@ def derivative_check(ws, n_pairs, seed, t):
     cyclically reduced words (well-conditioned eigenbases): the pool is the
     sorted set of the ball's hyperbolic cyclic words
     (`BallEnumeration.cyclic_words`), and only drawn words are evaluated.
+
+    Each pair draws a word, a cocycle (normal coefficients in the cocycle
+    space) and a word in the free pair FREE_LETTERS, in that order; all
+    draws come first (`draw_derivative_pairs`). Then α is evaluated once per word over all cocycles drawn
+    with it, `eigendata_fuchsian` once per word, and the formula route
+    (`eigenvalue_derivative`) per pair. The finite-difference route runs
+    `FiniteDeformation.middle_eigenvalue` on stacks of pairs that share a
+    free word, CHUNK at a time, at s = ±t and ±t/2, and extrapolates the
+    central differences D(s) = (μ(s) - μ(-s)) / 2s to (4·D(t/2) - D(t))/3,
+    which cancels their t² truncation term.
+
+    Returns the worst relative error of the formula against α/2, the
+    worst absolute lower derivative and the worst relative error of the
+    finite difference against α/2 (pairs with |α| > 1e-9 and 1e-6).
     """
-    rng = np.random.default_rng(seed)
-    pool = sorted({w for w, _ in ws.ball(6.0).cyclic_words()})
-    basis = solve_cocycle_space(ws.rho_v, ws.presentation)
+    words, vectors, free_words = draw_derivative_pairs(ws, n_pairs, seed)
+
+    def direction(i):
+        return deformation_direction(Cocycle(vectors[i], rho=ws.rho_v), ws.basis)
+
+    alphas = _alphas_by_word(ws, words, vectors)
+    eig = {w: eigendata_fuchsian(ws.p, ws.sl2.evaluate(w), ws.basis)
+           for w in dict.fromkeys(words + free_words)}
     worst_formula = 0.0
     worst_lower = 0.0
-    worst_fd = 0.0
-    free_letters = (1, 2)
-    free_pool = [w for w in pool if all(abs(l) in free_letters for l in w)]
-    for _ in range(n_pairs):
-        word = pool[rng.integers(0, len(pool))]
-        omega = Cocycle(basis.element(rng.standard_normal(basis.dimension)),
-                        rho=ws.rho_v)
-        direction = deformation_direction(omega, ws.basis)
-        alpha = margulis_invariant(ws.rho_v, omega, word, ws.basis)
-        eig = eigendata_fuchsian(ws.p, ws.sl2.evaluate(word), ws.basis)
-        rho_dot = direction.value(word)
-        lam_dot, _ = eigenvalue_derivative(eig, rho_dot, ws.rho_e.evaluate(word))
+    for i, (word, alpha) in enumerate(zip(words, alphas)):
+        rho_dot = direction(i).value(word)
+        lam_dot, _ = eigenvalue_derivative(eig[word], rho_dot, ws.rho_e.evaluate(word))
         if abs(alpha) > 1e-9:
             worst_formula = max(worst_formula,
                                 abs(lam_dot[-1] - 0.5 * alpha) / abs(0.5 * alpha))
         worst_lower = max(worst_lower, float(np.abs(lam_dot[:-1]).max(initial=0.0)))
-        # finite differences on the free pair
-        if free_pool:
-            wfree = free_pool[rng.integers(0, len(free_pool))]
-            alpha_f = margulis_invariant(ws.rho_v, omega, wfree, ws.basis)
-            ref_line = eigendata_fuchsian(
-                ws.p, ws.sl2.evaluate(wfree), ws.basis
-            ).line(ws.p)
-            plus = FiniteDeformation(ws.rho_e, direction, free_letters, t,
-                                     check_freeness=False)
-            minus = FiniteDeformation(ws.rho_e, direction, free_letters, -t,
-                                      check_freeness=False)
-            fd = (plus.middle_eigenvalue(wfree, ref_line)
-                  - minus.middle_eigenvalue(wfree, ref_line)) / (2 * t)
-            if abs(alpha_f) > 1e-6:
-                worst_fd = max(worst_fd, abs(fd - 0.5 * alpha_f) / abs(0.5 * alpha_f))
+    worst_fd = 0.0
+    alphas_free = _alphas_by_word(ws, free_words, vectors)
+    by_free_word = {}
+    for index, wfree in enumerate(free_words):
+        by_free_word.setdefault(wfree, []).append(index)
+    for wfree, indices in by_free_word.items():
+        pair = eig[wfree].vectors[:, ws.p - 1:ws.p + 1]
+        for start in range(0, len(indices), CHUNK):
+            chunk = indices[start:start + CHUNK]
+            directions = [direction(i) for i in chunk]
+            mu = {s: FiniteDeformation(ws.rho_e, directions, FREE_LETTERS, s,
+                                       check_freeness=False
+                                       ).middle_eigenvalue(wfree, pair)
+                  for s in (t, -t, t / 2, -t / 2)}
+            coarse = (mu[t] - mu[-t]) / (2 * t)
+            fine = (mu[t / 2] - mu[-t / 2]) / t
+            fd = (4 * fine - coarse) / 3
+            alpha_f = alphas_free[chunk]
+            kept = np.abs(alpha_f) > 1e-6
+            if kept.any():
+                half_alpha = 0.5 * alpha_f[kept]
+                worst_fd = max(worst_fd, float(np.max(
+                    np.abs(fd[kept] - half_alpha) / np.abs(half_alpha))))
     return worst_formula, worst_lower, worst_fd
+
+
+def draw_derivative_pairs(ws, n_pairs, seed):
+    """The draws of `derivative_check`, pair by pair: a word of the pool,
+    normal coefficients of a cocycle, and a word in the letters
+    FREE_LETTERS (none when the pool has no such word).
+
+    Returns (words, vectors, free_words), `vectors` holding the cocycles'
+    generator vectors as one (n_pairs, generators, dim) array; per-pair
+    objects are built where they are used, which keeps the working memory
+    small.
+    """
+    rng = np.random.default_rng(seed)
+    pool = sorted({w for w, _ in ws.ball(6.0).cyclic_words()})
+    basis = solve_cocycle_space(ws.rho_v, ws.presentation)
+    free_pool = [w for w in pool if all(abs(l) in FREE_LETTERS for l in w)]
+    words, vectors, free_words = [], [], []
+    for _ in range(n_pairs):
+        words.append(pool[rng.integers(0, len(pool))])
+        vectors.append(basis.element(rng.standard_normal(basis.dimension)))
+        if free_pool:
+            free_words.append(free_pool[rng.integers(0, len(free_pool))])
+    return words, np.array(vectors), free_words
+
+
+def _alphas_by_word(ws, words, vectors):
+    """α of pair i's cocycle (`vectors[i]`) at words[i], batched per word
+    over the pairs that drew it."""
+    alphas = np.zeros(len(words))
+    by_word = {}
+    for index, word in enumerate(words):
+        by_word.setdefault(word, []).append(index)
+    for word, indices in by_word.items():
+        omegas = [Cocycle(vectors[i], rho=ws.rho_v) for i in indices]
+        alphas[indices] = margulis_invariants(ws.rho_v, omegas, word, ws.basis)
+    return alphas
 
 
 def run_deriv_check(ws, out_dir):

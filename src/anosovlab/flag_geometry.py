@@ -228,9 +228,24 @@ def transversality_margin(theta_z, e_p_line, e_pm1_line, theta_bar_y, q):
     taken, so the margin is the product of principal-angle sines: zero
     means the transversality fails. A wrong dimension of F(x,y) signals
     broken eigendata and raises.
+
+    This is `frame_margin` of `theta_frame(theta_z)` and `fxy_frame(...)`;
+    a sampler that meets the same z or (x, y) many times builds each frame
+    once and takes one determinant per triple.
     """
+    return float(frame_margin(theta_frame(theta_z),
+                              fxy_frame(e_p_line, e_pm1_line, theta_bar_y, q)))
+
+
+def theta_frame(theta_z):
+    """Orthonormal frame (2p x p) of the attracting plane Θ(z)."""
+    return orthonormal_span(theta_z)
+
+
+def fxy_frame(e_p_line, e_pm1_line, theta_bar_y, q):
+    """Orthonormal frame (2p x p) of F(x,y) = E_p ⊕ (E_{p-1}° ∩ Θ̄(y))."""
     qm = _form_matrix(q)
-    p = theta_z.shape[1]
+    p = qm.shape[0] // 2
     orth = nullspace((qm @ e_pm1_line).T).T
     inter = intersect_spans(orth, theta_bar_y)
     if inter.shape[1] != p - 1:
@@ -240,8 +255,12 @@ def transversality_margin(theta_z, e_p_line, e_pm1_line, theta_bar_y, q):
     f_xy = orthonormal_span(np.hstack([e_p_line, inter]))
     if f_xy.shape[1] != p:
         raise NumericalFailure("F(x,y) is degenerate")
-    theta_on = orthonormal_span(theta_z)
-    return float(abs(np.linalg.det(np.hstack([theta_on, f_xy]))))
+    return f_xy
+
+
+def frame_margin(theta_frames, fxy_frames):
+    """|det [Θ(z) | F(x,y)]| of orthonormal frames, one frame pair or stacks."""
+    return np.abs(np.linalg.det(np.concatenate([theta_frames, fxy_frames], axis=-1)))
 
 
 def alpha_system(basis, z):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from anosovlab.linalg import form_residual
+from anosovlab.linalg import NumericalFailure, form_residual
 from anosovlab.affine_deform import (
     Cocycle,
     FiniteDeformation,
@@ -248,12 +248,39 @@ class TestFiniteDeformation:
         minus = FiniteDeformation(lab.rho_e[p], direction, (1, 2), -t)
         for w in [(1,), (1, 2), (2, 2, -1), (1, 2, -1, -2, 1)]:
             alpha = margulis_invariant(lab.rho_v[p], omega, w, lab.basis[p])
-            ref_line = eigendata_fuchsian(p, lab.sl2.evaluate(w), lab.basis[p]).line(p)
+            pair = middle_pair(lab, p, w)
             fd = (
-                plus.middle_eigenvalue(w, ref_line)
-                - minus.middle_eigenvalue(w, ref_line)
+                plus.middle_eigenvalue(w, pair)
+                - minus.middle_eigenvalue(w, pair)
             ) / (2 * t)
             assert abs(fd - 0.5 * alpha) <= 1e-4 * max(1e-9, abs(0.5 * alpha))
+
+    def test_stacked_directions_match_each_direction_alone(self, lab, p):
+        directions = [deformation_direction(make_cocycle(lab, p, s), lab.basis[p])
+                      for s in (35, 36, 37)]
+        w = (1, 2, -1, -2)
+        stacked = FiniteDeformation(lab.rho_e[p], directions, (1, 2), 1e-4)
+        mu = stacked.middle_eigenvalue(w, middle_pair(lab, p, w))
+        assert mu.shape == (3,)
+        matrices = stacked.evaluate(w)
+        for d, matrix, value in zip(directions, matrices, mu):
+            alone = FiniteDeformation(lab.rho_e[p], d, (1, 2), 1e-4)
+            assert np.abs(alone.evaluate(w) - matrix).max() <= 1e-12
+            assert abs(alone.middle_eigenvalue(w, middle_pair(lab, p, w)) - value) <= 1e-15
+
+    def test_spectral_collision_raises(self, lab, p):
+        direction = deformation_direction(make_cocycle(lab, p, 38), lab.basis[p])
+        fin = FiniteDeformation(lab.rho_e[p], direction, (1, 2), 1e-4)
+        # the two Ritz lines are far apart; a tolerance above their gap
+        # reports them as colliding
+        with pytest.raises(NumericalFailure, match="collision"):
+            fin.middle_eigenvalue((1, 2), middle_pair(lab, p, (1, 2)), tol=2.0)
+
+
+def middle_pair(lab, p, word):
+    """The t = 0 middle pair of a word, its e_p-side lightlike line first."""
+    eig = eigendata_fuchsian(p, lab.sl2.evaluate(word), lab.basis[p])
+    return eig.vectors[:, p - 1:p + 1]
 
 
 @pytest.mark.parametrize("p", P_VALUES)
@@ -267,3 +294,26 @@ def test_margulis_invariants_batch_has_the_bits_of_each_word(lab, p):
         single = margulis_invariants(lab.rho_v[p], omegas, w, lab.basis[p])
         assert row.tobytes() == single.tobytes()
     assert margulis_invariants(lab.rho_v[p], omegas, [], lab.basis[p]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("p", P_VALUES)
+def test_alpha_batched_over_cocycles_has_the_bits_of_each_pair(lab, p):
+    # the derivative check draws one cocycle per pair and evaluates α once
+    # per word over all cocycles drawn with it
+    from anosovlab.surface_group import solve_cocycle_space
+
+    rng = np.random.default_rng(77)
+    pool = sorted({w for w, _ in lab.ball.cyclic_words(6.0)})
+    space = solve_cocycle_space(lab.rho_v[p], lab.presentation)
+    by_word = {}
+    for _ in range(800):
+        word = pool[rng.integers(0, len(pool))]
+        omega = Cocycle(space.element(rng.standard_normal(space.dimension)),
+                        rho=lab.rho_v[p])
+        by_word.setdefault(word, []).append(omega)
+    assert max(len(omegas) for omegas in by_word.values()) > 1
+    for word, omegas in by_word.items():
+        batch = margulis_invariants(lab.rho_v[p], omegas, word, lab.basis[p])
+        singles = [margulis_invariant(lab.rho_v[p], om, word, lab.basis[p])
+                   for om in omegas]
+        assert batch.tobytes() == np.array(singles).tobytes()

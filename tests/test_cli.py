@@ -1,10 +1,16 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from anosovlab import cli
+from anosovlab.affine_deform import Cocycle, FiniteDeformation, deformation_direction
 from anosovlab.cli import derivative_check, main, sample_transversality
+from anosovlab.flag_geometry import transversality_margin
+from anosovlab.fuchsian import boundary_separation, sl2_eigenbasis
+from anosovlab.principal_rep import eigendata_fuchsian
 from anosovlab.surface_group import format_word
 
 from conftest import THREAD_SETTINGS, run_cli_process
@@ -180,14 +186,18 @@ class LabWorkspace:
 
 
 class CountingRepresentation:
-    """SL(2,R) `Representation` stand-in that records each word it evaluates."""
+    """SL(2,R) `Representation` stand-in that counts the evaluations of each word."""
 
     def __init__(self, rep):
         self.rep = rep
-        self.words = set()
+        self.calls = Counter()
+
+    @property
+    def words(self):
+        return set(self.calls)
 
     def evaluate(self, word):
-        self.words.add(tuple(word))
+        self.calls[tuple(word)] += 1
         return self.rep.evaluate(word)
 
 
@@ -197,7 +207,10 @@ PINNED_TRANSVERSALITY_SHA256 = {
     2: "102d23cd8c46800bba0da045a1400d7d77740b168812b0a23aa20ab8d5519e79",
     3: "474644e8fcb57ad95dfcda21d8b0169cea8f5ac8a818b2ae112cab04166b1e00",
 }
-PINNED_DERIVATIVE_WORST = ["0x1.b78966321ee19p-36", "0x0.0p+0", "0x1.4ccc4ac96818fp-25"]
+# formula and lower-derivative bits as measured before the finite-difference
+# oracle was conditioned; the third, finite-difference entry was re-pinned
+# then (0x1.4ccc4ac96818fp-25 = 3.9e-8 under the former eigensolver oracle)
+PINNED_DERIVATIVE_WORST = ["0x1.b78966321ee19p-36", "0x0.0p+0", "0x1.c28423967de0dp-38"]
 
 
 def transversality_digest(rows):
@@ -228,3 +241,103 @@ def test_transversality_evaluates_only_drawn_words(lab):
                                  separation=0.2)
     assert len(rows) == 50
     assert 0 < len(sl2.words) <= 4 * 50
+
+
+def reference_transversality_rows(ws, count, seed, separation):
+    """The per-row formula: both drawn words evaluated and their eigendata
+    and frames built again at every draw, as the sampler once did."""
+    rng = np.random.default_rng(seed)
+    pool = sorted({w for w, _ in ws.ball(6.5).cyclic_words()})
+    q = ws.basis.form_e
+    rows = []
+    while len(rows) < count:
+        wa = pool[rng.integers(0, len(pool))]
+        wb = pool[rng.integers(0, len(pool))]
+        ma, mb = ws.sl2.evaluate(wa), ws.sl2.evaluate(wb)
+        ha, _ = sl2_eigenbasis(ma)
+        hb, _ = sl2_eigenbasis(mb)
+        x, y, z = ha[:, 0], ha[:, 1], hb[:, 0]
+        sep = min(boundary_separation(x, z), boundary_separation(y, z),
+                  boundary_separation(x, y))
+        if sep < separation:
+            continue
+        eig_a = eigendata_fuchsian(ws.p, ma, ws.basis)
+        eig_b = eigendata_fuchsian(ws.p, mb, ws.basis)
+        margin = transversality_margin(
+            eig_b.theta, eig_a.line(ws.p), eig_a.line(ws.p - 1),
+            eig_a.theta_bar, q,
+        )
+        rows.append((wa, wb, sep, margin))
+    return rows
+
+
+def test_transversality_rows_match_the_per_row_formula(lab):
+    ws = LabWorkspace(lab, 3)
+    rows = sample_transversality(ws, 2000, seed=11, separation=0.2)
+    expected = reference_transversality_rows(ws, 2000, seed=11, separation=0.2)
+    assert [r[:2] for r in rows] == [r[:2] for r in expected]
+    assert (np.array([r[2:] for r in rows]).tobytes()
+            == np.array([r[2:] for r in expected]).tobytes())
+
+
+def test_transversality_builds_each_word_once(lab, monkeypatch):
+    # a word drawn again reuses its eigenbasis, eigendata and frames
+    built = Counter()
+
+    def counting_eigendata(p, m, basis):
+        built[m.tobytes()] += 1
+        return eigendata_fuchsian(p, m, basis)
+
+    monkeypatch.setattr(cli, "eigendata_fuchsian", counting_eigendata)
+    sl2 = CountingRepresentation(lab.sl2)
+    rows = sample_transversality(LabWorkspace(lab, 2, sl2), 1000, seed=404,
+                                 separation=0.2)
+    assert len(rows) == 1000
+    assert max(sl2.calls.values()) == 1
+    assert max(built.values()) == 1
+
+
+# the worst finite-difference pairs of seeds 1 and 19 at p = 3, count 4000,
+# under the former single-pair eigensolver oracle (relative errors 1.05e-3
+# and 1.1e-4 against the 1e-4 bound)
+WORST_FD_PAIRS = [(1, 3253, (-1, 2)), (19, 2096, (1, 2, -1, -2))]
+
+
+@pytest.mark.parametrize("seed, index, free_word", WORST_FD_PAIRS)
+def test_middle_eigenvalue_matches_50_digit_eigenvalues(seed, index, free_word):
+    import mpmath
+
+    ws = cli.Workspace(dict(cli.DEFAULTS, p=3, seed=seed))
+    _, vectors, free_words = cli.draw_derivative_pairs(ws, index + 1, seed)
+    assert free_words[index] == free_word
+    direction = deformation_direction(Cocycle(vectors[index], rho=ws.rho_v), ws.basis)
+    pair = eigendata_fuchsian(3, ws.sl2.evaluate(free_word), ws.basis).vectors[:, 2:4]
+    reference = mpmath.matrix(pair[:, 0].tolist())
+    with mpmath.workdps(50):
+        for s in (1e-4, -1e-4, 5e-5, -5e-5):
+            fin = FiniteDeformation(ws.rho_e, direction, cli.FREE_LETTERS, s,
+                                    check_freeness=False)
+            mu = fin.middle_eigenvalue(free_word, pair)
+            # the same double factors, multiplied and solved at 50 digits;
+            # the middle eigenvalue is the one whose eigenvector is nearest
+            # the reference line
+            product = mpmath.eye(6)
+            for letter in free_word:
+                product = product * mpmath.matrix(fin.generator(letter).tolist())
+            values, vectors_mp = mpmath.eig(product)
+            cosines = [abs(mpmath.fdot(reference, vectors_mp[:, k]))
+                       / mpmath.norm(vectors_mp[:, k]) for k in range(6)]
+            exact = values[max(range(6), key=lambda k: cosines[k])]
+            assert abs(mpmath.im(exact)) < 1e-40
+            assert abs(mpmath.re(exact) - 1) < 1e-6
+            # within the rounding of μ itself (one ulp of 1 is 2.2e-16)
+            assert abs(mu - mpmath.re(exact)) <= 2.3e-16
+
+
+@pytest.mark.parametrize("seed", [1, 19])
+def test_derivative_check_p3_count_4000_passes(seed):
+    ws = cli.Workspace(dict(cli.DEFAULTS, p=3, seed=seed))
+    worst_formula, worst_lower, worst_fd = derivative_check(ws, 4000, seed, t=1e-4)
+    assert worst_formula <= 1e-6
+    assert worst_lower <= 1e-8
+    assert worst_fd <= 1e-4
