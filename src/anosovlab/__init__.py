@@ -31,7 +31,6 @@ from .principal_rep import (  # noqa: F401
     PrincipalBasis,
     QuadraticForm,
     Representation,
-    eigendata,
     eigendata_fuchsian,
     embed_so_pp,
     embedded_representation,
@@ -43,7 +42,6 @@ from .principal_rep import (  # noqa: F401
 from .flag_geometry import (  # noqa: F401
     IsotropicFlag,
     PairedTuple,
-    classify_orientation,
     flag_from_tuple,
     form_from_plane,
     plane_from_form,
@@ -54,12 +52,10 @@ from .affine_deform import (  # noqa: F401
     Cocycle,
     DeformationDirection,
     FiniteDeformation,
-    NeutralVector,
     coboundary,
     deformation_direction,
     eigenvalue_derivative,
     margulis_invariant,
-    neutral_vector,
 )
 from .spectra import (  # noqa: F401
     EntropyEstimate,

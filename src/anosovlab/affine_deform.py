@@ -32,7 +32,7 @@ import numpy as np
 from .linalg import NumericalFailure
 from .fuchsian import boundary_separation, fixed_points, sl2_eigenbasis
 from .principal_rep import Representation, sym_power_rep
-from .surface_group import cyclic_reduce, extend_cocycle, peel_conjugator
+from .surface_group import cyclic_reduce, extend_cocycle
 
 
 @dataclass
@@ -72,72 +72,6 @@ def coboundary(rho, vector):
     vectors = np.array([vector - rho.generator(g) @ vector
                         for g in range(1, n_gen + 1)])
     return Cocycle(vectors=vectors, rho=rho)
-
-
-@dataclass
-class NeutralVector:
-    """Oriented unit spacelike fixed vector of a hyperbolic holonomy.
-
-    `certificate` is the sign of the eigenbasis determinant normalized by
-    the principal-basis orientation; +1 certifies the equivariant
-    orientation (the section through +eps_p at the model point).
-    """
-
-    vector: np.ndarray
-    word: tuple
-    certificate: float
-
-
-def neutral_vector(rho, word, basis, tol=1e-9):
-    """Neutral vector of ρ0(word) for a principal Fuchsian representation.
-
-    Computed equivariantly as sym(h)·eps_p with h the determinant-one
-    SL(2,R) eigenbasis (attracting eigenvector first) of the cyclically
-    reduced core, transported back along the peeled conjugator: exactly
-    unit, exactly fixed, and stable for long words (conjugated words pull
-    the two fixed lines together and degrade the eigenbasis, so the core
-    is where the eigenproblem is solved). The determinant certificate
-    det[v_1, ..., x, ..., v_{2p-1}], with the other eigenvectors pair-
-    normalized, is evaluated against the principal-basis orientation.
-
-    Parameters
-    ----------
-    rho : Representation
-        The (2p-1)-dimensional linear representation; must carry its
-        SL(2,R) base representation.
-    word : tuple
-        Nontrivial word with hyperbolic holonomy.
-    basis : PrincipalBasis
-    """
-    if rho.base is None:
-        raise ValueError("neutral_vector needs the SL(2,R) base representation")
-    p = basis.p
-    conjugator, core = peel_conjugator(word)
-    if not core:
-        raise ValueError("neutral vector of the trivial class")
-    m2 = rho.base.evaluate(core)
-    h, _ = sl2_eigenbasis(m2)
-    sym_h = sym_power_rep(p, h)
-    eigvecs = sym_h @ basis.eps
-    x = eigvecs[:, p - 1]
-    q = basis.form_v.matrix
-    if conjugator:
-        x = rho.evaluate(conjugator) @ x
-    # Q(x, x) = 1 holds exactly by construction; the computed pairing
-    # loses ~eps·|x|² to cancellation, so it is only guarded, never used
-    # to renormalize.
-    norm = x @ q @ x
-    if norm <= 0:
-        raise NumericalFailure("fixed vector is not spacelike")
-    scale = float(np.abs(x).max()) ** 2
-    if abs(norm - 1.0) > 1e-9 * max(1.0, scale):
-        raise NumericalFailure(f"neutral vector normalization drifted: {norm}")
-    m_word = rho.evaluate(word)
-    residual = np.abs(m_word @ x - x).max()
-    if residual > tol * max(1.0, np.abs(m_word).max()):
-        raise NumericalFailure(f"fixed-vector residual {residual:.3e}")
-    certificate = float(np.sign(np.linalg.det(eigvecs)) * basis.orientation_sign)
-    return NeutralVector(vector=x, word=tuple(word), certificate=certificate)
 
 
 def margulis_invariants(rho, omegas, words, basis):
@@ -233,20 +167,6 @@ class DeformationDirection:
         qv = self.omega.rho.form.matrix
         return 0.5 * special_shape(self.omega.value(word), qv)
 
-    def value_by_adjoint(self, word, rho_e):
-        """Literal Ad-cocycle accumulation (cross-check for moderate words)."""
-        dim = rho_e.dim
-        out = np.zeros((dim, dim))
-        prefix = np.eye(dim)
-        for letter in word:
-            if letter > 0:
-                out = out + prefix @ self.matrices[letter] @ np.linalg.inv(prefix)
-                prefix = prefix @ rho_e.generator(letter)
-            else:
-                prefix = prefix @ rho_e.generator(letter)
-                out = out - prefix @ self.matrices[-letter] @ np.linalg.inv(prefix)
-        return out
-
 
 def special_shape(w_vector, q_v):
     """The so(p,p) element X_w : u ↦ Q(u,w) f, f ↦ w (u in V)."""
@@ -270,7 +190,7 @@ def deformation_direction(omega, basis):
     return DeformationDirection(matrices=mats, omega=omega)
 
 
-def eigenvalue_derivative(eig, rho_dot_w, matrix):
+def eigenvalue_derivative(eig, rho_dot_w):
     """First-order eigenvalue variation under a tangent direction.
 
     Standard simple-spectrum perturbation with left eigenvectors obtained
@@ -288,8 +208,6 @@ def eigenvalue_derivative(eig, rho_dot_w, matrix):
         Eigen-structure of A = ρ0(w), with the split middle pair.
     rho_dot_w : ndarray
         Cocycle value of the deformation direction at w.
-    matrix : ndarray
-        A = ρ0(w) itself.
 
     Returns
     -------
@@ -297,7 +215,7 @@ def eigenvalue_derivative(eig, rho_dot_w, matrix):
         Derivatives of λ_1..λ_p and of λ̄_1..λ̄_p.
     """
     q = eig.form.matrix
-    dim = matrix.shape[0]
+    dim = eig.vectors.shape[0]
     p = eig.p
     derivs = np.zeros(dim)
     for i in range(dim):
@@ -358,26 +276,18 @@ class FiniteDeformation:
     A genuine homomorphism of the free group on the chosen letters (the
     surface relator obstructs exponentiation of the full group); serves as
     the independent finite-difference oracle for the eigenvalue-derivative
-    identity. `directions` is one `DeformationDirection`, the N = 1 case,
-    whose matrices and eigenvalues are returned unstacked, or a sequence
-    of N of them, evaluated as (N, 2p, 2p) stacks.
+    identity. `directions` is a sequence of N `DeformationDirection`s,
+    evaluated as (N, 2p, 2p) stacks. The letters are taken as free; the
+    caller certifies that (`ping_pong_certificate`).
     """
 
-    def __init__(self, rho_e, directions, letters, t, check_freeness=True):
-        if check_freeness and rho_e.base is not None:
-            ok, sep = ping_pong_certificate(rho_e.base, letters)
-            if not ok:
-                raise NumericalFailure(
-                    f"letters {letters} failed the ping-pong certificate ({sep:.3f})"
-                )
-        self.single = isinstance(directions, DeformationDirection)
-        stack = [directions] if self.single else list(directions)
+    def __init__(self, rho_e, directions, letters, t):
         self.letters = tuple(letters)
         self.t = float(t)
         self.form = rho_e.form.matrix
         self._generators = {}
         for letter in letters:
-            x = np.array([d.matrices[letter] for d in stack])
+            x = np.array([d.matrices[letter] for d in directions])
             g = _expm(self.t * x) @ rho_e.generator(letter)
             residual = np.abs(g.transpose(0, 2, 1) @ self.form @ g - self.form)
             scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)) ** 2)
@@ -392,10 +302,6 @@ class FiniteDeformation:
                 raise ValueError(f"word leaves the free subgroup on {self.letters}")
         return [self._generators[letter] for letter in word]
 
-    def generator(self, letter):
-        g = self._factors((letter,))[0]
-        return g[0] if self.single else g
-
     def _product(self, factors):
         n = self.form.shape[0]
         m = np.broadcast_to(np.eye(n), factors[0].shape if factors else (1, n, n))
@@ -404,8 +310,7 @@ class FiniteDeformation:
         return m
 
     def evaluate(self, word):
-        m = self._product(self._factors(word))
-        return m[0] if self.single else m
+        return self._product(self._factors(word))
 
     def middle_eigenvalue(self, word, middle_pair, tol=1e-6):
         """Eigenvalue of the middle pair tracked from its t = 0 eigenline.
@@ -428,9 +333,9 @@ class FiniteDeformation:
            quadratic in the distance of Z from the invariant plane.
 
         Of the two eigenvalues of T, the one whose Ritz vector is nearest
-        the reference line is returned; when the two distances differ by
-        less than `tol` (a spectral collision), or T has no real
-        eigenvalues, it raises with the word.
+        the reference line is returned, one per direction; when the two
+        distances differ by less than `tol` (a spectral collision), or T
+        has no real eigenvalues, it raises with the word.
         """
         factors = self._factors(word)
         m = self._product(factors)
@@ -458,8 +363,7 @@ class FiniteDeformation:
             raise NumericalFailure(
                 f"spectral collision at t={self.t} for word {word}"
             )
-        mu = 1.0 + nu[np.arange(len(nu)), nearest]
-        return float(mu[0]) if self.single else mu
+        return 1.0 + nu[np.arange(len(nu)), nearest]
 
 
 def _expm(a):

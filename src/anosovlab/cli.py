@@ -37,6 +37,7 @@ from .affine_deform import (
     deformation_direction,
     eigenvalue_derivative,
     margulis_invariants,
+    ping_pong_certificate,
 )
 from .flag_geometry import frame_margin, fxy_frame, theta_frame
 from .fuchsian import (
@@ -488,7 +489,7 @@ def derivative_check(ws, n_pairs, seed, t):
     worst_lower = 0.0
     for i, (word, alpha) in enumerate(zip(words, alphas)):
         rho_dot = direction(i).value(word)
-        lam_dot, _ = eigenvalue_derivative(eig[word], rho_dot, ws.rho_e.evaluate(word))
+        lam_dot, _ = eigenvalue_derivative(eig[word], rho_dot)
         if abs(alpha) > 1e-9:
             worst_formula = max(worst_formula,
                                 abs(lam_dot[-1] - 0.5 * alpha) / abs(0.5 * alpha))
@@ -503,9 +504,8 @@ def derivative_check(ws, n_pairs, seed, t):
         for start in range(0, len(indices), CHUNK):
             chunk = indices[start:start + CHUNK]
             directions = [direction(i) for i in chunk]
-            mu = {s: FiniteDeformation(ws.rho_e, directions, FREE_LETTERS, s,
-                                       check_freeness=False
-                                       ).middle_eigenvalue(wfree, pair)
+            mu = {s: FiniteDeformation(ws.rho_e, directions, FREE_LETTERS,
+                                       s).middle_eigenvalue(wfree, pair)
                   for s in (t, -t, t / 2, -t / 2)}
             coarse = (mu[t] - mu[-t]) / (2 * t)
             fine = (mu[t / 2] - mu[-t / 2]) / t
@@ -557,9 +557,7 @@ def _alphas_by_word(ws, words, vectors):
 
 def run_deriv_check(ws, out_dir):
     seed = need_seed(ws.config, "derivative sampling")
-    from .affine_deform import ping_pong_certificate
-
-    ok, sep = ping_pong_certificate(ws.sl2, (1, 2))
+    ok, sep = ping_pong_certificate(ws.sl2, FREE_LETTERS)
     if not ok:
         raise NumericalFailure("free pair failed the ping-pong certificate")
     worst_formula, worst_lower, worst_fd = derivative_check(

@@ -2,23 +2,14 @@
 
 Subspaces are handled as orthonormalized spanning matrices with respect to
 the Euclidean inner product; the indefinite form enters only through
-pairings. Orientation of maximal isotropic planes is classified against a
-fixed spacelike reference frame built from the principal basis.
+pairings.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    NumericalFailure,
-    intersect_spans,
-    nullspace,
-    orthonormal_span,
-    span_distance,
-)
-
-TRANSVERSALITY_TOL = 1e-8
+from .linalg import NumericalFailure, intersect_spans, nullspace, orthonormal_span
 
 
 def _form_matrix(q):
@@ -59,56 +50,6 @@ class PairedTuple:
     @property
     def p(self):
         return self.lines.shape[1]
-
-
-@dataclass
-class OrientationReference:
-    """Oriented spacelike p-plane F and its orthogonal F°, as column frames."""
-
-    frame: np.ndarray
-    frame_orth: np.ndarray
-    form: np.ndarray
-
-
-def standard_reference(basis):
-    """Reference frame from a principal basis: F = span((e_i + ē_i)/√2).
-
-    The convention makes span(e_1, ..., e_p) positive.
-    """
-    e, ebar = basis.e, basis.ebar
-    frame = (e + ebar) / np.sqrt(2.0)
-    frame_orth = (e - ebar) / np.sqrt(2.0)
-    return OrientationReference(frame=frame, frame_orth=frame_orth,
-                                form=basis.form_e.matrix)
-
-
-def classify_orientation(plane, reference, tol=1e-8):
-    """Sign (+1/-1) of a maximal isotropic plane against the reference.
-
-    The plane is written as the graph of a map A : F -> F° over the
-    reference spacelike plane; the sign of det A in the oriented frames
-    classifies the SO(p,p)-orbit. Planes that are not graphs over F
-    (a measure-zero configuration) are rejected.
-    """
-    q = reference.form
-    f, fo = reference.frame, reference.frame_orth
-    p = f.shape[1]
-    plane = orthonormal_span(plane)
-    if plane.shape[1] != p:
-        raise ValueError("expected a maximal isotropic plane")
-    # coordinates of the plane in the split E = F ⊕ F°: Q-projections
-    gram_f = f.T @ q @ f          # positive definite on F
-    gram_fo = fo.T @ q @ fo       # negative definite on F°
-    coords_f = np.linalg.solve(gram_f, f.T @ q @ plane)
-    coords_fo = np.linalg.solve(gram_fo, fo.T @ q @ plane)
-    det_f = np.linalg.det(coords_f)
-    if abs(det_f) < tol:
-        raise NumericalFailure("plane is not a graph over the reference frame")
-    graph_map = coords_fo @ np.linalg.inv(coords_f)
-    sign = np.sign(np.linalg.det(graph_map))
-    if sign == 0:
-        raise NumericalFailure("degenerate graph map")
-    return int(sign)
 
 
 def flag_from_tuple(paired, q):
@@ -177,16 +118,6 @@ def _validate_pairing(paired, qm, tol=1e-8):
         raise NumericalFailure("tuple is not Q-paired (off-diagonal pairing)")
     if np.abs(np.diag(gram)).min() < tol:
         raise NumericalFailure("tuple is not Q-paired (degenerate diagonal)")
-
-
-def tuples_match(a, b, tol=1e-8):
-    """Whether two paired tuples agree linewise (as lines)."""
-    worst = 0.0
-    for i in range(a.p):
-        worst = max(worst, span_distance(a.lines[:, i : i + 1], b.lines[:, i : i + 1]))
-        worst = max(worst,
-                    span_distance(a.lines_bar[:, i : i + 1], b.lines_bar[:, i : i + 1]))
-    return worst <= tol, worst
 
 
 def form_from_plane(plane, theta0, theta1, q, tol=1e-9):

@@ -26,8 +26,6 @@ import numpy as np
 from .linalg import NumericalFailure
 from .surface_group import GroupPresentation, evaluate_word
 
-BASEPOINT = 1j
-
 # smallest |trace| margin accepted as hyperbolic
 HYPERBOLIC_MARGIN = 1e-12
 
@@ -47,25 +45,8 @@ def translation(t):
     return np.array([[e, 0.0], [0.0, 1.0 / e]])
 
 
-def mobius(m, z):
-    a, b, c, d = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-    return (a * z + b) / (c * z + d)
-
-
-def distance(z, w):
-    """Hyperbolic distance in the upper half-plane (cross-ratio formula)."""
-    return float(np.arccosh(1.0 + (abs(z - w) ** 2) / (2.0 * z.imag * w.imag)))
-
-
-def orbit_distance(m):
-    """d(i, M·i) = arccosh(‖M‖_F² / 2) for M in SL(2,R)."""
-    m = np.asarray(m, float)
-    return float(np.arccosh(max(1.0, (m * m).sum() / 2.0)))
-
-
 # geometry of the regular octagon with vertex angle π/4
 APOTHEM = float(np.arccosh(1.0 / np.tan(np.pi / 8.0)))
-CIRCUMRADIUS = float(np.arccosh(1.0 / np.tan(np.pi / 8.0) ** 2))
 
 
 def octagon_group(tol=1e-9):
@@ -223,9 +204,6 @@ class BallEnumeration:
         if radius > self.radius + 1e-12:
             raise ValueError("count requested beyond the enumerated radius")
         return int(np.searchsorted(self.distances, radius, side="right"))
-
-    def count_function(self, grid):
-        return np.array([self.count(t) for t in grid], dtype=int)
 
     def cyclic_words(self, radius=math.inf):
         """Cyclically reduced word and |trace| of each hyperbolic element

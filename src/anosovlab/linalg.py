@@ -50,28 +50,6 @@ def intersect_spans(a, b, tol=SVD_THRESHOLD):
     return orthonormal_span(qa @ coeffs[:, : qa.shape[1]].T, tol)
 
 
-def span_distance(a, b):
-    """Largest principal-angle sine between two spans of equal dimension.
-
-    Computed as the spectral norm of the projector difference, which stays
-    accurate down to machine precision (the textbook 1 - cos² route loses
-    half the digits near zero).
-    """
-    qa, qb = orthonormal_span(a), orthonormal_span(b)
-    if qa.shape[1] != qb.shape[1]:
-        return 1.0
-    if qa.shape[1] == 0:
-        return 0.0
-    diff = qa @ qa.T - qb @ qb.T
-    return float(np.linalg.norm(diff, 2))
-
-
-def line_distance(u, v):
-    """Sine of the angle between the lines spanned by vectors u and v."""
-    return span_distance(np.asarray(u, float).reshape(-1, 1),
-                         np.asarray(v, float).reshape(-1, 1))
-
-
 def form_residual(m, q):
     """Relative residual of form preservation, ‖MᵀQM − Q‖ / max(1, ‖M‖²)."""
     m = np.asarray(m, float)
@@ -87,24 +65,6 @@ def signature(q, tol=1e-9):
     plus = int(np.sum(evals > tol * scale))
     minus = int(np.sum(evals < -tol * scale))
     return plus, minus
-
-
-def so_algebra_element(q, rng, scale=1.0):
-    """Random element of the isometry algebra of the symmetric form q.
-
-    so(q) = {A : QA skew-symmetric}, sampled as Q^{-1}S with S skew.
-    """
-    n = q.shape[0]
-    s = rng.normal(size=(n, n)) * scale
-    s = (s - s.T) / 2.0
-    return np.linalg.solve(q, s)
-
-
-def random_form_isometry(q, rng, scale=0.3):
-    """Random element of the identity component of the isometry group of q."""
-    from scipy.linalg import expm
-
-    return expm(so_algebra_element(q, rng, scale))
 
 
 def float17(x):

@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import NumericalFailure, form_residual, orthonormal_span, signature
+from .linalg import NumericalFailure, form_residual, orthonormal_span
 from .fuchsian import sl2_eigenbasis
 
 
@@ -150,21 +150,14 @@ def _sym_power_plan(p):
 
 @dataclass
 class QuadraticForm:
-    """Symmetric bilinear form with cached signature."""
+    """Symmetric bilinear form."""
 
     matrix: np.ndarray
-    _signature: tuple = field(default=None, repr=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, float)
         if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
             raise ValueError("form matrix must be symmetric")
-
-    @property
-    def signature(self):
-        if self._signature is None:
-            self._signature = signature(self.matrix)
-        return self._signature
 
     @property
     def dim(self):
@@ -213,20 +206,10 @@ class PrincipalBasis:
     form_e: QuadraticForm
 
     @property
-    def eps_p(self):
-        """The unit spacelike middle weight vector."""
-        return self.eps[:, self.p - 1]
-
-    @property
     def f(self):
         v = np.zeros(2 * self.p)
         v[-1] = 1.0
         return v
-
-    @property
-    def orientation_sign(self):
-        """Sign of det(eps-basis); calibrates the neutral-vector rule."""
-        return float(np.sign(np.linalg.det(self.eps)))
 
 
 def principal_basis(p):
@@ -493,74 +476,3 @@ def eigendata_fuchsian(p, m_sl2, basis):
     eigenvalues[p] = 1.0
     return EigenData(p=p, eigenvalues=eigenvalues, vectors=vectors,
                      form=basis.form_e)
-
-
-def eigendata(a, q, p=None, tol=1e-7):
-    """EigenData of a form-preserving matrix with real simple-ish spectrum.
-
-    General solver path: eigenvalues are sorted decreasingly, paired
-    λ ↔ 1/λ and Q-renormalized. A doubly degenerate eigenvalue 1 (the
-    SO(p,p-1) locus) is split structurally into the two isotropic lines of
-    its eigenplane; any other collision below `tol` is a numerical
-    failure, as is a complex or defective spectrum.
-    """
-    a = np.asarray(a, float)
-    qm = q.matrix if isinstance(q, QuadraticForm) else np.asarray(q, float)
-    dim = a.shape[0]
-    if p is None:
-        p = dim // 2
-    if dim != 2 * p:
-        raise ValueError("eigendata expects an even-dimensional matrix on E")
-    evals, evecs = np.linalg.eig(a)
-    if np.abs(evals.imag).max() > tol * max(1.0, np.abs(evals.real).max()):
-        raise NumericalFailure("complex spectrum")
-    evals = evals.real
-    order = np.argsort(-evals)
-    evals = evals[order]
-    evecs = np.real(evecs[:, order])
-
-    # structural split of a repeated unit eigenvalue (middle pair)
-    mid = evals[p - 1 : p + 1]
-    structural = abs(mid[0] - mid[1]) < tol and abs(mid[0] - 1.0) < tol
-    if structural:
-        plane = evecs[:, p - 1 : p + 1]
-        evecs[:, p - 1 : p + 1] = _isotropic_split(plane, qm)
-        evals[p - 1 : p + 1] = 1.0
-    gaps = np.abs(np.diff(evals))
-    degenerate = gaps < tol
-    if degenerate.any() and not (degenerate.sum() == 1 and degenerate[p - 1]
-                                 and structural):
-        raise NumericalFailure("eigenvalue collision outside the structural pair")
-
-    vectors = evecs.copy()
-    for i in range(dim // 2):
-        j = dim - 1 - i
-        pairing = vectors[:, i] @ qm @ vectors[:, j]
-        if abs(pairing) < 1e-12:
-            raise NumericalFailure("defective Q-pairing of eigenvectors")
-        vectors[:, j] = vectors[:, j] / pairing
-    return EigenData(p=p, eigenvalues=evals, vectors=vectors, form=QuadraticForm(qm))
-
-
-def _isotropic_split(plane, qm):
-    """The two isotropic lines inside a Q-nondegenerate 2-plane.
-
-    Columns ordered with the spacelike-plus-f-like combination first, to
-    match the structural (e_p, ē_p) labeling when the plane is
-    span(eps_p, f).
-    """
-    gram = plane.T @ qm @ plane
-    # solve Q(c0 u + c1 v) = 0: gram[0,0] c0^2 + 2 gram[0,1] c0 c1 + gram[1,1] c1^2 = 0
-    a, b, c = gram[0, 0], gram[0, 1], gram[1, 1]
-    if abs(a) < 1e-13:
-        roots = [np.array([1.0, 0.0]),
-                 np.array([-c / (2 * b), 1.0]) if abs(b) > 1e-13 else np.array([0.0, 1.0])]
-    else:
-        disc = b * b - a * c
-        if disc <= 0:
-            raise NumericalFailure("eigenplane carries a definite form; no isotropic split")
-        r1 = (-b + np.sqrt(disc)) / a
-        r2 = (-b - np.sqrt(disc)) / a
-        roots = [np.array([r1, 1.0]), np.array([r2, 1.0])]
-    lines = [plane @ r / np.linalg.norm(plane @ r) for r in roots]
-    return np.column_stack(lines)

@@ -224,7 +224,6 @@ class EntropyEstimate:
     window: tuple
     residual: float
     count: int
-    method: str = "slope"
 
 
 def _window_grid(window, step=0.25):
@@ -261,7 +260,7 @@ def entropy_estimate(values, window, step=0.25, max_radius=None):
     slope = float(coeffs[0])
     rms = float(np.sqrt(residuals[0] / len(grid))) if len(residuals) else 0.0
     return EntropyEstimate(estimate=slope, window=(float(t0), float(t1)),
-                           residual=rms, count=int(counts[-1]), method="slope")
+                           residual=rms, count=int(counts[-1]))
 
 
 def critical_exponent(values, window, tol=1e-10):
@@ -284,7 +283,7 @@ def critical_exponent(values, window, tol=1e-10):
 
     lo, hi = 0.0, 6.0
     if imbalance(lo) < 0:
-        return EntropyEstimate(0.0, (t0, t1), math.inf, len(values), "critical")
+        return EntropyEstimate(0.0, (t0, t1), math.inf, len(values))
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if imbalance(mid) > 0:
@@ -293,8 +292,7 @@ def critical_exponent(values, window, tol=1e-10):
             hi = mid
     s = 0.5 * (lo + hi)
     return EntropyEstimate(estimate=float(s), window=(float(t0), float(t1)),
-                           residual=0.0, count=int(len(near) + len(far)),
-                           method="critical")
+                           residual=0.0, count=int(len(near) + len(far)))
 
 
 def bm_average(spectrum, window, observable=None, weighted=False):

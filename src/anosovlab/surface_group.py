@@ -49,21 +49,6 @@ def cyclic_reduce(word):
     return tuple(w)
 
 
-def peel_conjugator(word):
-    """Split a word as h · c · h^{-1} with c cyclically reduced.
-
-    Returns (h, c); the identity gives ((), ()). Exact free-group algebra,
-    used to evaluate conjugation-equivariant data on the well-conditioned
-    core.
-    """
-    w = list(free_reduce(word))
-    h = []
-    while len(w) >= 2 and w[0] == -w[-1]:
-        h.append(w[0])
-        w = w[1:-1]
-    return tuple(h), tuple(w)
-
-
 def rotations(word):
     n = len(word)
     return [word[i:] + word[:i] for i in range(n)] if n else [word]
@@ -85,21 +70,6 @@ def format_word(word, labels=GENERATOR_LABELS):
     return ".".join(parts)
 
 
-def parse_word(text, labels=GENERATOR_LABELS):
-    """Inverse of :func:`format_word`."""
-    text = text.strip()
-    if text in ("", "1"):
-        return ()
-    lower = {lab: i + 1 for i, lab in enumerate(labels)}
-    letters = []
-    for token in text.split("."):
-        if token.lower() not in lower:
-            raise ValueError(f"unknown generator token {token!r}")
-        idx = lower[token.lower()]
-        letters.append(idx if token.islower() else -idx)
-    return free_reduce(tuple(letters))
-
-
 @dataclass(frozen=True)
 class GroupPresentation:
     """One-relator presentation with a fixed cyclically reduced relator."""
@@ -118,10 +88,6 @@ class GroupPresentation:
     def genus2(cls):
         """The genus-2 commutator presentation on a1, b1, a2, b2."""
         return cls(4, (1, 2, -1, -2, 3, 4, -3, -4))
-
-    @property
-    def half_length(self):
-        return len(self.relator) // 2
 
 
 @dataclass(frozen=True)

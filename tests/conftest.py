@@ -66,14 +66,21 @@ def run_cli_process(args, threads):
     and OMP_NUM_THREADS are both set to `threads`, or both unset for None.
     Returns the exit code.
     """
-    env = dict(os.environ)
+    env = package_env()
     for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         env.pop(key, None)
         if threads is not None:
             env[key] = threads
+    return subprocess.run([sys.executable, "-m", "anosovlab.cli", *args],
+                          env=env).returncode
+
+
+def package_env():
+    """The environment with this anosovlab first on PYTHONPATH, for
+    subprocesses."""
+    env = dict(os.environ)
     package_root = os.path.dirname(os.path.dirname(anosovlab.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [package_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    return subprocess.run([sys.executable, "-m", "anosovlab.cli", *args],
-                          env=env).returncode
+    return env

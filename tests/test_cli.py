@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -13,7 +15,7 @@ from anosovlab.fuchsian import boundary_separation, sl2_eigenbasis
 from anosovlab.principal_rep import eigendata_fuchsian
 from anosovlab.surface_group import format_word
 
-from conftest import THREAD_SETTINGS, run_cli_process
+from conftest import THREAD_SETTINGS, package_env, run_cli_process
 
 
 def run_cli(tmp_path, command, config=None, extra=()):
@@ -169,6 +171,70 @@ def test_scan_cli(tmp_path):
     assert len(rows) == 4
 
 
+# Imports every anosovlab module and runs each CLI subcommand in-process;
+# with argv[3] == "1" a meta-path hook first makes any scipy import fail.
+NO_SCIPY_SCRIPT = """
+import importlib, json, pkgutil, sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked")
+        return None
+
+out, runs, block = sys.argv[1], json.loads(sys.argv[2]), sys.argv[3] == "1"
+if block:
+    sys.meta_path.insert(0, NoScipy())
+import anosovlab
+for module in pkgutil.iter_modules(anosovlab.__path__):
+    importlib.import_module("anosovlab." + module.name)
+from anosovlab import cli
+codes = []
+for i, (command, config) in enumerate(runs):
+    path = f"{out}/config{i}.json"
+    with open(path, "w") as handle:
+        json.dump(config, handle)
+    codes.append(cli.main([command, "--config", path, "--out", f"{out}/run{i}"]))
+try:
+    import scipy  # noqa: F401
+    scipy_importable = True
+except ImportError:
+    scipy_importable = False
+print(json.dumps({"codes": codes, "scipy_importable": scipy_importable}))
+"""
+
+TOY_RUNS = [
+    ("check-rep", {"seed": 1, "p": 2}),
+    ("spectrum", {"seed": 5, "radius": 6.0, "cocycle": "random"}),
+    ("entropy", {"seed": 1, "radius": 8.0}),
+    ("margulis", {"seed": 3, "radius": 7.0, "window": [4.0, 7.0],
+                  "cocycle": "random"}),
+    ("transversality", {"seed": 4, "count": 40}),
+    ("deriv-check", {"seed": 6, "count": 12}),
+    ("scan", {"seed": 7, "radius": 8.0, "window": [5.0, 8.0],
+              "cocycle": "random"}),
+]
+
+
+def test_package_runs_without_scipy(tmp_path):
+    # numpy is the only runtime dependency: every module imports and every
+    # subcommand exits as it does with scipy installed
+    assert {command for command, _ in TOY_RUNS} == set(cli.COMMANDS)
+    results = {}
+    for block in ("0", "1"):
+        out = tmp_path / block
+        out.mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", NO_SCIPY_SCRIPT, str(out), json.dumps(TOY_RUNS),
+             block],
+            env=package_env(), capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        results[block] = json.loads(done.stdout.splitlines()[-1])
+    assert results["0"]["codes"] == [0] * len(TOY_RUNS)
+    assert results["1"]["scipy_importable"] is False
+    assert results["1"]["codes"] == results["0"]["codes"]
+
+
 class LabWorkspace:
     """The parts of `cli.Workspace` the samplers read, on the session ball."""
 
@@ -315,15 +381,14 @@ def test_middle_eigenvalue_matches_50_digit_eigenvalues(seed, index, free_word):
     reference = mpmath.matrix(pair[:, 0].tolist())
     with mpmath.workdps(50):
         for s in (1e-4, -1e-4, 5e-5, -5e-5):
-            fin = FiniteDeformation(ws.rho_e, direction, cli.FREE_LETTERS, s,
-                                    check_freeness=False)
-            mu = fin.middle_eigenvalue(free_word, pair)
+            fin = FiniteDeformation(ws.rho_e, [direction], cli.FREE_LETTERS, s)
+            mu = fin.middle_eigenvalue(free_word, pair)[0]
             # the same double factors, multiplied and solved at 50 digits;
             # the middle eigenvalue is the one whose eigenvector is nearest
             # the reference line
             product = mpmath.eye(6)
             for letter in free_word:
-                product = product * mpmath.matrix(fin.generator(letter).tolist())
+                product = product * mpmath.matrix(fin.evaluate((letter,))[0].tolist())
             values, vectors_mp = mpmath.eig(product)
             cosines = [abs(mpmath.fdot(reference, vectors_mp[:, k]))
                        / mpmath.norm(vectors_mp[:, k]) for k in range(6)]

@@ -1,24 +1,25 @@
 import numpy as np
 import pytest
 
-from anosovlab.linalg import (
-    NumericalFailure,
-    random_form_isometry,
-    span_distance,
-)
+from anosovlab.linalg import NumericalFailure
 from anosovlab.flag_geometry import (
     PairedTuple,
-    classify_orientation,
     flag_from_tuple,
     form_from_plane,
     is_isotropic,
     plane_from_form,
-    standard_reference,
     transversality_margin,
     tuple_from_flags,
-    tuples_match,
 )
 from anosovlab.principal_rep import eigendata_fuchsian, form_on_e, principal_basis
+
+from oracles import (
+    classify_orientation,
+    random_form_isometry,
+    span_distance,
+    standard_reference,
+    tuples_match,
+)
 
 
 def standard_tuple(basis):

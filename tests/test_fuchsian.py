@@ -10,12 +10,9 @@ from anosovlab.linalg import NumericalFailure
 from anosovlab.fuchsian import (
     APOTHEM,
     QUANTUM,
-    distance,
     enumerate_ball,
     fixed_points,
-    mobius,
     octagon_group,
-    orbit_distance,
     rotation,
     sl2_eigenbasis,
     translation,
@@ -27,6 +24,8 @@ from anosovlab.surface_group import (
     format_word,
     inverse_word,
 )
+
+from oracles import distance, mobius, orbit_distance
 
 
 def test_relator_holonomy_is_identity():
@@ -116,7 +115,7 @@ def test_ball_identity_only_below_systole(lab):
 
 def test_ball_counts_nondecreasing(lab):
     grid = np.linspace(1.0, lab.ball.radius, 18)
-    counts = lab.ball.count_function(grid)
+    counts = [lab.ball.count(t) for t in grid]
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     with pytest.raises(ValueError):
         lab.ball.count(lab.ball.radius + 1.0)
@@ -133,7 +132,7 @@ def test_ball_slack_stabilization(lab):
     small = enumerate_ball(lab.sl2.generators, 8.0, 2.0)
     double = enumerate_ball(lab.sl2.generators, 8.0, 4.0)
     grid = np.linspace(0.5, 8.0, 31)
-    assert np.array_equal(small.count_function(grid), double.count_function(grid))
+    assert [small.count(t) for t in grid] == [double.count(t) for t in grid]
 
 
 def test_ball_matrices_match_their_words(lab):

@@ -7,11 +7,9 @@ from anosovlab.surface_group import (
     conjugacy_canonical,
     cyclic_reduce,
     extend_cocycle,
-    format_word,
     free_reduce,
     inverse_word,
     min_rotation,
-    parse_word,
     solve_cocycle_space,
 )
 
@@ -33,13 +31,6 @@ def test_free_reduction_examples():
     assert free_reduce((1, -1, 2)) == (2,)
     assert free_reduce(()) == ()
     assert free_reduce((1, 2, -2, -1)) == ()
-
-
-def test_word_round_trip():
-    w = (1, -2, 3, 4, -1)
-    assert parse_word(format_word(w)) == w
-    assert format_word(()) == "1"
-    assert parse_word("1") == ()
 
 
 def test_conjugacy_rotation_invariance():
