@@ -189,7 +189,7 @@ class Workspace:
             if vector.shape != (dim,):
                 raise ConfigError(f"coboundary vector must have length {dim}")
             return coboundary(self.rho_v, vector)
-        if spec == "random" or (isinstance(spec, dict) and spec.get("random")):
+        if spec == "random":
             seed = need_seed(self.config, "a random cocycle")
             return random_cocycle(self.rho_v, self.presentation, seed)
         if isinstance(spec, dict):

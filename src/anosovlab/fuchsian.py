@@ -7,14 +7,20 @@ four pairing translations are rotation conjugates of a single hyperbolic
 translation and satisfy the genus-2 commutator relation exactly; the
 construction is closed-form and self-checked at 1e-9.
 
+The group lies in SL(2) of the quartic field Q(θ), f(θ) = θ⁴ + 8θ³ +
+12θ² + 16θ + 4 = 0: OCTAGON_ENTRIES holds 8·(each generator entry) in Z[θ]
+(Takeuchi, J. Math. Soc. Japan 27, 1975, for the arithmetic background).
+
 Ball enumeration is a breadth-first search over freely reduced words,
 pruned by orbit distance with a configurable slack and deduplicated by
-quantized matrix keys (projectively, i.e. up to sign). Keys are sorted
-and looked up by a fixed 64-bit hash, and every hash match is confirmed
-on the exact key, so the ball does not depend on the hash. Words are
-kept as letter-code arrays during the search and become tuples only for
-elements inside the radius. The traversal is level-synchronous with
-canonical tie-breaks, so the output is independent of internal
+exact keys: the entries' residues modulo two primes at which f has a
+root, under one projective sign rule. Equal keys mean equal elements up
+to the radius + slack KEY_HORIZON (proof in `enumerate_ball`), so there
+is no tolerance and no merge pass. Keys are sorted and looked up by their
+first 64-bit column, and every hash match is confirmed on the whole key.
+Words are kept as letter-code arrays during the search and become tuples
+only for elements inside the radius. The traversal is level-synchronous
+with canonical tie-breaks, so the output is independent of internal
 evaluation order.
 """
 
@@ -29,8 +35,24 @@ from .surface_group import GroupPresentation, evaluate_word
 # smallest |trace| margin accepted as hyperbolic
 HYPERBOLIC_MARGIN = 1e-12
 
-# grid spacing of the matrix-entry keys that deduplicate ball elements
-QUANTUM = 1e-7
+# largest relator residual octagon_group accepts
+OCTAGON_RELATOR_TOL = 1e-9
+
+# 8·(a, b, c, d) of each generator in the basis 1, θ, θ², θ³ of Z[θ], where
+# θ = 2·g_a[0,0] ≈ −6.5218 is a root of f = θ⁴ + 8θ³ + 12θ² + 16θ + 4
+OCTAGON_ENTRIES = {
+    1: ((0, 4, 0, 0), (0, 4, 0, 0), (32, 24, 16, 2), (-32, -24, -16, -2)),
+    2: ((-36, -22, -22, -3), (16, 10, 8, 1), (-16, -10, -8, -1), (4, 2, 6, 1)),
+    3: ((-32, -24, -16, -2), (-32, -24, -16, -2), (0, -4, 0, 0), (0, 4, 0, 0)),
+    4: ((4, 2, 6, 1), (16, 10, 8, 1), (-16, -10, -8, -1), (-36, -22, -22, -3)),
+}
+
+# (prime, root of f modulo the prime) of the two residue keys
+KEY_PRIMES = ((2147483543, 1728828756), (2147483489, 911795266))
+
+# largest radius + slack at which equal keys mean equal elements:
+# 2^17·cosh(KEY_HORIZON) < p₁p₂ (see enumerate_ball)
+KEY_HORIZON = 31.88
 
 
 def rotation(theta):
@@ -49,7 +71,7 @@ def translation(t):
 APOTHEM = float(np.arccosh(1.0 / np.tan(np.pi / 8.0)))
 
 
-def octagon_group(tol=1e-9):
+def octagon_group():
     """Generators of the genus-2 octagon group and its presentation.
 
     The regular π/4-octagon is centered at o = i with side midpoints in
@@ -71,7 +93,8 @@ def octagon_group(tol=1e-9):
     Raises
     ------
     NumericalFailure
-        If the relator residual exceeds `tol` (construction self-check).
+        If the relator residual exceeds OCTAGON_RELATOR_TOL (construction
+        self-check).
     """
     frame_side2_ccw = rotation(np.pi / 2) @ translation(APOTHEM) @ rotation(np.pi / 2)
     frame_side0_cw = translation(APOTHEM) @ rotation(-np.pi / 2)
@@ -92,8 +115,10 @@ def octagon_group(tol=1e-9):
     residual = min(
         np.abs(holonomy - np.eye(2)).max(), np.abs(holonomy + np.eye(2)).max()
     )
-    if residual > tol:
-        raise NumericalFailure(f"octagon relator residual {residual:.3e} > {tol:.0e}")
+    if residual > OCTAGON_RELATOR_TOL:
+        raise NumericalFailure(
+            f"octagon relator residual {residual:.3e} > {OCTAGON_RELATOR_TOL:.0e}"
+        )
     return presentation, generators
 
 
@@ -184,9 +209,10 @@ def boundary_separation(u, v):
 class BallEnumeration:
     """Orbit ball: group elements γ with d(o, γo) ≤ T.
 
-    Elements are deduplicated projectively (±M is one isometry) keeping
-    the smallest among the shortest words. `matrices`, `words` and
-    `distances` are aligned and sorted by (distance, word length, word).
+    Each element appears once: elements are deduplicated projectively (±M
+    is one isometry) by exact residue keys, keeping the code-smallest of
+    the shortest words. `matrices`, `words` and `distances` are aligned
+    and sorted by (distance, word length, word).
     """
 
     radius: float
@@ -228,41 +254,84 @@ class BallEnumeration:
             yield word, trace
 
 
-def _sign_normalize(mats):
-    """Canonical PSL sign: first entry with |e| ≥ 0.5 made positive."""
-    flat = mats.reshape(len(mats), 4)
-    idx = np.argmax(np.abs(flat) >= 0.5, axis=1)
-    signs = np.sign(flat[np.arange(len(flat)), idx])
-    signs[signs == 0] = 1.0
-    return mats * signs[:, None, None]
+def _letter_residues(generators):
+    """Entries a, b, c, d of the 2n letters modulo each key prime.
+
+    Returns an (8, 2n) int64 table: rows a, b, c, d mod p₁, then mod p₂;
+    columns in letter-code order, an inverse letter taking the residues of
+    the adjugate (d, −b, −c, a). Raises ValueError unless `generators` are
+    the octagon's to 1e-12, since the residues are those of
+    OCTAGON_ENTRIES.
+    """
+    _, octagon = octagon_group()
+    if sorted(generators) != sorted(octagon) or max(
+        np.abs(np.asarray(generators[k], float) - m).max() for k, m in octagon.items()
+    ) > 1e-12:
+        raise ValueError("the ball's exact keys need the octagon generators")
+    rows = []
+    for p, root in KEY_PRIMES:
+        powers = [pow(root, i, p) for i in range(4)]
+        eighth = pow(8, -1, p)
+        positive = [
+            [sum(c * r for c, r in zip(entry, powers)) * eighth % p
+             for entry in OCTAGON_ENTRIES[k]]
+            for k in sorted(OCTAGON_ENTRIES)
+        ]
+        inverse = [[d, -b % p, -c % p, a] for a, b, c, d in positive]
+        rows += zip(*positive, *inverse)
+    return np.array(rows, dtype=np.int64)
 
 
-def _quantized_keys(mats):
-    """Exact dedup keys: sign-normalized entries on the QUANTUM grid, (n, 4) int64."""
-    normalized = _sign_normalize(mats).reshape(len(mats), 4)
-    return np.round(normalized / QUANTUM).astype(np.int64)
+# children keyed per chunk, which bounds the int64 temporaries
+_KEY_CHUNK = 4096
 
 
-# odd 64-bit multipliers of the key mix (splitmix64-style constants)
-_MIX = np.array(
-    [0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB,
-     0xD6E8FEB86659FD93],
-    dtype=np.uint64,
-)
+def _child_keys(parent_keys, parent_rows, codes, residues):
+    """Exact keys of the products parent·letter, (n, 4) int64.
+
+    Child i is the parent at row `parent_rows[i]` of the store block
+    `parent_keys` times the letter `codes[i]`; `residues` is the
+    `_letter_residues` table. Each key holds 8 int32 values, a, b, c, d
+    mod p₁ then mod p₂, under one PSL sign rule: the first nonzero residue
+    mod p₁ is at most (p₁ − 1)/2, else the residues mod both primes are
+    negated. Chunks are laid out entry-major (8 × chunk), so each step
+    runs on contiguous rows; products stay below 2·(p − 1)² < 2^63.
+    """
+    out = np.empty((len(parent_rows), 8), dtype=np.int32)
+    parents = parent_keys.view(np.int32)
+    half = (KEY_PRIMES[0][0] - 1) // 2
+    for start in range(0, len(parent_rows), _KEY_CHUNK):
+        chunk = slice(start, start + _KEY_CHUNK)
+        left = np.take(parents, parent_rows[chunk], axis=0).T.astype(np.int64, order="C")
+        right = np.take(residues, codes[chunk], axis=1)
+        child = np.empty_like(left)
+        for j, (p, _) in enumerate(KEY_PRIMES):
+            for i in range(2):
+                for k in range(2):
+                    entry = child[4 * j + 2 * i + k]
+                    np.multiply(left[4 * j + 2 * i], right[4 * j + k], out=entry)
+                    entry += left[4 * j + 2 * i + 1] * right[4 * j + 2 + k]
+                    entry %= p
+        lead = child[0]
+        for e in (1, 2, 3):
+            if lead.all():
+                break
+            lead = np.where(lead != 0, lead, child[e])
+        flip = lead > half
+        for j, (p, _) in enumerate(KEY_PRIMES):
+            block = child[4 * j:4 * j + 4]
+            np.subtract(p, block, out=block, where=flip & (block != 0))
+        out[chunk] = child.T
+    return out.view(np.int64)
 
 
 def _key_hash(keys):
-    """Fixed 64-bit mix of the four quantized entries of each key.
+    """The first int64 column of each key: residues are already uniform.
 
     Only a sort order: equal hashes are always confirmed on the exact
     keys, so the ball does not depend on this function.
     """
-    bits = keys.view(np.uint64)
-    h = np.zeros(len(keys), dtype=np.uint64)
-    for j in range(4):
-        h = (h ^ bits[:, j]) * _MIX[j]
-        h ^= h >> np.uint64(31)
-    return h
+    return keys[:, 0]
 
 
 def _first_occurrences(hashes, keys):
@@ -319,44 +388,70 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     """Enumerate the orbit ball of radius `radius` around o = i.
 
     Breadth-first search over freely reduced words pruned at orbit
-    distance radius + slack. Each element is keyed by its matrix entries
-    quantized on a 1e-7 grid after projective sign normalization; keys
-    are sorted and looked up by a 64-bit hash, and every hash match is
-    confirmed on the exact key, so a collision never merges two elements.
-    Keys of earlier levels live in an append-only store of per-level
-    blocks; only a hash-sorted (hash, row) index is merged level by level.
-    Each level is kept in code-lexicographic word order, so the element
-    kept for a key is the code-smallest of its shortest words (a1 < b1 <
-    a2 < b2 < a1⁻¹ < … < b2⁻¹). Word tuples are built only for elements
-    within `radius`. Candidate collisions across quantization cells are
-    re-checked by exact matrix distance in a final merge pass.
+    distance radius + slack, deduplicated by exact keys: the residues of
+    the entries modulo the two KEY_PRIMES, under one PSL sign rule (see
+    `_child_keys`). Keys are sorted and looked up by their first int64
+    column, and every hash match is confirmed on the whole key. Keys of
+    earlier levels live in an append-only store of per-level blocks; the
+    frontier's keys are read from the last block, and only a hash-sorted
+    (hash, row) index is merged level by level. Each level is kept in
+    code-lexicographic word order, so the element kept for a key is the
+    code-smallest of its shortest words (a1 < b1 < a2 < b2 < a1⁻¹ < … <
+    b2⁻¹). Word tuples are built only for elements within `radius`.
+
+    Why equal keys mean equal elements. Write K = Q(θ) with f(θ) = 0.
+    Every group element has its 8·entries in Z[θ] (the lattice
+    certificate in the tests), and each key prime p has a root r of f,
+    so θ ↦ r maps Z[θ] onto Z/p with a kernel of index p. Let A ≠ ±B
+    have equal keys, so A ≡ sB modulo both primes for one sign s, and let
+    x ≠ 0 be 8·(a − s·b) for an entry where A and sB differ. Then x lies
+    in both kernels, so p₁p₂ divides N(x) = [Z[θ] : xZ[θ]]. Bound N(x)
+    by its four embeddings. In the first, the float matrices, each entry
+    is at most √(2 cosh H) at horizon H = radius + slack. The second real
+    embedding maps [[a, b], [c, d]] to [[d, −c], [−b, a]], so its entries
+    are bounded alike. The complex pair is unitary, so there each entry
+    has modulus at most 1. Hence 1 ≤ |N(x)| ≤ (16√(2 cosh H))² · 16² =
+    2^17·cosh H, below p₁p₂ for H ≤ KEY_HORIZON: no such pair exists.
 
     Parameters
     ----------
     generators : dict
-        Positive letter -> SL(2,R) matrix.
+        Positive letter -> SL(2,R) matrix; must be the octagon generators
+        of `octagon_group` (to 1e-12), whose exact entries the keys use.
     radius : float
         Ball radius T (elements with d(o, γo) ≤ T are returned).
     slack : float
-        Pruning slack C ≥ 0; exploration horizon is T + C. Counts must
-        stabilize under doubling of C (calibration test); the default is
-        validated by that certificate rather than a worst-case bound.
+        Pruning slack C ≥ 0; exploration horizon is T + C ≤ KEY_HORIZON.
+        Counts must stabilize under doubling of C (calibration test); the
+        default is validated by that certificate rather than a worst-case
+        bound.
     max_elements : int
         Memory budget; exceeding it aborts with a diagnostic.
 
     Returns
     -------
     BallEnumeration
+
+    Raises
+    ------
+    ValueError
+        For radius ≤ 0, slack < 0, radius + slack > KEY_HORIZON, or
+        generators that are not the octagon's; all before any allocation.
     """
     if radius <= 0 or slack < 0:
         raise ValueError("need radius > 0 and slack >= 0")
+    horizon = radius + slack
+    if horizon > KEY_HORIZON:
+        raise ValueError(
+            f"radius + slack = {horizon} exceeds the exact-key horizon {KEY_HORIZON}"
+        )
+    residues = _letter_residues(generators)
     n_gen = len(generators)
     n_codes = 2 * n_gen
     gens = np.zeros((n_codes, 2, 2))
     for k in range(1, n_gen + 1):
         gens[k - 1] = generators[k]
         gens[k - 1 + n_gen] = np.linalg.inv(generators[k])
-    horizon = radius + slack
     # squared-norm prefilter: its margin covers the rounding of the Gram
     # form, so it keeps a superset of the children with dists <= horizon,
     # which is still tested exactly below
@@ -377,8 +472,11 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     ball_words = [frontier_words]
 
     # `seen`: append-only blocks of keys, one per level, and a hash-sorted
-    # index of (hash, global row) that new keys are merged into
-    store = [_quantized_keys(frontier_mats)]
+    # index of (hash, global row) that new keys are merged into; the
+    # frontier's keys are the last block's rows `frontier_rows`
+    identity = np.array([[1, 0, 0, 1] * len(KEY_PRIMES)], dtype=np.int32)
+    store = [identity.view(np.int64)]
+    frontier_rows = np.zeros(1, dtype=np.intp)
     offsets = np.zeros(1, dtype=np.int64)
     index_hashes = _key_hash(store[0])
     row_type = np.int32 if max_elements < 2**31 else np.int64
@@ -388,19 +486,21 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     while len(frontier_mats):
         depth += 1
         # ‖F·g‖² = Σ_jl (FᵀF)_jl (g gᵀ)_jl: the squared norms of all
-        # children from the Gram matrix of each parent
+        # children from the Gram matrix of each parent, one letter at a time
         rows = frontier_mats.reshape(-1, 4)
-        norms = np.multiply.outer(rows[:, 0] ** 2 + rows[:, 2] ** 2, gram[:, 0, 0])
-        norms += np.multiply.outer(
-            2.0 * (rows[:, 0] * rows[:, 1] + rows[:, 2] * rows[:, 3]), gram[:, 0, 1]
-        )
-        norms += np.multiply.outer(rows[:, 1] ** 2 + rows[:, 3] ** 2, gram[:, 1, 1])
-        keep = norms <= norm_cap
+        diagonal0 = rows[:, 0] ** 2 + rows[:, 2] ** 2
+        off_diagonal = 2.0 * (rows[:, 0] * rows[:, 1] + rows[:, 2] * rows[:, 3])
+        diagonal1 = rows[:, 1] ** 2 + rows[:, 3] ** 2
+        keep = np.empty((len(rows), n_codes), dtype=bool)
+        for c in range(n_codes):
+            keep[:, c] = (diagonal0 * gram[c, 0, 0] + off_diagonal * gram[c, 0, 1]
+                          + diagonal1 * gram[c, 1, 1]) <= norm_cap
+        del diagonal0, off_diagonal, diagonal1
         if depth > 1:
             keep &= codes != (frontier_codes[:, None] + n_gen) % n_codes
         # row-major nonzero: children stay in code-lexicographic order
         parent_idx, code_idx = np.nonzero(keep)
-        del norms, keep
+        del keep
         # only the survivors are formed, by the explicit 2×2 product
         left, right = frontier_mats[parent_idx], gens[code_idx]
         mats = np.empty((len(parent_idx), 2, 2))
@@ -414,7 +514,7 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
         mats, dists = mats[within], dists[within]
         parent_idx, code_idx = parent_idx[within], code_idx[within]
 
-        keys = _quantized_keys(mats)
+        keys = _child_keys(store[-1], frontier_rows[parent_idx], code_idx, residues)
         hashes = _key_hash(keys)
         # in-level dedup keeps the first, i.e. code-smallest, word per key;
         # cross-level dedup drops keys of earlier levels (shorter words)
@@ -436,8 +536,10 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
         index_rows = np.insert(index_rows, at,
                                np.arange(total, total + len(fresh), dtype=row_type))
         total += len(fresh)
+        del keys, hashes
 
-        new = np.sort(fresh)  # back to code-lexicographic order
+        frontier_rows = np.argsort(fresh)
+        new = fresh[frontier_rows]  # back to code-lexicographic order
         frontier_mats, dists = mats[new], dists[new]
         frontier_codes = code_idx[new].astype(np.int16)
         frontier_words = np.column_stack(
@@ -460,32 +562,9 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
         words.extend(map(tuple, spelled.tolist()))
         start += len(spelled)
 
-    kept = _proximity_merge(mats, words)
-    order = kept[np.lexsort(
-        tuple(padded[kept].T[::-1]) + (lengths[kept], dists[kept])
-    )]
+    order = np.lexsort(tuple(padded.T[::-1]) + (lengths, dists))
     return BallEnumeration(
         radius=float(radius), slack=float(slack), matrices=mats[order],
         distances=dists[order], words=[words[i] for i in order],
         presentation=presentation,
     )
-
-
-def _proximity_merge(mats, words):
-    """Merge residual duplicates straddling quantization cell boundaries.
-
-    Walks the elements in sorted sign-normalized order; of each adjacent
-    pair within 10·QUANTUM in every entry, the one with the greater
-    (length, word) is dropped. Returns the indices kept, in input order.
-    """
-    normalized = _sign_normalize(mats).reshape(len(mats), 4)
-    order = np.lexsort(normalized.T[::-1])
-    normalized = normalized[order]
-    close = np.abs(np.diff(normalized, axis=0)).max(axis=1, initial=0.0) < 10 * QUANTUM
-    keep = np.ones(len(mats), dtype=bool)
-    for i in np.nonzero(close)[0]:
-        # same isometry seen twice: keep the better word
-        a, b = order[i], order[i + 1]
-        wa, wb = words[a], words[b]
-        keep[b if (len(wa), wa) <= (len(wb), wb) else a] = False
-    return np.nonzero(keep)[0]

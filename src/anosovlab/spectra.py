@@ -236,9 +236,9 @@ def entropy_estimate(values, window, step=0.25, max_radius=None):
     """Least-squares slope of log N(T) against T over a window.
 
     `values` is the multiset of lengths (class or orbit-point). N(T) is
-    its counting function; windows with fewer than 100 values raise, as
-    does a window end beyond `max_radius` (the enumerated radius) when
-    one is supplied.
+    its counting function; windows with fewer than MIN_WINDOW_COUNT values
+    raise, naming the window and the count found, as does a window end
+    beyond `max_radius` (the enumerated radius) when one is supplied.
     """
     values = np.sort(np.asarray(values, float))
     t0, t1 = window
@@ -251,7 +251,8 @@ def entropy_estimate(values, window, step=0.25, max_radius=None):
     in_window = int(counts[-1] - np.searchsorted(values, t0, side="left"))
     if in_window < MIN_WINDOW_COUNT:
         raise ValueError(
-            f"too few values in window ({in_window} < {MIN_WINDOW_COUNT})"
+            f"too few values in window [{t0}, {t1}]: {in_window} found, "
+            f"{MIN_WINDOW_COUNT} needed"
         )
     if counts[0] < 1:
         raise ValueError(f"empty counting function at T0 = {t0}")
@@ -268,7 +269,9 @@ def critical_exponent(values, window, tol=1e-10):
 
     Finds the s at which the two half-window partial sums balance (below
     the critical exponent the far half dominates, above it the near half
-    does); bisection on [0, 6].
+    does); bisection on [0, 6]. Raises ValueError, naming the window and
+    both half counts, when either half holds fewer than
+    MIN_WINDOW_COUNT // 2 values.
     """
     values = np.asarray(values, float)
     t0, t1 = window
@@ -276,7 +279,11 @@ def critical_exponent(values, window, tol=1e-10):
     near = values[(values > t0) & (values <= tm)]
     far = values[(values > tm) & (values <= t1)]
     if len(near) < MIN_WINDOW_COUNT // 2 or len(far) < MIN_WINDOW_COUNT // 2:
-        raise ValueError("too few values in window for the critical exponent")
+        raise ValueError(
+            f"too few values in window [{t0}, {t1}] for the critical exponent: "
+            f"{len(near)} in ({t0}, {tm}] and {len(far)} in ({tm}, {t1}], "
+            f"{MIN_WINDOW_COUNT // 2} needed in each half"
+        )
 
     def imbalance(s):
         return np.exp(-s * (far - tm)).sum() - np.exp(-s * (near - tm)).sum()

@@ -355,3 +355,13 @@ def test_criterion_11_determinism(tmp_path):
         )
     assert outputs[0] == outputs[1] == outputs[2]
     report(11, "byte-identical margulis.csv/json across thread settings")
+
+
+def test_ball_radius_15_counts_each_element_once(big):
+    # the 1e-7 float grid kept 7 elements twice here: these two words are
+    # one matrix over Q(θ), whose float entries sat one grid cell apart
+    lab, _, _, _ = big
+    assert len(lab.ball) == 817_433
+    words = set(lab.ball.words)
+    assert (-4, 2, -1, 2, -1, -2, -4, 1, 2, -1) not in words
+    assert (-4, 2, -1, 2, -1, -2, 3, -4, -3, 2) in words

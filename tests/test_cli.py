@@ -115,6 +115,22 @@ def test_invalid_config_rejected(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "entropy", {"group": "genus2-octagon"})
     assert code == 1
 
+    # a random cocycle is spelled "random"; a dict is read as its vectors
+    capsys.readouterr()
+    code, _ = run_cli(tmp_path, "margulis", {"seed": 3, "cocycle": {"random": True}})
+    assert code == 1
+    assert "cocycle missing generators" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_entropy_names_a_thin_default_window(tmp_path, capsys):
+    # radius 7 defaults to the window [3, 7], whose near half (3, 5] holds
+    # 48 orbit points against the 50 the critical exponent needs
+    code, _ = run_cli(tmp_path, "entropy", {"seed": 1, "radius": 7.0})
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "config"
+    assert "window [3.0, 7.0]" in err["error"] and "48 in (3.0, 5.0]" in err["error"]
+
 
 @pytest.mark.xfail(strict=True, reason=(
     "known defect: check-rep --seed 1 exits 2 at p = 3 (form_residual_v "

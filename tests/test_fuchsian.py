@@ -1,6 +1,8 @@
 import hashlib
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -9,7 +11,9 @@ from anosovlab import fuchsian
 from anosovlab.linalg import NumericalFailure
 from anosovlab.fuchsian import (
     APOTHEM,
-    QUANTUM,
+    KEY_HORIZON,
+    KEY_PRIMES,
+    OCTAGON_ENTRIES,
     enumerate_ball,
     fixed_points,
     octagon_group,
@@ -204,32 +208,151 @@ def test_ball_radius_11_pinned():
     )
 
 
-def _sequential_merge(mats, words):
-    """Reference rule: walk sorted matrices, drop the worse of close pairs."""
-    rows = [tuple(fuchsian._sign_normalize(m[None])[0].ravel()) for m in mats]
-    order = sorted(range(len(mats)), key=lambda i: rows[i])
-    kept = set(range(len(mats)))
-    for a, b in zip(order, order[1:]):
-        if max(abs(x - y) for x, y in zip(rows[a], rows[b])) < 10 * QUANTUM:
-            kept.discard(b if (len(words[a]), words[a]) <= (len(words[b]), words[b])
-                         else a)
-    return sorted(kept)
+# exact arithmetic in Q(θ) = Q[θ]/(f), f = θ⁴ + 8θ³ + 12θ² + 16θ + 4; an
+# element is its coefficient 4-tuple in the basis 1, θ, θ², θ³
+_F_LOW = (4, 16, 12, 8)  # θ⁴ = −(4 + 16θ + 12θ² + 8θ³)
 
 
-@pytest.mark.parametrize("words", [
-    [(1, 2, 3), (1,), (2, 1), (4,)],        # the middle of the chain wins
-    [(1,), (1, 2, 3), (2, 1), (4,)],        # the first wins, the worst is hit twice
-    [(3, 3), (2, 2), (1, 1), (-1, 2, 2)],   # equal lengths: lexicographic rule
-])
-def test_proximity_merge_follows_sequential_rule(words):
-    # a chain of three matrices, neighbours 6 quanta apart (ends 12 apart),
-    # plus one distinct matrix
-    base = translation(0.7) @ rotation(0.3)
-    nudge = np.array([[6 * QUANTUM, 0.0], [0.0, 0.0]])
-    mats = np.array([base, base + nudge, base + 2 * nudge, translation(1.9)])
-    kept = fuchsian._proximity_merge(mats, words)
-    assert list(kept) == _sequential_merge(mats, words)
-    assert 3 in kept and 1 <= len(kept) - 1 <= 2
+def _field_mul(x, y):
+    prod = [0] * 7
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            prod[i + j] += a * b
+    for k in range(6, 3, -1):
+        top, prod[k] = prod[k], 0
+        for i, c in enumerate(_F_LOW):
+            prod[k - 4 + i] -= top * c
+    return tuple(prod[:4])
+
+
+def _field_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def _exact_letter(letter):
+    a, b, c, d = (tuple(Fraction(x, 8) for x in e)
+                  for e in OCTAGON_ENTRIES[abs(letter)])
+    if letter < 0:  # the adjugate
+        a, b, c, d = d, tuple(-x for x in b), tuple(-x for x in c), a
+    return a, b, c, d
+
+
+def _exact_word(word):
+    one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
+    m = (one, zero, zero, one)
+    for letter in word:
+        a, b, c, d = m
+        e, f, g, h = _exact_letter(letter)
+        m = (_field_add(_field_mul(a, e), _field_mul(b, g)),
+             _field_add(_field_mul(a, f), _field_mul(b, h)),
+             _field_add(_field_mul(c, e), _field_mul(d, g)),
+             _field_add(_field_mul(c, f), _field_mul(d, h)))
+    return m
+
+
+def _integer_coordinates(word):
+    """The 16 coordinates of 8·(a, b, c, d) of a word, which must be integers."""
+    coords = [8 * x for entry in _exact_word(word) for x in entry]
+    assert all(x.denominator == 1 for x in coords)
+    return [int(x) for x in coords]
+
+
+def _lattice_coefficients(basis, vector):
+    """Rational x with Σ x_i·basis_i = vector, or None; asserts full rank."""
+    n = len(basis)
+    rows = [[Fraction(b[k]) for b in basis] + [Fraction(vector[k])]
+            for k in range(len(vector))]
+    for col in range(n):
+        pivot = next((i for i in range(col, len(rows)) if rows[i][col] != 0), None)
+        assert pivot is not None, "the basis has rank below its size"
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [x / rows[col][col] for x in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and row[col] != 0:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[col])]
+    if any(row[-1] != 0 for row in rows[n:]):
+        return None
+    return [row[-1] for row in rows[:n]]
+
+
+def _embedded(letter, root):
+    """A generator (letter > 0) under the embedding θ ↦ root, at mpmath precision."""
+    return mpmath.matrix([[sum(c * root**i for i, c in enumerate(e)) / 8
+                           for e in OCTAGON_ENTRIES[letter][2 * r:2 * r + 2]]
+                          for r in range(2)])
+
+
+def test_exact_generators_certificate():
+    """The premises of the exact-key proof in `enumerate_ball`."""
+    presentation, gens = octagon_group()
+    with mpmath.workdps(40):
+        roots = mpmath.polyroots([1, 8, 12, 16, 4], maxsteps=200, extraprec=200)
+        real = sorted(mpmath.re(r) for r in roots if abs(mpmath.im(r)) < 1e-30)
+        complex_root = next(r for r in roots if mpmath.im(r) > 1e-30)
+        assert len(real) == 2
+        theta, theta2 = real
+        assert abs(float(theta) - 2 * gens[1][0, 0]) <= 1e-13
+        for k in range(1, 5):
+            # the table is the float generators
+            first = np.array(_embedded(k, theta).tolist(), dtype=float)
+            assert np.abs(first - gens[k]).max() <= 1e-13
+            # the second real embedding is [[a, b], [c, d]] ↦ [[d, −c], [−b, a]]
+            (a, b), (c, d) = first
+            second = np.array(_embedded(k, theta2).tolist(), dtype=float)
+            assert np.abs(second - np.array([[d, -c], [-b, a]])).max() <= 1e-12
+            # the complex pair is unitary
+            z = _embedded(k, complex_root)
+            gram = np.array((z * z.transpose_conj()).tolist(), dtype=complex)
+            assert np.abs(gram - np.eye(2)).max() <= 1e-12
+    # the relator is exactly I in Q(θ)
+    one, zero = (1, 0, 0, 0), (0, 0, 0, 0)
+    assert _exact_word(presentation.relator) == (one, zero, zero, one)
+    # 8·entries lie in Z[θ] for every group element: the ×8 coordinates of
+    # these words span a rank-8 lattice closed under every letter
+    spanning = [(), (1,), (2,), (3,), (-1,), (1, 1), (1, 2), (2, 1)]
+    basis = [_integer_coordinates(w) for w in spanning]
+    for word in spanning:
+        for letter in (1, 2, 3, 4, -1, -2, -3, -4):
+            x = _lattice_coefficients(basis, _integer_coordinates(word + (letter,)))
+            assert x is not None and all(c.denominator == 1 for c in x)
+    # each key prime is an odd prime with a root of f
+    for p, root in KEY_PRIMES:
+        assert p % 2 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+        assert (root**4 + 8 * root**3 + 12 * root**2 + 16 * root + 4) % p == 0
+    (p1, _), (p2, _) = KEY_PRIMES
+    assert p1 != p2 and 2**17 * mpmath.cosh(KEY_HORIZON) < p1 * p2
+
+
+def test_ball_refuses_uncertified_input(monkeypatch):
+    _, gens = octagon_group()
+
+    def allocated(keys):
+        raise AssertionError("the ball started before refusing")
+
+    # the first key is hashed right after the set-up
+    monkeypatch.setattr(fuchsian, "_key_hash", allocated)
+    with pytest.raises(ValueError, match="horizon"):
+        enumerate_ball(gens, 30.0, 2.0)
+    turned = {k: rotation(0.1) @ m @ rotation(-0.1) for k, m in gens.items()}
+    with pytest.raises(ValueError, match="octagon"):
+        enumerate_ball(turned, 5.0, 2.0)
+
+
+def test_child_keys_ignore_the_parent_sign():
+    # ±M is one isometry: a parent key and its negation give the same child
+    # keys, each with its first nonzero residue mod p₁ at most (p₁ − 1)/2
+    _, gens = octagon_group()
+    residues = fuchsian._letter_residues(gens)
+    primes = np.repeat([p for p, _ in KEY_PRIMES], 4)[:, None]
+    parents = np.ascontiguousarray(residues.T, dtype=np.int32)  # the 8 letters
+    negated = np.ascontiguousarray(((primes - residues) % primes).T, dtype=np.int32)
+    rows, codes = np.divmod(np.arange(64), 8)
+    keys = fuchsian._child_keys(parents.view(np.int64), rows, codes, residues)
+    again = fuchsian._child_keys(negated.view(np.int64), rows, codes, residues)
+    assert np.array_equal(keys, again)
+    mod_p1 = keys.view(np.int32)[:, :4]
+    lead = mod_p1[np.arange(64), np.argmax(mod_p1 != 0, axis=1)]
+    assert (lead > 0).all() and (lead <= (KEY_PRIMES[0][0] - 1) // 2).all()
 
 
 def test_ball_memory_budget():

@@ -71,8 +71,15 @@ def test_entropy_scaling_property(lab):
 def test_entropy_window_guards(lab):
     with pytest.raises(ValueError, match="window"):
         entropy_estimate(lab.ball.distances, (5.0, 6.0))
-    with pytest.raises(ValueError, match="too few"):
+    with pytest.raises(ValueError, match=(
+            r"too few values in window \[1.0, 5.0\]: 3 found, 100 needed")):
         entropy_estimate(np.array([1.0, 2.0, 5.0]), (1.0, 5.0))
+    # the CLI's default entropy window at radius 7 holds 48 orbit points in
+    # its near half (3, 5], against the 50 the critical exponent needs
+    with pytest.raises(ValueError, match=(
+            r"too few values in window \[3.0, 7.0\] for the critical exponent: "
+            r"48 in \(3.0, 5.0\] and \d+ in \(5.0, 7.0\], 50 needed in each half")):
+        critical_exponent(lab.ball.distances, (3.0, 7.0))
     with pytest.raises(ValueError, match="radius"):
         entropy_estimate(lab.ball.distances, (6.5, 9.5), max_radius=9.0)
 
