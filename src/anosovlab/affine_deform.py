@@ -34,6 +34,10 @@ from .fuchsian import boundary_separation, fixed_points, sl2_eigenbasis
 from .principal_rep import Representation, sym_power_rep
 from .surface_group import cyclic_reduce, extend_cocycle
 
+PING_PONG_SEPARATION = 0.05
+PING_PONG_PROBE_LENGTH = 4
+MIDDLE_COLLISION_TOL = 1e-6
+
 
 @dataclass
 class Cocycle:
@@ -234,7 +238,7 @@ def eigenvalue_derivative(eig, rho_dot_w):
     return lam_dot, lam_bar_dot
 
 
-def ping_pong_certificate(sl2_rep, letters, min_separation=0.05, probe_length=4):
+def ping_pong_certificate(sl2_rep, letters):
     """Numerical freeness certificate for a generating pair.
 
     Checks that the four boundary fixed points are pairwise separated and
@@ -250,11 +254,11 @@ def ping_pong_certificate(sl2_rep, letters, min_separation=0.05, probe_length=4)
         for i in range(len(pts))
         for j in range(i + 1, len(pts))
     )
-    if worst < min_separation:
+    if worst < PING_PONG_SEPARATION:
         return False, worst
     # short-word non-triviality
     frontier = [()]
-    for _ in range(probe_length):
+    for _ in range(PING_PONG_PROBE_LENGTH):
         nxt = []
         for w in frontier:
             for letter in (letters[0], -letters[0], letters[1], -letters[1]):
@@ -312,7 +316,7 @@ class FiniteDeformation:
     def evaluate(self, word):
         return self._product(self._factors(word))
 
-    def middle_eigenvalue(self, word, middle_pair, tol=1e-6):
+    def middle_eigenvalue(self, word, middle_pair):
         """Eigenvalue of the middle pair tracked from its t = 0 eigenline.
 
         `middle_pair` is the (2p, 2) t = 0 middle pair of the word, the
@@ -334,8 +338,8 @@ class FiniteDeformation:
 
         Of the two eigenvalues of T, the one whose Ritz vector is nearest
         the reference line is returned, one per direction; when the two
-        distances differ by less than `tol` (a spectral collision), or T
-        has no real eigenvalues, it raises with the word.
+        distances differ by less than MIDDLE_COLLISION_TOL (a spectral
+        collision), or T has no real eigenvalues, it raises with the word.
         """
         factors = self._factors(word)
         m = self._product(factors)
@@ -359,7 +363,7 @@ class FiniteDeformation:
         cosines = np.minimum(np.abs(reference @ ritz), 1.0)
         distance = np.sqrt(1.0 - cosines**2)
         nearest = np.argmin(distance, axis=1)
-        if (np.abs(distance[:, 1] - distance[:, 0]) < tol).any():
+        if (np.abs(distance[:, 1] - distance[:, 0]) < MIDDLE_COLLISION_TOL).any():
             raise NumericalFailure(
                 f"spectral collision at t={self.t} for word {word}"
             )

@@ -40,12 +40,7 @@ from .affine_deform import (
     ping_pong_certificate,
 )
 from .flag_geometry import frame_margin, fxy_frame, theta_frame
-from .fuchsian import (
-    boundary_separation,
-    enumerate_ball,
-    octagon_group,
-    sl2_eigenbasis,
-)
+from .fuchsian import enumerate_ball, octagon_group, sl2_eigenbasis
 from .linalg import NumericalFailure, float17, signature
 from .principal_rep import (
     Representation,
@@ -132,6 +127,8 @@ def _validate(config):
         t0, t1 = config["window"]
         if not (0 < t0 < t1):
             raise ConfigError("window must satisfy 0 < T0 < T1")
+        if t1 > config["radius"]:
+            raise ConfigError(f"window [{t0}, {t1}] ends beyond radius {config['radius']}")
     if config["seed"] is not None and int(config["seed"]) != config["seed"]:
         raise ConfigError("seed must be an integer")
     if config["source"] not in ("elements", "classes"):
@@ -387,8 +384,10 @@ def sample_transversality(ws, count, seed, separation):
     the ball's hyperbolic cyclic words (`BallEnumeration.cyclic_words`).
 
     Whether a draw is kept depends only on the two drawn words, so the
-    draws come first, in the order of one triple at a time. Each drawn
-    word is then evaluated once, with one SL(2,R) eigenbasis, one
+    draws come first, in the order of one triple at a time; a draw's
+    separation is `boundary_separation` of the words' eigenbasis columns,
+    whose norms are taken once per word. Each drawn word is then
+    evaluated once, with one SL(2,R) eigenbasis, one
     `eigendata_fuchsian` and the frame its role needs (Θ(z) for z, F(x,y)
     for x, y); a row costs one 2p x 2p determinant (`frame_margin`, the
     last step of `transversality_margin`).
@@ -400,9 +399,11 @@ def sample_transversality(ws, count, seed, separation):
     matrices, eigenbases = {}, {}
 
     def eigenbasis(word):
+        """The columns x, y of the word's eigenbasis, and their norms."""
         if word not in eigenbases:
             matrices[word] = ws.sl2.evaluate(word)
-            eigenbases[word], _ = sl2_eigenbasis(matrices[word])
+            h, _ = sl2_eigenbasis(matrices[word])
+            eigenbases[word] = h.T.tolist(), [float(np.linalg.norm(c)) for c in h.T]
         return eigenbases[word]
 
     drawn = []          # (x and y word, z word, separation) of each kept draw
@@ -413,10 +414,10 @@ def sample_transversality(ws, count, seed, separation):
             raise NumericalFailure("could not sample separated triples")
         wa = pool[rng.integers(0, len(pool))]
         wb = pool[rng.integers(0, len(pool))]
-        ha, hb = eigenbasis(wa), eigenbasis(wb)
-        x, y, z = ha[:, 0], ha[:, 1], hb[:, 0]
-        sep = min(boundary_separation(x, z), boundary_separation(y, z),
-                  boundary_separation(x, y))
+        ((x0, x1), (y0, y1)), (nx, ny) = eigenbasis(wa)
+        ((z0, z1), _), (nz, _) = eigenbasis(wb)
+        sep = min(abs(x0 * z1 - x1 * z0) / (nx * nz), abs(y0 * z1 - y1 * z0) / (ny * nz),
+                  abs(x0 * y1 - x1 * y0) / (nx * ny))
         if sep >= separation:
             drawn.append((wa, wb, sep))
     eig = {w: eigendata_fuchsian(ws.p, matrices[w], ws.basis)

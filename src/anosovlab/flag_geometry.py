@@ -11,6 +11,9 @@ import numpy as np
 
 from .linalg import NumericalFailure, intersect_spans, nullspace, orthonormal_span
 
+PAIRING_TOL = 1e-8
+TRANSVERSE_DET_TOL = 1e-9
+
 
 def _form_matrix(q):
     return q.matrix if hasattr(q, "matrix") else np.asarray(q, float)
@@ -69,7 +72,7 @@ def flag_from_tuple(paired, q):
     return IsotropicFlag(subs), IsotropicFlag(subs_bar)
 
 
-def tuple_from_flags(flag, flag_bar, q, tol=1e-10):
+def tuple_from_flags(flag, flag_bar, q):
     """The unique Q-paired tuple with the given transverse flags.
 
     E_i is recovered as the line L_i ∩ (M_{i-1})°, by null-space
@@ -82,23 +85,21 @@ def tuple_from_flags(flag, flag_bar, q, tol=1e-10):
     lines_bar = np.zeros((dim, p))
     for i in range(p):
         lines[:, i : i + 1] = _line_step(flag.subspaces[i],
-                                         flag_bar.subspaces[i - 1] if i else None,
-                                         qm, tol)
+                                         flag_bar.subspaces[i - 1] if i else None, qm)
         lines_bar[:, i : i + 1] = _line_step(flag_bar.subspaces[i],
-                                             flag.subspaces[i - 1] if i else None,
-                                             qm, tol)
+                                             flag.subspaces[i - 1] if i else None, qm)
     paired = PairedTuple(lines=lines, lines_bar=lines_bar)
     _validate_pairing(paired, qm)
     return paired
 
 
-def _line_step(l_i, m_prev, qm, tol):
+def _line_step(l_i, m_prev, qm):
     if m_prev is None:
         line = l_i
     else:
         # orthogonal of M_{i-1}: null space of v -> Q(M_{i-1}, v)
-        orth = nullspace((qm @ m_prev).T, tol).T
-        line = intersect_spans(l_i, orth, tol)
+        orth = nullspace((qm @ m_prev).T).T
+        line = intersect_spans(l_i, orth)
     if line.shape[1] != 1:
         raise NumericalFailure(
             f"flag intersection has dimension {line.shape[1]}, expected a line "
@@ -107,20 +108,19 @@ def _line_step(l_i, m_prev, qm, tol):
     return line
 
 
-def _validate_pairing(paired, qm, tol=1e-8):
-    p = paired.p
+def _validate_pairing(paired, qm):
     for block in (paired.lines, paired.lines_bar):
-        if not is_isotropic(block, qm, tol):
+        if not is_isotropic(block, qm, PAIRING_TOL):
             raise NumericalFailure("tuple does not span an isotropic plane")
     gram = paired.lines.T @ qm @ paired.lines_bar
     off = gram - np.diag(np.diag(gram))
-    if np.abs(off).max() > tol * max(1.0, np.abs(gram).max()):
+    if np.abs(off).max() > PAIRING_TOL * max(1.0, np.abs(gram).max()):
         raise NumericalFailure("tuple is not Q-paired (off-diagonal pairing)")
-    if np.abs(np.diag(gram)).min() < tol:
+    if np.abs(np.diag(gram)).min() < PAIRING_TOL:
         raise NumericalFailure("tuple is not Q-paired (degenerate diagonal)")
 
 
-def form_from_plane(plane, theta0, theta1, q, tol=1e-9):
+def form_from_plane(plane, theta0, theta1, q):
     """The 2-form ω_F(u, v) = Q(u, f(v)) of a plane F = graph(f: θ0 -> θ1).
 
     Returned as a matrix in the given basis of θ0. F must be transverse to
@@ -137,7 +137,7 @@ def form_from_plane(plane, theta0, theta1, q, tol=1e-9):
     if np.abs(stacked @ coeffs - plane).max() > 1e-9 * max(1.0, np.abs(plane).max()):
         raise NumericalFailure("plane does not lie in θ0 ⊕ θ1")
     s, t = coeffs[:p], coeffs[p:]
-    if abs(np.linalg.det(s)) < tol:
+    if abs(np.linalg.det(s)) < TRANSVERSE_DET_TOL:
         raise NumericalFailure("plane is not transverse to θ1")
     graph = t @ np.linalg.inv(s)  # f in the (theta0, theta1) bases
     pairing = theta0.T @ qm @ theta1

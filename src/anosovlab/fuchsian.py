@@ -14,14 +14,13 @@ The group lies in SL(2) of the quartic field Q(θ), f(θ) = θ⁴ + 8θ³ +
 Ball enumeration is a breadth-first search over freely reduced words,
 pruned by orbit distance with a configurable slack and deduplicated by
 exact keys: the entries' residues modulo two primes at which f has a
-root, under one projective sign rule. Equal keys mean equal elements up
-to the radius + slack KEY_HORIZON (proof in `enumerate_ball`), so there
-is no tolerance and no merge pass. Keys are sorted and looked up by their
-first 64-bit column, and every hash match is confirmed on the whole key.
-Words are kept as letter-code arrays during the search and become tuples
-only for elements inside the radius. The traversal is level-synchronous
-with canonical tie-breaks, so the output is independent of internal
-evaluation order.
+root. Equal keys mean equal elements up to the radius + slack
+KEY_HORIZON (proof in `enumerate_ball`), so there is no tolerance and no
+merge pass. Keys are sorted and looked up by their first 64-bit column,
+and every hash match is confirmed on the whole key. Words are kept as
+letter-code arrays during the search and become tuples only for elements
+inside the radius. The traversal is level-synchronous with canonical
+tie-breaks, so the output is independent of internal evaluation order.
 """
 
 import math
@@ -53,6 +52,9 @@ KEY_PRIMES = ((2147483543, 1728828756), (2147483489, 911795266))
 # largest radius + slack at which equal keys mean equal elements:
 # 2^17·cosh(KEY_HORIZON) < p₁p₂ (see enumerate_ball)
 KEY_HORIZON = 31.88
+
+# largest orbit count (cosh H − 1)/2 at H = radius + slack enumerate_ball takes
+MAX_BALL_ELEMENTS = 40_000_000
 
 
 def rotation(theta):
@@ -112,9 +114,7 @@ def octagon_group():
     }
     presentation = GroupPresentation.genus2()
     holonomy = evaluate_word(presentation.relator, generators)
-    residual = min(
-        np.abs(holonomy - np.eye(2)).max(), np.abs(holonomy + np.eye(2)).max()
-    )
+    residual = np.abs(holonomy - np.eye(2)).max()
     if residual > OCTAGON_RELATOR_TOL:
         raise NumericalFailure(
             f"octagon relator residual {residual:.3e} > {OCTAGON_RELATOR_TOL:.0e}"
@@ -122,15 +122,15 @@ def octagon_group():
     return presentation, generators
 
 
-def translation_length(m, tol=HYPERBOLIC_MARGIN):
+def translation_length(m):
     """Translation length 2·arccosh(|tr M|/2) of a hyperbolic element."""
     tr = abs(float(np.trace(m)))
-    if tr <= 2.0 + tol:
+    if tr <= 2.0 + HYPERBOLIC_MARGIN:
         raise NumericalFailure(f"non-hyperbolic element, |trace| = {tr}")
     return 2.0 * float(np.arccosh(tr / 2.0))
 
 
-def sl2_eigenbasis(m, tol=HYPERBOLIC_MARGIN):
+def sl2_eigenbasis(m):
     """Eigenbasis (h, λ) of a hyperbolic SL(2,R) matrix, M = ±h·diag(λ,1/λ)·h⁻¹.
 
     h has determinant +1 with the attracting eigenvector first and λ > 1.
@@ -152,7 +152,7 @@ def sl2_eigenbasis(m, tol=HYPERBOLIC_MARGIN):
     for a, b, c, d in zip(*[iter(entries)] * 4):
         tr = a + d
         atr = abs(tr)
-        if atr <= 2.0 + tol:
+        if atr <= 2.0 + HYPERBOLIC_MARGIN:
             raise NumericalFailure(f"non-hyperbolic element, |trace| = {atr}")
         if tr < 0:
             a, b, c, d = -a, -b, -c, -d
@@ -209,10 +209,11 @@ def boundary_separation(u, v):
 class BallEnumeration:
     """Orbit ball: group elements γ with d(o, γo) ≤ T.
 
-    Each element appears once: elements are deduplicated projectively (±M
-    is one isometry) by exact residue keys, keeping the code-smallest of
-    the shortest words. `matrices`, `words` and `distances` are aligned
-    and sorted by (distance, word length, word).
+    Each element appears once: elements are deduplicated by exact residue
+    keys, keeping the code-smallest of the shortest words. −I is not in
+    the group, so each isometry has one matrix here. `matrices`, `words`
+    and `distances` are aligned and sorted by (distance, word length,
+    word).
     """
 
     radius: float
@@ -292,14 +293,12 @@ def _child_keys(parent_keys, parent_rows, codes, residues):
     Child i is the parent at row `parent_rows[i]` of the store block
     `parent_keys` times the letter `codes[i]`; `residues` is the
     `_letter_residues` table. Each key holds 8 int32 values, a, b, c, d
-    mod p₁ then mod p₂, under one PSL sign rule: the first nonzero residue
-    mod p₁ is at most (p₁ − 1)/2, else the residues mod both primes are
-    negated. Chunks are laid out entry-major (8 × chunk), so each step
-    runs on contiguous rows; products stay below 2·(p − 1)² < 2^63.
+    mod p₁ then mod p₂. Chunks are laid out entry-major (8 × chunk), so
+    each step runs on contiguous rows; products stay below 2·(p − 1)² <
+    2^63.
     """
     out = np.empty((len(parent_rows), 8), dtype=np.int32)
     parents = parent_keys.view(np.int32)
-    half = (KEY_PRIMES[0][0] - 1) // 2
     for start in range(0, len(parent_rows), _KEY_CHUNK):
         chunk = slice(start, start + _KEY_CHUNK)
         left = np.take(parents, parent_rows[chunk], axis=0).T.astype(np.int64, order="C")
@@ -312,15 +311,6 @@ def _child_keys(parent_keys, parent_rows, codes, residues):
                     np.multiply(left[4 * j + 2 * i], right[4 * j + k], out=entry)
                     entry += left[4 * j + 2 * i + 1] * right[4 * j + 2 + k]
                     entry %= p
-        lead = child[0]
-        for e in (1, 2, 3):
-            if lead.all():
-                break
-            lead = np.where(lead != 0, lead, child[e])
-        flip = lead > half
-        for j, (p, _) in enumerate(KEY_PRIMES):
-            block = child[4 * j:4 * j + 4]
-            np.subtract(p, block, out=block, where=flip & (block != 0))
         out[chunk] = child.T
     return out.view(np.int64)
 
@@ -383,35 +373,41 @@ def _contained(index_hashes, index_rows, store, offsets, hashes, keys):
     return found
 
 
-def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
-                   presentation=None):
+def enumerate_ball(generators, radius, slack=2.0, presentation=None):
     """Enumerate the orbit ball of radius `radius` around o = i.
 
     Breadth-first search over freely reduced words pruned at orbit
     distance radius + slack, deduplicated by exact keys: the residues of
-    the entries modulo the two KEY_PRIMES, under one PSL sign rule (see
-    `_child_keys`). Keys are sorted and looked up by their first int64
-    column, and every hash match is confirmed on the whole key. Keys of
-    earlier levels live in an append-only store of per-level blocks; the
-    frontier's keys are read from the last block, and only a hash-sorted
-    (hash, row) index is merged level by level. Each level is kept in
-    code-lexicographic word order, so the element kept for a key is the
-    code-smallest of its shortest words (a1 < b1 < a2 < b2 < a1⁻¹ < … <
-    b2⁻¹). Word tuples are built only for elements within `radius`.
+    the entries modulo the two KEY_PRIMES (see `_child_keys`). Keys are
+    sorted and looked up by their first int64 column, and every hash
+    match is confirmed on the whole key. Keys of earlier levels live in
+    an append-only store of per-level blocks; the frontier's keys are read
+    from the last block, and only a hash-sorted (hash, row) index is
+    merged level by level. Each level is kept in code-lexicographic word
+    order, so the element kept for a key is the code-smallest of its
+    shortest words (a1 < b1 < a2 < b2 < a1⁻¹ < … < b2⁻¹). Word tuples are
+    built only for elements within `radius`.
 
     Why equal keys mean equal elements. Write K = Q(θ) with f(θ) = 0.
     Every group element has its 8·entries in Z[θ] (the lattice
     certificate in the tests), and each key prime p has a root r of f,
-    so θ ↦ r maps Z[θ] onto Z/p with a kernel of index p. Let A ≠ ±B
-    have equal keys, so A ≡ sB modulo both primes for one sign s, and let
-    x ≠ 0 be 8·(a − s·b) for an entry where A and sB differ. Then x lies
-    in both kernels, so p₁p₂ divides N(x) = [Z[θ] : xZ[θ]]. Bound N(x)
-    by its four embeddings. In the first, the float matrices, each entry
-    is at most √(2 cosh H) at horizon H = radius + slack. The second real
-    embedding maps [[a, b], [c, d]] to [[d, −c], [−b, a]], so its entries
-    are bounded alike. The complex pair is unitary, so there each entry
-    has modulus at most 1. Hence 1 ≤ |N(x)| ≤ (16√(2 cosh H))² · 16² =
+    so θ ↦ r maps Z[θ] onto Z/p with a kernel of index p. Let A ≠ B have
+    equal keys, so A ≡ B modulo both primes, and let x ≠ 0 be 8·(a − b)
+    for an entry where A and B differ. Then x lies in both kernels, so
+    p₁p₂ divides N(x) = [Z[θ] : xZ[θ]]. Bound N(x) by its four
+    embeddings. In the first, the float matrices, each entry is at most
+    √(2 cosh H) at horizon H = radius + slack. The second real embedding
+    maps [[a, b], [c, d]] to [[d, −c], [−b, a]], so its entries are
+    bounded alike. The complex pair is unitary, so there each entry has
+    modulus at most 1. Hence 1 ≤ |N(x)| ≤ (16√(2 cosh H))² · 16² =
     2^17·cosh H, below p₁p₂ for H ≤ KEY_HORIZON: no such pair exists.
+
+    Why a key needs no sign. The relator is exactly I in SL(2, K) (the
+    exact-generators certificate), so the matrix group G is a quotient of
+    the surface group. Composed with G → PSL(2, R) that quotient map is
+    the holonomy of the octagon surface, which is faithful (Poincaré's
+    polygon theorem). So G → PSL(2, R) is injective: −I ∉ G, and each
+    isometry has exactly one matrix in G.
 
     Parameters
     ----------
@@ -425,8 +421,6 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
         Counts must stabilize under doubling of C (calibration test); the
         default is validated by that certificate rather than a worst-case
         bound.
-    max_elements : int
-        Memory budget; exceeding it aborts with a diagnostic.
 
     Returns
     -------
@@ -435,8 +429,10 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     Raises
     ------
     ValueError
-        For radius ≤ 0, slack < 0, radius + slack > KEY_HORIZON, or
-        generators that are not the octagon's; all before any allocation.
+        For radius ≤ 0, slack < 0, radius + slack > KEY_HORIZON, an
+        estimated (cosh(radius + slack) − 1)/2 elements above
+        MAX_BALL_ELEMENTS, or generators that are not the octagon's; all
+        before any allocation.
     """
     if radius <= 0 or slack < 0:
         raise ValueError("need radius > 0 and slack >= 0")
@@ -444,6 +440,12 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     if horizon > KEY_HORIZON:
         raise ValueError(
             f"radius + slack = {horizon} exceeds the exact-key horizon {KEY_HORIZON}"
+        )
+    estimate = (math.cosh(horizon) - 1.0) / 2.0
+    if estimate > MAX_BALL_ELEMENTS:
+        raise ValueError(
+            f"radius + slack = {horizon} needs about {estimate:.3g} ball "
+            f"elements, over MAX_BALL_ELEMENTS = {MAX_BALL_ELEMENTS}"
         )
     residues = _letter_residues(generators)
     n_gen = len(generators)
@@ -479,8 +481,8 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
     frontier_rows = np.zeros(1, dtype=np.intp)
     offsets = np.zeros(1, dtype=np.int64)
     index_hashes = _key_hash(store[0])
-    row_type = np.int32 if max_elements < 2**31 else np.int64
-    index_rows = np.zeros(1, dtype=row_type)
+    # the count estimate bounds the store well below 2^31 rows
+    index_rows = np.zeros(1, dtype=np.int32)
     total = 1
     depth = 0
     while len(frontier_mats):
@@ -522,11 +524,6 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
         fresh = firsts[~_contained(index_hashes, index_rows, store, offsets,
                                    hashes[firsts], keys[firsts])]
 
-        if total + len(fresh) > max_elements:
-            raise MemoryError(
-                f"ball enumeration exceeded budget of {max_elements} elements "
-                f"(frontier size {len(fresh)} at depth {depth})"
-            )
         # append the new keys as a block and merge their (hash, row)
         # entries, already in hash order, into the index
         store.append(keys[fresh])
@@ -534,7 +531,7 @@ def enumerate_ball(generators, radius, slack=2.0, max_elements=40_000_000,
         at = np.searchsorted(index_hashes, hashes[fresh])
         index_hashes = np.insert(index_hashes, at, hashes[fresh])
         index_rows = np.insert(index_rows, at,
-                               np.arange(total, total + len(fresh), dtype=row_type))
+                               np.arange(total, total + len(fresh), dtype=np.int32))
         total += len(fresh)
         del keys, hashes
 

@@ -8,13 +8,14 @@ orthonormalized with respect to the auxiliary Euclidean inner product
 import numpy as np
 
 SVD_THRESHOLD = 1e-10
+SIGNATURE_TOL = 1e-9
 
 
 class NumericalFailure(RuntimeError):
     """A computation could not be completed at the required accuracy."""
 
 
-def orthonormal_span(vectors, tol=SVD_THRESHOLD):
+def orthonormal_span(vectors):
     """Orthonormal basis (columns) of the column span of `vectors`.
 
     Rank is decided by singular values relative to the largest one.
@@ -23,31 +24,31 @@ def orthonormal_span(vectors, tol=SVD_THRESHOLD):
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((a.shape[0], 0))
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > SVD_THRESHOLD * s[0]))
     return u[:, :rank]
 
 
-def nullspace(a, tol=SVD_THRESHOLD):
+def nullspace(a):
     """Orthonormal basis (rows) of the right null space of `a`."""
     a = np.asarray(a, dtype=float)
     u, s, vt = np.linalg.svd(a, full_matrices=True)
     if s.size == 0:
         return vt
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > SVD_THRESHOLD * s[0]))
     return vt[rank:]
 
 
-def intersect_spans(a, b, tol=SVD_THRESHOLD):
+def intersect_spans(a, b):
     """Orthonormal basis of span(a) ∩ span(b) (columns)."""
-    qa, qb = orthonormal_span(a, tol), orthonormal_span(b, tol)
+    qa, qb = orthonormal_span(a), orthonormal_span(b)
     if qa.shape[1] == 0 or qb.shape[1] == 0:
         return np.zeros((qa.shape[0], 0))
     # null vectors of [qa, -qb] give matching coefficient pairs
     stacked = np.hstack([qa, -qb])
-    coeffs = nullspace(stacked, tol)
+    coeffs = nullspace(stacked)
     if coeffs.shape[0] == 0:
         return np.zeros((qa.shape[0], 0))
-    return orthonormal_span(qa @ coeffs[:, : qa.shape[1]].T, tol)
+    return orthonormal_span(qa @ coeffs[:, : qa.shape[1]].T)
 
 
 def form_residual(m, q):
@@ -58,12 +59,12 @@ def form_residual(m, q):
     return num / den
 
 
-def signature(q, tol=1e-9):
+def signature(q):
     """Signature (n_plus, n_minus) of a symmetric matrix."""
     evals = np.linalg.eigvalsh(np.asarray(q, float))
     scale = max(1.0, np.abs(evals).max())
-    plus = int(np.sum(evals > tol * scale))
-    minus = int(np.sum(evals < -tol * scale))
+    plus = int(np.sum(evals > SIGNATURE_TOL * scale))
+    minus = int(np.sum(evals < -SIGNATURE_TOL * scale))
     return plus, minus
 
 

@@ -32,6 +32,9 @@ import numpy as np
 from .linalg import NumericalFailure, form_residual, orthonormal_span
 from .fuchsian import sl2_eigenbasis
 
+BASIS_TOL = 1e-10
+EMBED_FORM_TOL = 1e-9
+
 
 def sym_power_rep(p, m):
     """Action of an SL(2,R) matrix on binary forms of degree 2p-2.
@@ -159,10 +162,6 @@ class QuadraticForm:
         if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
             raise ValueError("form matrix must be symmetric")
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 def invariant_form(p):
     """The SL(2,R)-invariant form on degree-(2p-2) binary forms.
@@ -223,7 +222,7 @@ def principal_basis(p):
     Raises
     ------
     NumericalFailure
-        If any invariant fails its tolerance (wrong form normalization).
+        If any invariant fails BASIS_TOL (wrong form normalization).
     """
     n = 2 * p - 1
     d = 2 * p - 2
@@ -252,7 +251,7 @@ def principal_basis(p):
     return basis
 
 
-def _verify_principal_basis(basis, tol=1e-10):
+def _verify_principal_basis(basis):
     p, n = basis.p, 2 * basis.p - 1
     qv, qe = basis.form_v.matrix, basis.form_e.matrix
     eps = basis.eps
@@ -261,20 +260,21 @@ def _verify_principal_basis(basis, tol=1e-10):
     delta = np.zeros((n, n))
     for k in range(1, n + 1):
         delta[k - 1, (2 * p - k) - 1] = 1.0
-    if np.abs(pairing - delta).max() > tol:
+    if np.abs(pairing - delta).max() > BASIS_TOL:
         raise NumericalFailure("principal basis pairing failed")
     # Lambda eigenvalue law
     lam = 1.7
     diag = sym_power_rep(p, np.array([[lam, 0.0], [0.0, 1.0 / lam]]))
     for m in range(1, n + 1):
         v = eps[:, m - 1]
-        if np.abs(diag @ v - lam ** (2 * p - 2 * m) * v).max() > tol * lam ** (2 * p - 2):
+        residual = np.abs(diag @ v - lam ** (2 * p - 2 * m) * v).max()
+        if residual > BASIS_TOL * lam ** (2 * p - 2):
             raise NumericalFailure("eigenvalue law failed")
     # unipotent triangularity
     for z in (0.5, 1.0):
         al = alpha_matrix(basis, z)
         lower = np.tril(al, -1)
-        if np.abs(lower).max() > tol:
+        if np.abs(lower).max() > BASIS_TOL:
             raise NumericalFailure("unipotent pairing not triangular")
         if np.min(np.abs(al[np.triu_indices(n)])) < 1e-8:
             raise NumericalFailure("unipotent pairing vanishes on/above diagonal")
@@ -284,7 +284,7 @@ def _verify_principal_basis(basis, tol=1e-10):
     expect = np.zeros((2 * p, 2 * p))
     expect[:p, p:] = np.eye(p)
     expect[p:, :p] = np.eye(p)
-    if np.abs(g - expect).max() > tol:
+    if np.abs(g - expect).max() > BASIS_TOL:
         raise NumericalFailure("embedded basis pairing failed")
 
 
@@ -308,18 +308,18 @@ def alpha_matrix(basis, z):
     return out
 
 
-def embed_so_pp(p, m_v, tol=1e-9):
+def embed_so_pp(p, m_v):
     """Extend a form-preserving matrix on V by the identity on L.
 
     The result preserves the signature-(p,p) form on E = V ⊕ L. Inputs
-    that fail (p, p-1)-form preservation (relative residual > tol) are
+    that fail (p, p-1)-form preservation beyond EMBED_FORM_TOL are
     rejected.
     """
     m_v = np.asarray(m_v, float)
     n = 2 * p - 1
     if m_v.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix")
-    if form_residual(m_v, invariant_form(p).matrix) > tol:
+    if form_residual(m_v, invariant_form(p).matrix) > EMBED_FORM_TOL:
         raise NumericalFailure("matrix does not preserve the (p,p-1) form")
     out = np.eye(n + 1)
     out[:n, :n] = m_v
@@ -364,10 +364,9 @@ class Representation:
         return m
 
     def relator_residual(self, presentation):
-        """Distance of the relator image from ±identity."""
+        """Distance of the relator image from the identity."""
         h = self.evaluate(presentation.relator)
-        eye = np.eye(self.dim)
-        return float(min(np.abs(h - eye).max(), np.abs(h + eye).max()))
+        return float(np.abs(h - np.eye(self.dim)).max())
 
 
 def word_form_residual(rho, word):

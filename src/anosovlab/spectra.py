@@ -26,6 +26,9 @@ from .linalg import NumericalFailure
 from .surface_group import conjugacy_canonical, min_rotation
 
 MIN_WINDOW_COUNT = 100
+CRITICAL_EXPONENT_TOL = 1e-10
+SCAN_STEP = 0.1
+TRACE_GROUP_TOL = 1e-7
 
 
 @dataclass
@@ -34,10 +37,6 @@ class LengthFunctional:
 
     tag: str
     scale: float = 0.0  # s for perturbed(s)
-
-    @classmethod
-    def hyperbolic(cls):
-        return cls("hyperbolic")
 
     @classmethod
     def last_root(cls):
@@ -232,20 +231,18 @@ def _window_grid(window, step=0.25):
     return np.linspace(t0, t1, max(n + 1, 9))
 
 
-def entropy_estimate(values, window, step=0.25, max_radius=None):
+def entropy_estimate(values, window, step=0.25):
     """Least-squares slope of log N(T) against T over a window.
 
     `values` is the multiset of lengths (class or orbit-point). N(T) is
     its counting function; windows with fewer than MIN_WINDOW_COUNT values
-    raise, naming the window and the count found, as does a window end
-    beyond `max_radius` (the enumerated radius) when one is supplied.
+    raise, naming the window and the count found. The window must end
+    within the enumerated radius (the CLI checks its configuration).
     """
     values = np.sort(np.asarray(values, float))
     t0, t1 = window
     if t1 - t0 < 2.0:
         raise ValueError("window must span at least 2")
-    if max_radius is not None and t1 > max_radius + 1e-9:
-        raise ValueError("window exceeds the enumerated radius")
     grid = _window_grid(window, step)
     counts = np.searchsorted(values, grid, side="right")
     in_window = int(counts[-1] - np.searchsorted(values, t0, side="left"))
@@ -264,14 +261,14 @@ def entropy_estimate(values, window, step=0.25, max_radius=None):
                            residual=rms, count=int(counts[-1]))
 
 
-def critical_exponent(values, window, tol=1e-10):
+def critical_exponent(values, window):
     """Critical exponent of the truncated Poincaré series Σ e^{-s·value}.
 
     Finds the s at which the two half-window partial sums balance (below
     the critical exponent the far half dominates, above it the near half
-    does); bisection on [0, 6]. Raises ValueError, naming the window and
-    both half counts, when either half holds fewer than
-    MIN_WINDOW_COUNT // 2 values.
+    does); bisection on [0, 6] to width CRITICAL_EXPONENT_TOL. Raises
+    ValueError, naming the window and both half counts, when either half
+    holds fewer than MIN_WINDOW_COUNT // 2 values.
     """
     values = np.asarray(values, float)
     t0, t1 = window
@@ -291,7 +288,7 @@ def critical_exponent(values, window, tol=1e-10):
     lo, hi = 0.0, 6.0
     if imbalance(lo) < 0:
         return EntropyEstimate(0.0, (t0, t1), math.inf, len(values))
-    while hi - lo > tol:
+    while hi - lo > CRITICAL_EXPONENT_TOL:
         mid = 0.5 * (lo + hi)
         if imbalance(mid) > 0:
             lo = mid
@@ -351,21 +348,21 @@ class EntropyScan:
         return abs(self.central_slope + self.base_estimate**2 * bm_half_alpha)
 
 
-def perturbed_entropy_scan(spectrum, s_grid, window, step=0.1):
+def perturbed_entropy_scan(spectrum, s_grid, window):
     """Entropy estimates of the first-order perturbed spectrum ℓ + s·α/2.
 
     The positivity precondition |s|·max|α|/min ℓ < 1 is enforced by the
     functional evaluation; the central slope is taken between the extreme
-    grid points around 0. The finer default grid step (0.1) averages the
-    threshold-crossing noise that dominates central differences of
-    counting fits.
+    grid points around 0. The fits' grid step SCAN_STEP is finer than
+    entropy_estimate's 0.25: it averages the threshold-crossing noise
+    that dominates central differences of counting fits.
     """
     s_grid = sorted(float(s) for s in s_grid)
     table = []
     for s in s_grid:
         values = spectrum.lengths(LengthFunctional.perturbed(s))
-        table.append((s, entropy_estimate(values, window, step)))
-    base = entropy_estimate(spectrum.lengths(), window, step).estimate
+        table.append((s, entropy_estimate(values, window, SCAN_STEP)))
+    base = entropy_estimate(spectrum.lengths(), window, SCAN_STEP).estimate
     positives = [s for s in s_grid if s > 0]
     negatives = [s for s in s_grid if s < 0]
     if positives and negatives:
@@ -443,7 +440,7 @@ def anosov_gap_report(spectrum, tol=1e-9):
     )
 
 
-def counting_consistency(spectrum, ball, tol=1e-7):
+def counting_consistency(spectrum, ball):
     """Cross-check canonicalization against holonomy traces.
 
     Every ball element maps into some canonical class; within a class all
@@ -464,7 +461,7 @@ def counting_consistency(spectrum, ball, tol=1e-7):
     all_traces = sorted(t for traces in by_class.values() for t in traces[:1])
     groups = 1 if all_traces else 0
     for a, b in zip(all_traces, all_traces[1:]):
-        if b - a > tol * max(1.0, b):
+        if b - a > TRACE_GROUP_TOL * max(1.0, b):
             groups += 1
     return len(by_class), groups, violations
 

@@ -19,6 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .linalg import SVD_THRESHOLD
+
 GENERATOR_LABELS = ("a1", "b1", "a2", "b2")
 
 Word = tuple  # tuple of nonzero signed ints
@@ -59,13 +61,13 @@ def min_rotation(word):
     return min(rotations(word)) if word else word
 
 
-def format_word(word, labels=GENERATOR_LABELS):
+def format_word(word):
     """Serialize a word, uppercase marking inverse letters; identity is '1'."""
     if not word:
         return "1"
     parts = []
     for letter in word:
-        lab = labels[abs(letter) - 1]
+        lab = GENERATOR_LABELS[abs(letter) - 1]
         parts.append(lab if letter > 0 else lab.upper())
     return ".".join(parts)
 
@@ -76,7 +78,6 @@ class GroupPresentation:
 
     n_generators: int
     relator: Word
-    labels: tuple = GENERATOR_LABELS
 
     def __post_init__(self):
         if self.n_generators < 2:
@@ -113,8 +114,8 @@ def _relator_tables(relator):
 
     Returns (long_moves, half_moves): maps from a subword s of a cyclic
     rotation of the relator or its inverse to the equivalent complement
-    t^{-1}, for |s| > half (strictly shortening) and |s| == half
-    (length preserving), respectively.
+    t^{-1}, for |s| > half (strictly shortening, as (|s|, map) pairs,
+    longest first) and |s| == half (length preserving), respectively.
     """
     n = len(relator)
     half = n // 2
@@ -126,10 +127,10 @@ def _relator_tables(relator):
                 s, t = rot[:k], rot[k:]
                 repl = inverse_word(t)
                 if k > half:
-                    long_moves.setdefault(s, repl)
+                    long_moves.setdefault(k, {}).setdefault(s, repl)
                 elif k == half:
                     half_moves.setdefault(s, repl)
-    return long_moves, half_moves
+    return sorted(long_moves.items(), reverse=True), half_moves
 
 
 def _cyclic_dehn_step(word, long_moves):
@@ -144,15 +145,14 @@ def _cyclic_dehn_step(word, long_moves):
         return None
     doubled = word + word
     best = None
-    lengths = sorted({len(s) for s in long_moves}, reverse=True)
-    for k in lengths:
+    for k, moves in long_moves:
         if k > n:
             continue
         for i in range(n):
             s = doubled[i : i + k]
-            if s in long_moves:
+            if s in moves:
                 rest = doubled[i + k : i + n]
-                candidate = cyclic_reduce(long_moves[s] + rest)
+                candidate = cyclic_reduce(moves[s] + rest)
                 key = (len(candidate), min_rotation(candidate))
                 if best is None or key < best[0]:
                     best = (key, candidate)
@@ -317,17 +317,17 @@ def relator_constraint_matrix(rho, presentation):
     return c
 
 
-def solve_cocycle_space(rho, presentation, tol=1e-10):
+def solve_cocycle_space(rho, presentation):
     """Basis of generator assignments with vanishing relator extension.
 
-    Dense SVD with singular values thresholded at tol × σ_max. Emits a
-    warning when the relator constraint is rank deficient (an invariant
-    vector or a degenerate representation).
+    Dense SVD with singular values thresholded at SVD_THRESHOLD × σ_max.
+    Emits a warning when the relator constraint is rank deficient (an
+    invariant vector or a degenerate representation).
     """
     dim = rho.dim
     c = relator_constraint_matrix(rho, presentation)
     u, s, vt = np.linalg.svd(c, full_matrices=True)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
+    rank = int(np.sum(s > SVD_THRESHOLD * s[0])) if s.size else 0
     if rank < dim:
         warnings.warn(
             f"relator constraint has rank {rank} < {dim}: invariant vector "

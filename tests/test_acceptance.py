@@ -285,7 +285,8 @@ def test_criterion_7_margulis_calculus(big):
 
 def test_criterion_8_entropy(big):
     lab, spectrum2, _, _ = big
-    slope = entropy_estimate(lab.ball.distances, WINDOW, max_radius=BALL_RADIUS)
+    assert WINDOW[1] <= BALL_RADIUS
+    slope = entropy_estimate(lab.ball.distances, WINDOW)
     crit = critical_exponent(lab.ball.distances, WINDOW)
     assert 0.9 <= slope.estimate <= 1.1
     assert slope.residual <= 0.05

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anosovlab import affine_deform
 from anosovlab.linalg import NumericalFailure, form_residual
 from anosovlab.affine_deform import (
     Cocycle,
@@ -265,13 +266,14 @@ class TestFiniteDeformation:
             assert np.abs(alone.evaluate(w)[0] - matrix).max() <= 1e-12
             assert abs(alone.middle_eigenvalue(w, middle_pair(lab, p, w))[0] - value) <= 1e-15
 
-    def test_spectral_collision_raises(self, lab, p):
+    def test_spectral_collision_raises(self, lab, p, monkeypatch):
         direction = deformation_direction(make_cocycle(lab, p, 38), lab.basis[p])
         fin = FiniteDeformation(lab.rho_e[p], [direction], (1, 2), 1e-4)
         # the two Ritz lines are far apart; a tolerance above their gap
         # reports them as colliding
+        monkeypatch.setattr(affine_deform, "MIDDLE_COLLISION_TOL", 2.0)
         with pytest.raises(NumericalFailure, match="collision"):
-            fin.middle_eigenvalue((1, 2), middle_pair(lab, p, (1, 2)), tol=2.0)
+            fin.middle_eigenvalue((1, 2), middle_pair(lab, p, (1, 2)))
 
 
 def middle_pair(lab, p, word):

@@ -1,5 +1,7 @@
+import ast
 import hashlib
 import json
+import pathlib
 import subprocess
 import sys
 from collections import Counter
@@ -7,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from anosovlab import cli
+from anosovlab import cli, fuchsian
 from anosovlab.affine_deform import Cocycle, FiniteDeformation, deformation_direction
 from anosovlab.cli import derivative_check, main, sample_transversality
 from anosovlab.flag_geometry import transversality_margin
@@ -99,7 +101,7 @@ def test_random_cocycle_requires_seed(tmp_path, capsys):
     assert err["type"] == "config" and "seed" in err["error"]
 
 
-def test_invalid_config_rejected(tmp_path, capsys):
+def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(tmp_path, "entropy", {"p": 7})
     assert code == 1
     err = json.loads(capsys.readouterr().err)
@@ -120,6 +122,23 @@ def test_invalid_config_rejected(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "margulis", {"seed": 3, "cocycle": {"random": True}})
     assert code == 1
     assert "cocycle missing generators" in json.loads(capsys.readouterr().err)["error"]
+
+    # the orbit counts stop at the radius, so a window past it fits a
+    # truncated counting function
+    code, _ = run_cli(tmp_path, "entropy", {"radius": 10.0, "window": [6, 11]})
+    assert code == 1
+    assert "ends beyond radius 10.0" in json.loads(capsys.readouterr().err)["error"]
+
+    # radius 16 with margin 3 and slack 2 asks for an R = 19 ball, about
+    # 55 times the R = 15 one; it is refused before its first key
+    def allocated(keys):
+        raise AssertionError("the ball started before refusing")
+
+    monkeypatch.setattr(fuchsian, "_key_hash", allocated)
+    code, _ = run_cli(tmp_path, "spectrum", extra=("--radius", "16"))
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "config" and "MAX_BALL_ELEMENTS" in err["error"]
 
 
 def test_entropy_names_a_thin_default_window(tmp_path, capsys):
@@ -249,6 +268,59 @@ def test_package_runs_without_scipy(tmp_path):
     assert results["0"]["codes"] == [0] * len(TOY_RUNS)
     assert results["1"]["scipy_importable"] is False
     assert results["1"]["codes"] == results["0"]["codes"]
+
+
+# every parameter with a default in src/anosovlab, with the callers that
+# set it; a value no caller changes is a module constant instead
+SETTABLE_PARAMETERS = {
+    "fuchsian.BallEnumeration.cyclic_words(radius)":
+        "spectra._ball_classes passes the class cutoff; the samplers take all",
+    "fuchsian.enumerate_ball(slack)": "cli.Workspace.ball, the tests, the benchmark",
+    "fuchsian.enumerate_ball(presentation)": "cli.Workspace.ball, benchmark/session.py",
+    "principal_rep.Representation.__init__(form)": "sym_representation and the E one",
+    "principal_rep.Representation.__init__(labels)": "cli.Workspace, the benchmark",
+    "principal_rep.Representation.__init__(base)": "sym_representation and the E one",
+    "flag_geometry.is_isotropic(tol)": "flag_from_tuple 1e-10, _validate_pairing 1e-8",
+    "spectra._window_grid(step)": "entropy_estimate passes 0.25 and SCAN_STEP",
+    "spectra.entropy_estimate(step)": "cli entropy 0.25, perturbed_entropy_scan 0.1",
+    "spectra.bm_average(observable)": "cli scan and the tests",
+    "spectra.bm_average(weighted)": "cli margulis",
+    "spectra.anosov_gap_report(tol)": "benchmark/session.py, the acceptance tests",
+    "spectra.LengthSpectrum.lengths(functional)": "perturbed_entropy_scan, the tests",
+    "spectra.length_spectrum(omega)": "cli.Workspace.spectrum",
+    "cli.Workspace.ball(radius)": "the samplers' pools and Workspace.spectrum",
+    "cli.Workspace.spectrum(omega)": "cli spectrum, margulis and scan",
+    "cli.main(argv)": "the tests and the benchmark's traced CLI",
+}
+
+
+def _parameters_with_defaults(tree, module):
+    """`module.qualname(parameter)` of each function parameter with a default."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                positional = args.posonlyargs + args.args
+                named = positional[len(positional) - len(args.defaults):]
+                named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+                found.update(f"{module}.{prefix}{child.name}({a.arg})" for a in named)
+                visit(child, f"{prefix}{child.name}.")
+
+    visit(tree, "")
+    return found
+
+
+def test_settable_parameters_are_the_listed_ones():
+    package = pathlib.Path(cli.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        found |= _parameters_with_defaults(ast.parse(path.read_text()), path.stem)
+    assert found == set(SETTABLE_PARAMETERS)
 
 
 class LabWorkspace:

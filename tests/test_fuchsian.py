@@ -333,32 +333,12 @@ def test_ball_refuses_uncertified_input(monkeypatch):
     monkeypatch.setattr(fuchsian, "_key_hash", allocated)
     with pytest.raises(ValueError, match="horizon"):
         enumerate_ball(gens, 30.0, 2.0)
+    # (cosh 19 − 1)/2 ≈ 4.46e7 orbit points, over MAX_BALL_ELEMENTS
+    with pytest.raises(ValueError, match=r"4\.46e\+07 ball elements"):
+        enumerate_ball(gens, 17.0, 2.0)
     turned = {k: rotation(0.1) @ m @ rotation(-0.1) for k, m in gens.items()}
     with pytest.raises(ValueError, match="octagon"):
         enumerate_ball(turned, 5.0, 2.0)
-
-
-def test_child_keys_ignore_the_parent_sign():
-    # ±M is one isometry: a parent key and its negation give the same child
-    # keys, each with its first nonzero residue mod p₁ at most (p₁ − 1)/2
-    _, gens = octagon_group()
-    residues = fuchsian._letter_residues(gens)
-    primes = np.repeat([p for p, _ in KEY_PRIMES], 4)[:, None]
-    parents = np.ascontiguousarray(residues.T, dtype=np.int32)  # the 8 letters
-    negated = np.ascontiguousarray(((primes - residues) % primes).T, dtype=np.int32)
-    rows, codes = np.divmod(np.arange(64), 8)
-    keys = fuchsian._child_keys(parents.view(np.int64), rows, codes, residues)
-    again = fuchsian._child_keys(negated.view(np.int64), rows, codes, residues)
-    assert np.array_equal(keys, again)
-    mod_p1 = keys.view(np.int32)[:, :4]
-    lead = mod_p1[np.arange(64), np.argmax(mod_p1 != 0, axis=1)]
-    assert (lead > 0).all() and (lead <= (KEY_PRIMES[0][0] - 1) // 2).all()
-
-
-def test_ball_memory_budget():
-    _, gens = octagon_group()
-    with pytest.raises(MemoryError, match="frontier"):
-        enumerate_ball(gens, 9.0, 2.0, max_elements=100)
 
 
 def test_distance_formulas_agree():

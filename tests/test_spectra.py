@@ -80,8 +80,6 @@ def test_entropy_window_guards(lab):
             r"too few values in window \[3.0, 7.0\] for the critical exponent: "
             r"48 in \(3.0, 5.0\] and \d+ in \(5.0, 7.0\], 50 needed in each half")):
         critical_exponent(lab.ball.distances, (3.0, 7.0))
-    with pytest.raises(ValueError, match="radius"):
-        entropy_estimate(lab.ball.distances, (6.5, 9.5), max_radius=9.0)
 
 
 def test_critical_exponent_agrees_with_slope(lab):
