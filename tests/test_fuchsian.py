@@ -333,12 +333,26 @@ def test_ball_refuses_uncertified_input(monkeypatch):
     monkeypatch.setattr(fuchsian, "_key_hash", allocated)
     with pytest.raises(ValueError, match="horizon"):
         enumerate_ball(gens, 30.0, 2.0)
-    # (cosh 19 − 1)/2 ≈ 4.46e7 orbit points, over MAX_BALL_ELEMENTS
-    with pytest.raises(ValueError, match=r"4\.46e\+07 ball elements"):
-        enumerate_ball(gens, 17.0, 2.0)
     turned = {k: rotation(0.1) @ m @ rotation(-0.1) for k, m in gens.items()}
     with pytest.raises(ValueError, match="octagon"):
         enumerate_ball(turned, 5.0, 2.0)
+
+
+def test_ball_memory_budget(monkeypatch):
+    _, gens = octagon_group()
+
+    def allocated(keys):
+        raise AssertionError("the ball started before refusing")
+
+    # the size limit is checked from radius + slack, before the first key
+    monkeypatch.setattr(fuchsian, "_key_hash", allocated)
+    # (cosh 19 − 1)/2 ≈ 4.46e7 orbit points, over MAX_BALL_ELEMENTS
+    with pytest.raises(ValueError, match=r"4\.46e\+07 ball elements"):
+        enumerate_ball(gens, 17.0, 2.0)
+    # (cosh 11 − 1)/2 ≈ 3.0e4 orbit points, over a budget of 100
+    monkeypatch.setattr(fuchsian, "MAX_BALL_ELEMENTS", 100)
+    with pytest.raises(ValueError, match="MAX_BALL_ELEMENTS = 100"):
+        enumerate_ball(gens, 9.0, 2.0)
 
 
 def test_distance_formulas_agree():
