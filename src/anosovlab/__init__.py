@@ -50,10 +50,8 @@ from .flag_geometry import (  # noqa: F401
 )
 from .affine_deform import (  # noqa: F401
     Cocycle,
-    DeformationDirection,
     FiniteDeformation,
     coboundary,
-    deformation_direction,
     eigenvalue_derivative,
     margulis_invariant,
 )

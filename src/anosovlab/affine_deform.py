@@ -16,9 +16,10 @@ which is the discrete form of the diffusion integral and, unlike the
 direct pairing, stays at unit scale for long words (the direct prefix
 products reach e^{(p-1)ℓ} and cancel catastrophically).
 
-The tangent direction of the deformation inside SO(p,p) maps f to V with
-the special shape X_w : u ↦ Q(u,w) f, f ↦ w. The normalization ρ̇_g =
-½·X_{ω_g} (an Ad-cocycle, so ρ̇_γ = ½·X_{ω_γ} for every γ) is the one
+The tangent of the deformation inside SO(p,p) maps f to V with the
+special shape X_w : u ↦ Q(u,w) f, f ↦ w. The normalization ρ̇_g =
+½·X_{ω_g} (an Ad-cocycle, so ρ̇_γ = ½·X_{ω_γ} for every γ, which
+`Cocycle.tangent` evaluates) is the one
 under which the middle eigenvalue moves at half the Margulis invariant
 while all other eigenvalues stay constant at first order; both facts are
 cross-checked against central finite differences on free subgroups.
@@ -55,15 +56,21 @@ class Cocycle:
         if self.vectors.shape[1] != self.rho.dim:
             raise ValueError("cocycle vectors must match the representation dimension")
 
-    def __getitem__(self, letter):
-        return self.vectors[letter - 1]
-
-    def as_dict(self):
-        return {i + 1: self.vectors[i] for i in range(self.vectors.shape[0])}
-
     def value(self, word):
         """Cocycle value ω_w by the left-to-right cocycle rule."""
-        return extend_cocycle(self.as_dict(), word, self.rho)
+        return extend_cocycle(self.vectors, word, self.rho)
+
+    def tangent(self, word):
+        """Tangent ρ̇_w = ½·X_{ω_w} in so(p,p) of the deformation at a word.
+
+        The tangent is the Ad-cocycle ρ̇_w = ρ̇_u + Ad(ρ_E(u)) ρ̇_v with
+        ρ̇_g = ½·X_{ω_g}. The adjoint action preserves the special shape,
+        Ad(ρ_E(u))·X_v = X_{ρ0(u)v}, so the extension collapses to
+        ½·X_{ω_w}; evaluating it that way keeps the error linear in the
+        word's matrix norm where the literal Ad-conjugation sum loses twice
+        the digits.
+        """
+        return 0.5 * special_shape(self.value(word), self.rho.form.matrix)
 
     def relator_residual(self, presentation):
         return float(np.abs(self.value(presentation.relator)).max())
@@ -109,7 +116,7 @@ def margulis_invariants(rho, omegas, words, basis):
     # letter codes: g -> g - 1 and g⁻¹ -> n_gen + g - 1
     mats2 = np.array([rho.base.generator(g) for g in range(1, n_gen + 1)]
                      + [rho.base.generator(-g) for g in range(1, n_gen + 1)])
-    vectors = np.array([[om[g] for g in range(1, n_gen + 1)] for om in omegas])
+    vectors = np.array([om.vectors for om in omegas])
     totals = np.zeros((len(reduced), len(omegas)))
     by_length = {}
     for index, w in enumerate(reduced):
@@ -148,50 +155,18 @@ def margulis_invariant(rho, omega, word, basis):
     return float(margulis_invariants(rho, [omega], word, basis)[0])
 
 
-@dataclass
-class DeformationDirection:
-    """Tangent direction in SO(p,p) matching an affine cocycle.
+def special_shape(w, q_v):
+    """The so(p,p) element X_w : u ↦ Q(u,w) f, f ↦ w (u in V), for one
+    vector w or for each row of a stack of them.
 
-    `matrices` maps positive letters to ρ̇_g = ½·X_{ω_g} on E = V ⊕ L;
-    the assignment extends by the adjoint cocycle rule and satisfies
-    ρ̇_γ = ½·X_{ω_γ} for every word.
+    The image lies in the isometry algebra, vanishes on V ⊗ V pairings, and
+    reproduces w through pairing: Q(X_w(f), v) = Q(w, v) for all v in V.
     """
-
-    matrices: dict
-    omega: Cocycle = field(repr=False)
-
-    def value(self, word):
-        """Cocycle value ρ̇_w = ρ̇_u + Ad(ρ_E(u)) ρ̇_v along the word.
-
-        The adjoint action preserves the special shape, Ad(ρ_E(u))·X_v =
-        X_{ρ0(u)v}, so the extension collapses to ½·X_{ω_w}; evaluating it
-        that way keeps the error linear in the word's matrix norm where
-        the literal Ad-conjugation sum loses twice the digits.
-        """
-        qv = self.omega.rho.form.matrix
-        return 0.5 * special_shape(self.omega.value(word), qv)
-
-
-def special_shape(w_vector, q_v):
-    """The so(p,p) element X_w : u ↦ Q(u,w) f, f ↦ w (u in V)."""
-    n = w_vector.shape[0]
-    x = np.zeros((n + 1, n + 1))
-    x[n, :n] = w_vector @ q_v
-    x[:n, n] = w_vector
+    n = w.shape[-1]
+    x = np.zeros(w.shape[:-1] + (n + 1, n + 1))
+    x[..., n, :n] = w @ q_v
+    x[..., :n, n] = w
     return x
-
-
-def deformation_direction(omega, basis):
-    """Map an affine cocycle to its tangent direction in SO(p,p).
-
-    Per generator g the matrix is ½·X_{ω_g}; the image lies in the
-    isometry algebra, vanishes on V ⊗ V pairings, and reproduces the
-    cocycle through pairing: Q(ω_g, v) = 2·⟨ρ̇_g(f) | v⟩ for all v in V.
-    """
-    q_v = basis.form_v.matrix
-    mats = {g: 0.5 * special_shape(omega[g], q_v)
-            for g in range(1, omega.vectors.shape[0] + 1)}
-    return DeformationDirection(matrices=mats, omega=omega)
 
 
 def eigenvalue_derivative(eig, rho_dot_w):
@@ -275,23 +250,28 @@ def ping_pong_certificate(sl2_rep, letters):
 
 class FiniteDeformation:
     """Finite-t representations exp(t·ρ̇_g)·ρ_E(g) of a free subgroup, one
-    per direction of a stack.
+    per cocycle of a stack, with ρ̇_g = ½·X_{ω_g}.
 
     A genuine homomorphism of the free group on the chosen letters (the
     surface relator obstructs exponentiation of the full group); serves as
     the independent finite-difference oracle for the eigenvalue-derivative
-    identity. `directions` is a sequence of N `DeformationDirection`s,
-    evaluated as (N, 2p, 2p) stacks. The letters are taken as free; the
-    caller certifies that (`ping_pong_certificate`).
+    identity. `vectors` holds the generator vectors of N cocycles as one
+    (N, n_generators, dim) array; the words are evaluated as (N, 2p, 2p)
+    stacks. The letters are taken as free; the caller certifies that
+    (`ping_pong_certificate`).
     """
 
-    def __init__(self, rho_e, directions, letters, t):
+    def __init__(self, rho_e, vectors, letters, t):
         self.letters = tuple(letters)
         self.t = float(t)
         self.form = rho_e.form.matrix
+        n = self.form.shape[0] - 1
+        # ½·X_{ω_g} of the chosen letters only, Q_V the V block of the form
+        tangents = 0.5 * special_shape(
+            np.asarray(vectors, float)[:, [g - 1 for g in self.letters]],
+            self.form[:n, :n])
         self._generators = {}
-        for letter in letters:
-            x = np.array([d.matrices[letter] for d in directions])
+        for letter, x in zip(self.letters, tangents.transpose(1, 0, 2, 3)):
             g = _expm(self.t * x) @ rho_e.generator(letter)
             residual = np.abs(g.transpose(0, 2, 1) @ self.form @ g - self.form)
             scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)) ** 2)

@@ -34,7 +34,6 @@ from .affine_deform import (
     Cocycle,
     FiniteDeformation,
     coboundary,
-    deformation_direction,
     eigenvalue_derivative,
     margulis_invariants,
     ping_pong_certificate,
@@ -49,6 +48,7 @@ from .principal_rep import (
     embedded_representation,
     principal_basis,
     sym_representation,
+    word_form_residual,
 )
 from .spectra import (
     bm_average,
@@ -250,8 +250,6 @@ def run_check_rep(ws, out_dir):
     rng = np.random.default_rng(seed)
     worst_v = worst_e = 0.0
     letters = np.array([1, -1, 2, -2, 3, -3, 4, -4])
-    from .principal_rep import word_form_residual
-
     for _ in range(1000):
         length = int(rng.integers(1, 9))
         word = tuple(int(l) for l in rng.choice(letters, size=length))
@@ -479,17 +477,13 @@ def derivative_check(ws, n_pairs, seed, t):
     finite difference against α/2 (pairs with |α| > 1e-9 and 1e-6).
     """
     words, vectors, free_words = draw_derivative_pairs(ws, n_pairs, seed)
-
-    def direction(i):
-        return deformation_direction(Cocycle(vectors[i], rho=ws.rho_v), ws.basis)
-
     alphas = _alphas_by_word(ws, words, vectors)
     eig = {w: eigendata_fuchsian(ws.p, ws.sl2.evaluate(w), ws.basis)
            for w in dict.fromkeys(words + free_words)}
     worst_formula = 0.0
     worst_lower = 0.0
     for i, (word, alpha) in enumerate(zip(words, alphas)):
-        rho_dot = direction(i).value(word)
+        rho_dot = Cocycle(vectors[i], rho=ws.rho_v).tangent(word)
         lam_dot, _ = eigenvalue_derivative(eig[word], rho_dot)
         if abs(alpha) > 1e-9:
             worst_formula = max(worst_formula,
@@ -504,8 +498,7 @@ def derivative_check(ws, n_pairs, seed, t):
         pair = eig[wfree].vectors[:, ws.p - 1:ws.p + 1]
         for start in range(0, len(indices), CHUNK):
             chunk = indices[start:start + CHUNK]
-            directions = [direction(i) for i in chunk]
-            mu = {s: FiniteDeformation(ws.rho_e, directions, FREE_LETTERS,
+            mu = {s: FiniteDeformation(ws.rho_e, vectors[chunk], FREE_LETTERS,
                                        s).middle_eigenvalue(wfree, pair)
                   for s in (t, -t, t / 2, -t / 2)}
             coarse = (mu[t] - mu[-t]) / (2 * t)
@@ -589,8 +582,7 @@ def run_scan(ws, out_dir):
         writer.writerow([float17(s), float17(est.estimate),
                          float17(est.residual), est.count])
     atomic_write(os.path.join(out_dir, "scan.csv"), buf.getvalue())
-    half_alpha_avg = bm_average(spec, window,
-                                observable=lambda r: 0.5 * r.alpha)
+    half_alpha_avg = 0.5 * bm_average(spec, window)
     residual = next(est.residual for s, est in scan.table if s == 0.0) \
         if any(s == 0.0 for s, _ in scan.table) else scan.table[0][1].residual
     write_json(os.path.join(out_dir, "scan.json"), {

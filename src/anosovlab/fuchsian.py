@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import NumericalFailure
-from .surface_group import GroupPresentation, evaluate_word
+from .surface_group import GroupPresentation
 
 # smallest |trace| margin accepted as hyperbolic
 HYPERBOLIC_MARGIN = 1e-12
@@ -113,7 +113,10 @@ def octagon_group():
         4: np.linalg.inv(conj(5 * np.pi / 4, g_a)),
     }
     presentation = GroupPresentation.genus2()
-    holonomy = evaluate_word(presentation.relator, generators)
+    holonomy = np.eye(2)
+    for letter in presentation.relator:
+        g = generators[abs(letter)]
+        holonomy = holonomy @ (g if letter > 0 else np.linalg.inv(g))
     residual = np.abs(holonomy - np.eye(2)).max()
     if residual > OCTAGON_RELATOR_TOL:
         raise NumericalFailure(

@@ -33,7 +33,8 @@ TRACE_GROUP_TOL = 1e-7
 
 @dataclass
 class LengthFunctional:
-    """Per-class length functional: hyperbolic, last-root, or perturbed."""
+    """Per-class length functional: last-root or perturbed (hyperbolic
+    length is `LengthSpectrum.lengths()` without one)."""
 
     tag: str
     scale: float = 0.0  # s for perturbed(s)
@@ -81,7 +82,7 @@ class LengthSpectrum:
 
     def lengths(self, functional=None):
         """Array of per-class values of a length functional."""
-        if functional is None or functional.tag == "hyperbolic":
+        if functional is None:
             return np.array([r.length_hyp for r in self.records])
         if functional.tag == "last_root":
             return np.array([r.length_lastroot for r in self.records])
@@ -299,26 +300,23 @@ def critical_exponent(values, window):
                            residual=0.0, count=int(len(near) + len(far)))
 
 
-def bm_average(spectrum, window, observable=None, weighted=False):
+def bm_average(spectrum, window, weighted=False):
     """Window average approximating the Bowen-Margulis integral.
 
-    Σ obs(γ) / Σ ℓ(γ) over classes with T0 ≤ ℓ ≤ T1 (long closed orbits
-    equidistribute toward the measure of maximal entropy). `observable`
-    defaults to the stored Margulis invariant. With `weighted`, classes
-    are weighted e^{-ℓ} (the Poincaré-series weighting at the critical
-    exponent 1), a robustness cross-check.
+    Σ α(γ) / Σ ℓ(γ) over classes with T0 ≤ ℓ ≤ T1, α the stored Margulis
+    invariant (long closed orbits equidistribute toward the measure of
+    maximal entropy). With `weighted`, classes are weighted e^{-ℓ} (the
+    Poincaré-series weighting at the critical exponent 1), a robustness
+    cross-check.
     """
     t0, t1 = window
     lengths = spectrum.lengths()
     mask = (lengths >= t0) & (lengths <= t1)
     if not mask.any():
         raise ValueError("empty window for bm_average")
-    if observable is None:
-        obs = spectrum.alphas()[mask]
-        if np.any(~np.isfinite(obs)):
-            raise ValueError("spectrum carries no Margulis invariants")
-    else:
-        obs = np.array([observable(r) for r, m in zip(spectrum.records, mask) if m])
+    obs = spectrum.alphas()[mask]
+    if np.any(~np.isfinite(obs)):
+        raise ValueError("spectrum carries no Margulis invariants")
     ell = lengths[mask]
     if weighted:
         w = np.exp(-(ell - ell.min()))

@@ -14,7 +14,7 @@ traces (same class ⇒ same trace).
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -218,27 +218,14 @@ def conjugacy_canonical(word, presentation):
     return CyclicWord(min(seen))
 
 
-def evaluate_word(word, generators):
-    """Product of generator matrices along a word.
-
-    `generators` maps positive letter -> matrix; inverses are computed.
-    """
-    first = next(iter(generators.values()))
-    m = np.eye(first.shape[0])
-    for letter in word:
-        g = generators[abs(letter)]
-        m = m @ (g if letter > 0 else np.linalg.inv(g))
-    return m
-
-
 def extend_cocycle(omega, word, rho):
     """Value of the cocycle at `word`: ω_e = 0, ω_{gh} = ω_g + ρ(g)ω_h.
 
     Parameters
     ----------
-    omega : dict or array
-        Translation vectors per positive generator letter (dict keyed by
-        letter, or array of shape (n_generators, dim)).
+    omega : array
+        Translation vectors per positive generator letter, shape
+        (n_generators, dim); letter g reads row g - 1.
     word : tuple
         Word in signed letters.
     rho : Representation
@@ -253,27 +240,20 @@ def extend_cocycle(omega, word, rho):
     numerically stable orbit sum in `affine_deform`.
     """
     word = free_reduce(word)
-    vectors = _omega_as_dict(omega, rho.dim)
+    vectors = np.asarray(omega, float)
+    if vectors.ndim != 2 or vectors.shape[1] != rho.dim:
+        raise ValueError("omega must be (n_generators, dim)")
     value = np.zeros(rho.dim)
     prefix = np.eye(rho.dim)
     for letter in word:
         if letter > 0:
-            value = value + prefix @ vectors[letter]
+            value = value + prefix @ vectors[letter - 1]
             prefix = prefix @ rho.generator(letter)
         else:
             inv = rho.generator(letter)  # rho caches inverses
-            value = value - prefix @ inv @ vectors[-letter]
+            value = value - prefix @ inv @ vectors[-letter - 1]
             prefix = prefix @ inv
     return value
-
-
-def _omega_as_dict(omega, dim):
-    if isinstance(omega, dict):
-        return omega
-    arr = np.asarray(omega, float)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise ValueError("omega must be (n_generators, dim)")
-    return {i + 1: arr[i] for i in range(arr.shape[0])}
 
 
 @dataclass
@@ -286,7 +266,6 @@ class CocycleBasis:
 
     vectors: np.ndarray
     rank: int
-    presentation: GroupPresentation = field(repr=False, default=None)
 
     @property
     def dimension(self):
@@ -336,4 +315,4 @@ def solve_cocycle_space(rho, presentation):
         )
     basis_rows = vt[rank:]
     vectors = basis_rows.reshape(basis_rows.shape[0], presentation.n_generators, dim)
-    return CocycleBasis(vectors=vectors, rank=rank, presentation=presentation)
+    return CocycleBasis(vectors=vectors, rank=rank)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from anosovlab.affine_deform import special_shape
 from anosovlab.fuchsian import sl2_eigenbasis
 from anosovlab.linalg import NumericalFailure, orthonormal_span
 from anosovlab.principal_rep import sym_power_rep
@@ -212,17 +213,19 @@ def neutral_vector(rho, word, basis, tol=1e-9):
     return NeutralVector(vector=x, word=tuple(word), certificate=certificate)
 
 
-def value_by_adjoint(direction, word, rho_e):
-    """Literal Ad-cocycle accumulation of a `DeformationDirection` along a
-    word: ρ̇_w = ρ̇_u + Ad(ρ_E(u)) ρ̇_v (moderate words only)."""
+def value_by_adjoint(omega, word, rho_e):
+    """Literal Ad-cocycle accumulation of the tangent ρ̇_g = ½·X_{ω_g} of a
+    `Cocycle` along a word: ρ̇_w = ρ̇_u + Ad(ρ_E(u)) ρ̇_v (moderate words
+    only)."""
     dim = rho_e.dim
+    generators = 0.5 * special_shape(omega.vectors, omega.rho.form.matrix)
     out = np.zeros((dim, dim))
     prefix = np.eye(dim)
     for letter in word:
         if letter > 0:
-            out = out + prefix @ direction.matrices[letter] @ np.linalg.inv(prefix)
+            out = out + prefix @ generators[letter - 1] @ np.linalg.inv(prefix)
             prefix = prefix @ rho_e.generator(letter)
         else:
             prefix = prefix @ rho_e.generator(letter)
-            out = out - prefix @ direction.matrices[-letter] @ np.linalg.inv(prefix)
+            out = out - prefix @ generators[-letter - 1] @ np.linalg.inv(prefix)
     return out

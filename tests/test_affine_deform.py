@@ -7,7 +7,6 @@ from anosovlab.affine_deform import (
     Cocycle,
     FiniteDeformation,
     coboundary,
-    deformation_direction,
     eigenvalue_derivative,
     margulis_invariant,
     margulis_invariants,
@@ -144,43 +143,42 @@ def test_margulis_invariants_multi(lab):
 
 @pytest.mark.parametrize("p", P_VALUES)
 class TestDeformationDirection:
+    """The tangent ρ̇_w = ½·X_{ω_w} of `Cocycle.tangent`."""
+
     def test_zero_cocycle_maps_to_zero(self, lab, p):
         zero = Cocycle(np.zeros((4, 2 * p - 1)), rho=lab.rho_v[p])
-        direction = deformation_direction(zero, lab.basis[p])
-        assert all(np.abs(m).max() == 0.0 for m in direction.matrices.values())
+        assert all(np.abs(zero.tangent((g,))).max() == 0.0 for g in range(1, 5))
+        assert np.abs(zero.tangent((1, -3, 2))).max() == 0.0
 
     def test_membership_and_antisymmetry(self, lab, p, rng):
         omega = make_cocycle(lab, p, 11)
-        direction = deformation_direction(omega, lab.basis[p])
         qe = lab.basis[p].form_e.matrix
         n = 2 * p - 1
-        for g, mat in direction.matrices.items():
+        for g in range(1, 5):
+            mat = omega.tangent((g,))
             # no V x V pairing: membership in the translation part
-            block = qe[:n, :n] @ mat[:n, :n]
             assert np.abs(mat[:n, :n]).max() <= 1e-12
             # antisymmetry with respect to the (p,p) form
             assert np.abs(mat.T @ qe + qe @ mat).max() <= 1e-10
 
     def test_pairing_reproduces_cocycle(self, lab, p, rng):
         omega = make_cocycle(lab, p, 12)
-        direction = deformation_direction(omega, lab.basis[p])
         qv = lab.basis[p].form_v.matrix
         f = lab.basis[p].f
         for g in range(1, 5):
-            image_f = direction.matrices[g] @ f
+            image_f = omega.tangent((g,)) @ f
             for _ in range(100):
                 v = rng.standard_normal(2 * p - 1)
-                lhs = float(omega[g] @ qv @ v)
+                lhs = float(omega.vectors[g - 1] @ qv @ v)
                 rhs = 2.0 * float(image_f[: 2 * p - 1] @ qv @ v)
                 assert abs(lhs - rhs) <= 1e-10 * max(1, abs(lhs))
 
     def test_extension_matches_adjoint_accumulation(self, lab, p):
         # the collapsed special-shape value equals the literal Ad-cocycle
         omega = make_cocycle(lab, p, 13)
-        direction = deformation_direction(omega, lab.basis[p])
         for w in [(1, 2), (2, -3, 1), (1, 1, 4)]:
-            value = direction.value(w)
-            adjoint = value_by_adjoint(direction, w, lab.rho_e[p])
+            value = omega.tangent(w)
+            adjoint = value_by_adjoint(omega, w, lab.rho_e[p])
             assert np.abs(value - adjoint).max() <= 1e-8 * max(
                 1, np.abs(value).max()
             )
@@ -189,10 +187,9 @@ class TestDeformationDirection:
 @pytest.mark.parametrize("p", P_VALUES)
 def test_eigenvalue_derivative_identity(lab, p, rng):
     omega = make_cocycle(lab, p, 21)
-    direction = deformation_direction(omega, lab.basis[p])
     for w in [(1,), (2, 1), (1, 2, -1, 4), (3, 3, 2)]:
         eig = eigendata_fuchsian(p, lab.sl2.evaluate(w), lab.basis[p])
-        rho_dot = direction.value(w)
+        rho_dot = omega.tangent(w)
         lam_dot, lam_bar_dot = eigenvalue_derivative(eig, rho_dot)
         alpha = margulis_invariant(lab.rho_v[p], omega, w, lab.basis[p])
         assert abs(lam_dot[p - 1] - 0.5 * alpha) <= 1e-6 * max(1e-12, abs(0.5 * alpha))
@@ -218,32 +215,28 @@ def test_ping_pong_certificate(lab):
 class TestFiniteDeformation:
     def test_t_zero_restricts(self, lab, p):
         omega = make_cocycle(lab, p, 31)
-        direction = deformation_direction(omega, lab.basis[p])
-        fin = FiniteDeformation(lab.rho_e[p], [direction], (1, 2), 0.0)
+        fin = FiniteDeformation(lab.rho_e[p], omega.vectors[None], (1, 2), 0.0)
         for w in [(1,), (2, -1), (1, 2, 2)]:
             assert np.abs(fin.evaluate(w)[0] - lab.rho_e[p].evaluate(w)).max() <= 1e-12
 
     def test_form_preservation(self, lab, p):
         omega = make_cocycle(lab, p, 32)
-        direction = deformation_direction(omega, lab.basis[p])
-        fin = FiniteDeformation(lab.rho_e[p], [direction], (1, 2), 1e-3)
+        fin = FiniteDeformation(lab.rho_e[p], omega.vectors[None], (1, 2), 1e-3)
         qe = lab.basis[p].form_e.matrix
         for w in [(1,), (2,), (1, 2, -1)]:
             assert form_residual(fin.evaluate(w)[0], qe) <= 1e-10
 
     def test_rejects_words_outside_the_subgroup(self, lab, p):
         omega = make_cocycle(lab, p, 33)
-        direction = deformation_direction(omega, lab.basis[p])
-        fin = FiniteDeformation(lab.rho_e[p], [direction], (1, 2), 1e-4)
+        fin = FiniteDeformation(lab.rho_e[p], omega.vectors[None], (1, 2), 1e-4)
         with pytest.raises(ValueError):
             fin.evaluate((3,))
 
     def test_central_difference_matches_formula(self, lab, p):
         omega = make_cocycle(lab, p, 34)
-        direction = deformation_direction(omega, lab.basis[p])
         t = 1e-4
-        plus = FiniteDeformation(lab.rho_e[p], [direction], (1, 2), t)
-        minus = FiniteDeformation(lab.rho_e[p], [direction], (1, 2), -t)
+        plus = FiniteDeformation(lab.rho_e[p], omega.vectors[None], (1, 2), t)
+        minus = FiniteDeformation(lab.rho_e[p], omega.vectors[None], (1, 2), -t)
         for w in [(1,), (1, 2), (2, 2, -1), (1, 2, -1, -2, 1)]:
             alpha = margulis_invariant(lab.rho_v[p], omega, w, lab.basis[p])
             pair = middle_pair(lab, p, w)
@@ -254,21 +247,20 @@ class TestFiniteDeformation:
             assert abs(fd - 0.5 * alpha) <= 1e-4 * max(1e-9, abs(0.5 * alpha))
 
     def test_stacked_directions_match_each_direction_alone(self, lab, p):
-        directions = [deformation_direction(make_cocycle(lab, p, s), lab.basis[p])
-                      for s in (35, 36, 37)]
+        vectors = np.array([make_cocycle(lab, p, s).vectors for s in (35, 36, 37)])
         w = (1, 2, -1, -2)
-        stacked = FiniteDeformation(lab.rho_e[p], directions, (1, 2), 1e-4)
+        stacked = FiniteDeformation(lab.rho_e[p], vectors, (1, 2), 1e-4)
         mu = stacked.middle_eigenvalue(w, middle_pair(lab, p, w))
         assert mu.shape == (3,)
         matrices = stacked.evaluate(w)
-        for d, matrix, value in zip(directions, matrices, mu):
-            alone = FiniteDeformation(lab.rho_e[p], [d], (1, 2), 1e-4)
+        for v, matrix, value in zip(vectors, matrices, mu):
+            alone = FiniteDeformation(lab.rho_e[p], v[None], (1, 2), 1e-4)
             assert np.abs(alone.evaluate(w)[0] - matrix).max() <= 1e-12
             assert abs(alone.middle_eigenvalue(w, middle_pair(lab, p, w))[0] - value) <= 1e-15
 
     def test_spectral_collision_raises(self, lab, p, monkeypatch):
-        direction = deformation_direction(make_cocycle(lab, p, 38), lab.basis[p])
-        fin = FiniteDeformation(lab.rho_e[p], [direction], (1, 2), 1e-4)
+        vectors = make_cocycle(lab, p, 38).vectors[None]
+        fin = FiniteDeformation(lab.rho_e[p], vectors, (1, 2), 1e-4)
         # the two Ritz lines are far apart; a tolerance above their gap
         # reports them as colliding
         monkeypatch.setattr(affine_deform, "MIDDLE_COLLISION_TOL", 2.0)

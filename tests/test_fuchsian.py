@@ -22,9 +22,9 @@ from anosovlab.fuchsian import (
     translation,
     translation_length,
 )
+from anosovlab.principal_rep import Representation
 from anosovlab.surface_group import (
     cyclic_reduce,
-    evaluate_word,
     format_word,
     inverse_word,
 )
@@ -34,7 +34,7 @@ from oracles import distance, mobius, orbit_distance
 
 def test_relator_holonomy_is_identity():
     presentation, gens = octagon_group()
-    holonomy = evaluate_word(presentation.relator, gens)
+    holonomy = Representation(gens).evaluate(presentation.relator)
     assert np.abs(holonomy - np.eye(2)).max() <= 1e-9
 
 
@@ -142,17 +142,19 @@ def test_ball_slack_stabilization(lab):
 def test_ball_matrices_match_their_words(lab):
     rng = np.random.default_rng(7)
     idx = rng.permutation(len(lab.ball))[:300]
+    rep = Representation(lab.sl2.generators)
     for i in idx:
-        m = evaluate_word(lab.ball.words[i], lab.sl2.generators)
+        m = rep.evaluate(lab.ball.words[i])
         stored = lab.ball.matrices[i]
         assert min(np.abs(m - stored).max(), np.abs(m + stored).max()) <= 1e-9
 
 
 def test_ball_inverse_symmetry(lab):
+    rep = Representation(lab.sl2.generators)
     for i in np.random.default_rng(11).permutation(len(lab.ball))[:200]:
         w = lab.ball.words[i]
         d = lab.ball.distances[i]
-        d_inv = orbit_distance(evaluate_word(inverse_word(w), lab.sl2.generators))
+        d_inv = orbit_distance(rep.evaluate(inverse_word(w)))
         assert abs(d - d_inv) <= 1e-9
 
 
@@ -358,7 +360,7 @@ def test_ball_memory_budget(monkeypatch):
 def test_distance_formulas_agree():
     _, gens = octagon_group()
     w = (1, 2, -3)
-    m = evaluate_word(w, gens)
+    m = Representation(gens).evaluate(w)
     assert abs(orbit_distance(m) - distance(1j, mobius(m, 1j))) <= 1e-10
     # translation along imaginary axis displaces the basepoint by t
     assert abs(orbit_distance(translation(1.3)) - 1.3) <= 1e-12

@@ -94,7 +94,8 @@ def test_critical_exponent_agrees_with_slope(lab):
 
 def test_bm_average_normalization(lab, spectrum8):
     spec, _ = spectrum8
-    value = bm_average(spec, (4.0, 8.0), observable=lambda r: r.length_hyp)
+    # with α replaced by ℓ the average is Σℓ/Σℓ
+    value = bm_average(spectrum_with_alpha(spec, spec.lengths()), (4.0, 8.0))
     assert abs(value - 1.0) <= 1e-12
 
 

@@ -134,10 +134,10 @@ def test_coboundaries_lie_in_cocycle_span(lab, rng):
 
 def test_extend_cocycle_rules(lab, rng):
     rho = lab.rho_v[2]
-    omega = {g: rng.standard_normal(rho.dim) for g in range(1, 5)}
+    omega = rng.standard_normal((4, rho.dim))
     assert np.abs(extend_cocycle(omega, (), rho)).max() == 0.0
     # two-letter rule
-    u, v = omega[1], omega[2]
+    u, v = omega[0], omega[1]
     value = extend_cocycle(omega, (1, 2), rho)
     assert np.abs(value - (u + rho.generator(1) @ v)).max() <= 1e-12
     # w w^-1 cancels
