@@ -55,8 +55,10 @@ from .spectra import (
     critical_exponent,
     entropy_estimate,
     length_spectrum,
+    multi_alphas,
     perturbed_entropy_scan,
     rms_alpha_rate,
+    spectrum_with_alpha,
 )
 from .surface_group import (
     GENERATOR_LABELS,
@@ -73,6 +75,11 @@ class ConfigError(ValueError):
 CHUNK = 512
 # the free pair of deriv-check's finite-difference route
 FREE_LETTERS = (1, 2)
+# deriv-check's finite-difference step t, scan's deformation parameters s
+# and transversality's floor on the separation of a triple's points
+FD_STEP = 1e-4
+S_GRID = (-0.05, 0.0, 0.05)
+SEPARATION = 0.2
 
 
 DEFAULTS = {
@@ -83,9 +90,6 @@ DEFAULTS = {
     "window": None,       # defaults to [radius - 4, radius]
     "seed": None,
     "count": 1000,
-    "separation": 0.2,
-    "t": 1e-4,
-    "s_grid": [-0.05, 0.0, 0.05],
     "source": "elements",
     "tolerance": 1e-9,
     "out": "out",
@@ -163,11 +167,15 @@ class Workspace:
         )
 
     def spectrum(self, omega=None):
+        """Class spectrum at the configured radius from a ball `margin`
+        beyond it; with a cocycle, its α column attached."""
         radius = self.config["radius"]
         ball = self.ball(radius + self.config["margin"])
-        return length_spectrum(
-            self.rho_v, ball, self.basis, omega=omega, radius=radius
-        )
+        spec = length_spectrum(self.rho_v, ball, self.basis, radius=radius)
+        if omega is None:
+            return spec
+        return spectrum_with_alpha(
+            spec, multi_alphas(spec, self.rho_v, self.basis, [omega])[:, 0])
 
     def window(self):
         if self.config["window"] is not None:
@@ -285,14 +293,14 @@ def spectrum_csv(spectrum, p):
     header = ["word", "word_length", "trace", "ell_hyp", "ell_lastroot", "alpha"]
     header += [f"lambda_{i}" for i in range(1, p + 1)]
     writer.writerow(header)
-    for rec in spectrum.records:
+    for rec, alpha in zip(spectrum.records, spectrum.alphas.tolist()):
         row = [
             format_word(rec.word),
             rec.word_length,
             float17(rec.trace),
             float17(rec.length_hyp),
             float17(rec.length_lastroot),
-            "" if math.isnan(rec.alpha) else float17(rec.alpha),
+            "" if math.isnan(alpha) else float17(alpha),
         ]
         row += [float17(v) for v in rec.lambdas]
         writer.writerow(row)
@@ -435,8 +443,7 @@ def sample_transversality(ws, count, seed, separation):
 
 def run_transversality(ws, out_dir):
     seed = need_seed(ws.config, "triple sampling")
-    rows = sample_transversality(ws, int(ws.config["count"]), seed,
-                                 float(ws.config["separation"]))
+    rows = sample_transversality(ws, int(ws.config["count"]), seed, SEPARATION)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["word_xy", "word_z", "separation", "margin"])
@@ -447,7 +454,7 @@ def run_transversality(ws, out_dir):
     margins = np.array([r[3] for r in rows])
     write_json(os.path.join(out_dir, "transversality.json"), {
         "count": len(rows),
-        "separation_floor": float17(float(ws.config["separation"])),
+        "separation_floor": float17(SEPARATION),
         "min_margin": float17(float(margins.min())),
         "median_margin": float17(float(np.median(margins))),
     })
@@ -555,11 +562,11 @@ def run_deriv_check(ws, out_dir):
     if not ok:
         raise NumericalFailure("free pair failed the ping-pong certificate")
     worst_formula, worst_lower, worst_fd = derivative_check(
-        ws, int(ws.config["count"]), seed, float(ws.config["t"])
+        ws, int(ws.config["count"]), seed, FD_STEP
     )
     write_json(os.path.join(out_dir, "deriv_check.json"), {
         "pairs": int(ws.config["count"]),
-        "t": float17(float(ws.config["t"])),
+        "t": float17(FD_STEP),
         "pingpong_separation": float17(sep),
         "max_rel_err_formula_vs_half_alpha": float17(worst_formula),
         "max_abs_lower_derivatives": float17(worst_lower),
@@ -574,7 +581,7 @@ def run_scan(ws, out_dir):
     omega = ws.cocycle()
     spec = ws.spectrum(omega)
     window = ws.window()
-    scan = perturbed_entropy_scan(spec, ws.config["s_grid"], window)
+    scan = perturbed_entropy_scan(spec, S_GRID, window)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["s", "estimate", "residual", "count"])
@@ -635,12 +642,13 @@ def main(argv=None):
         out_dir = config["out"]
         os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](workspace, out_dir)
-    except (ConfigError, ValueError) as exc:
-        print(json.dumps({"type": "config", "error": str(exc)}), file=sys.stderr)
-        return 1
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (NumericalFailure, MemoryError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"type": "numerical", "error": str(exc)}), file=sys.stderr)
         return 2
+    except (ConfigError, ValueError) as exc:
+        print(json.dumps({"type": "config", "error": str(exc)}), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -374,16 +374,15 @@ def word_form_residual(rho, word):
 
     Freely reduced words can still backtrack metrically, so intermediate
     prefix products may dwarf the final matrix; the residual of the
-    computed product is therefore measured against the largest scale the
-    multiplication chain actually passes through.
+    computed product (the last prefix, unmemoized) is therefore measured
+    against the largest scale the multiplication chain actually passes through.
     """
     q = rho.form.matrix
-    m = rho.evaluate(word)
     scale = 1.0
-    prefix = np.eye(rho.dim)
+    m = np.eye(rho.dim)
     for letter in word:
-        prefix = prefix @ rho.generator(letter)
-        scale = max(scale, float(np.abs(prefix).max()) ** 2)
+        m = m @ rho.generator(letter)
+        scale = max(scale, float(np.abs(m).max()) ** 2)
     residual = np.abs(m.T @ q @ m - q).max()
     return float(residual / scale)
 

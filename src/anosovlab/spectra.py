@@ -1,9 +1,9 @@
 """Length spectra, entropy estimators, and orbit-averaged invariants.
 
 A LengthSpectrum is the per-conjugacy-class digest of an orbit ball:
-hyperbolic length, last-root length (log λ_p + log λ_{p-1}), Margulis
-invariant when a cocycle is supplied, and the eigenvalue list. Classes are
-extracted by conjugacy canonicalization of ball words and enriched through
+hyperbolic length, last-root length (log λ_p + log λ_{p-1}) and eigenvalue
+list per class, and a Margulis-invariant column attached per cocycle. Classes
+are extracted by conjugacy canonicalization of ball words and enriched through
 the structural eigen route, so the records stay accurate at radius 12 and
 beyond.
 
@@ -50,16 +50,15 @@ class LengthFunctional:
 
 @dataclass
 class ClassRecord:
-    """One conjugacy class: canonical word, lengths, spectrum, invariant."""
+    """One conjugacy class: canonical word, |trace|, lengths, E-eigenvalues
+    (its α depends on a cocycle too and lives in `LengthSpectrum.alphas`)."""
 
     word: tuple
     trace: float
     length_hyp: float
     length_lastroot: float
-    sl2_eigenvalue: float
     lambdas: np.ndarray
     lambdas_bar: np.ndarray
-    alpha: float = math.nan
 
     @property
     def word_length(self):
@@ -68,14 +67,16 @@ class ClassRecord:
 
 @dataclass
 class LengthSpectrum:
-    """Per-class records below a radius, sorted by hyperbolic length."""
+    """Per-class records below a radius, sorted by hyperbolic length, and
+    `alphas`, one cocycle's Margulis invariant per record (NaN without one)."""
 
     p: int
     radius: float
     ball_radius: float
     slack: float
     records: list
-    dropped: int = 0
+    dropped: int
+    alphas: np.ndarray
 
     def __len__(self):
         return len(self.records)
@@ -87,9 +88,7 @@ class LengthSpectrum:
         if functional.tag == "last_root":
             return np.array([r.length_lastroot for r in self.records])
         if functional.tag == "perturbed":
-            values = np.array(
-                [r.length_hyp + functional.scale * 0.5 * r.alpha for r in self.records]
-            )
+            values = self.lengths() + functional.scale * 0.5 * self.alphas
             if np.any(~np.isfinite(values)):
                 raise ValueError("perturbed lengths need a cocycle-bearing spectrum")
             if values.min() <= 0:
@@ -100,11 +99,8 @@ class LengthSpectrum:
             return values
         raise ValueError(f"unknown functional {functional.tag}")
 
-    def alphas(self):
-        return np.array([r.alpha for r in self.records])
 
-
-def length_spectrum(rho, ball, basis, omega=None, *, radius):
+def length_spectrum(rho, ball, basis, *, radius):
     """Assemble the conjugacy-class spectrum from an orbit ball.
 
     Classes are the canonical cyclic words of ball elements with
@@ -118,9 +114,8 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
     The elements come from `_ball_classes`: the hyperbolic cyclic words of
     `ball.cyclic_words`, then `conjugacy_canonical` once per cyclic word,
     memoized on its min_rotation. Each record is built from the class's
-    SL(2,R) eigenvalue alone (`_class_record`). With a cocycle, the α
-    column comes from one batched `margulis_invariants` call over all
-    classes.
+    SL(2,R) eigenvalue alone (`_class_record`). The α column is NaN;
+    `spectrum_with_alpha` attaches a cocycle's.
 
     Parameters
     ----------
@@ -128,8 +123,6 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
         The (2p-1)-dimensional principal representation (with SL(2,R) base).
     ball : BallEnumeration
     basis : PrincipalBasis
-    omega : Cocycle, optional
-        If given, each record carries the Margulis invariant.
     radius : float
         Class-length cutoff; required, keyword only.
     """
@@ -145,14 +138,10 @@ def length_spectrum(rho, ball, basis, omega=None, *, radius):
         except NumericalFailure:
             failed.add(letters)
     records = sorted(seen.values(), key=lambda r: (r.length_hyp, r.word))
-    spectrum = LengthSpectrum(
+    return LengthSpectrum(
         p=p, radius=float(radius), ball_radius=ball.radius, slack=ball.slack,
-        records=records, dropped=len(failed),
+        records=records, dropped=len(failed), alphas=np.full(len(records), math.nan),
     )
-    if omega is not None:
-        spectrum = spectrum_with_alpha(
-            spectrum, multi_alphas(spectrum, rho, basis, [omega])[:, 0])
-    return spectrum
 
 
 def _ball_classes(ball, radius):
@@ -192,8 +181,7 @@ def _class_record(word, sl2, basis):
     lastroot = float(np.log(lambdas[p - 1]) + np.log(lambdas[p - 2]))
     return ClassRecord(
         word=word, trace=trace, length_hyp=ell, length_lastroot=lastroot,
-        sl2_eigenvalue=math.exp(ell / 2.0), lambdas=lambdas,
-        lambdas_bar=lambdas_bar,
+        lambdas=lambdas, lambdas_bar=lambdas_bar,
     )
 
 
@@ -210,10 +198,9 @@ def multi_alphas(spectrum, rho, basis, omegas):
 
 
 def spectrum_with_alpha(spectrum, alphas):
-    """Copy of a spectrum with the α column replaced."""
-    records = [replace(rec, alpha=float(a))
-               for rec, a in zip(spectrum.records, alphas)]
-    return replace(spectrum, records=records)
+    """The spectrum with its α column replaced by a copy of `alphas`, one
+    value per record; the records list is shared, not copied."""
+    return replace(spectrum, alphas=np.array(alphas, dtype=float))
 
 
 @dataclass
@@ -314,7 +301,7 @@ def bm_average(spectrum, window, weighted=False):
     mask = (lengths >= t0) & (lengths <= t1)
     if not mask.any():
         raise ValueError("empty window for bm_average")
-    obs = spectrum.alphas()[mask]
+    obs = spectrum.alphas[mask]
     if np.any(~np.isfinite(obs)):
         raise ValueError("spectrum carries no Margulis invariants")
     ell = lengths[mask]
@@ -329,7 +316,7 @@ def rms_alpha_rate(spectrum, window):
     t0, t1 = window
     lengths = spectrum.lengths()
     mask = (lengths >= t0) & (lengths <= t1)
-    rates = spectrum.alphas()[mask] / lengths[mask]
+    rates = spectrum.alphas[mask] / lengths[mask]
     return float(np.sqrt(np.mean(rates**2)))
 
 
@@ -396,45 +383,29 @@ def anosov_gap_report(spectrum, tol=1e-9):
 
     Per class: λ_p = 1 (SO(p,p-1) locus), λ_i λ̄_i = 1, strict ordering
     λ_1 > ... > λ_p, and λ_{p-1}·λ_p strictly minimal among the products
-    λ_i λ_j (i < j ≤ p) while staying > 1.
+    λ_i λ_j (i < j ≤ p) while staying > 1. The classes are checked
+    together on the stacked (n_classes, p) tables of λ and λ̄; a minimum
+    over no classes, or over no other products (p = 2), is inf.
     """
     p = spectrum.p
-    unit = pairing = ordering = product = 0
-    min_gap = math.inf
-    min_prod_gap = math.inf
-    for rec in spectrum.records:
-        lam = rec.lambdas
-        if abs(lam[p - 1] - 1.0) > tol:
-            unit += 1
-        if np.abs(lam * rec.lambdas_bar - 1.0).max() > tol:
-            pairing += 1
-        diffs = -np.diff(lam)
-        if diffs.size:
-            min_gap = min(min_gap, float(diffs.min()))
-            if diffs.min() <= tol:
-                ordering += 1
-        prods = [
-            (lam[i] * lam[j], (i + 1, j + 1))
-            for i in range(p)
-            for j in range(i + 1, p)
-        ]
-        last_root = lam[p - 2] * lam[p - 1]
-        others = [v for v, ij in prods if ij != (p - 1, p)]
-        if last_root <= 1.0 + tol:
-            product += 1
-        if others:
-            gap = min(others) - last_root
-            min_prod_gap = min(min_prod_gap, float(gap))
-            if gap <= tol:
-                product += 1
+    lam = np.reshape([rec.lambdas for rec in spectrum.records], (-1, p))
+    lam_bar = np.reshape([rec.lambdas_bar for rec in spectrum.records], (-1, p))
+    row_gaps = (-np.diff(lam, axis=1)).min(axis=1)
+    last_root = lam[:, p - 2] * lam[:, p - 1]
+    i, j = np.triu_indices(p, 1)
+    others = i < p - 2  # every pair i < j but the last root's (p-2, p-1)
+    product_gaps = (lam[:, i[others]] * lam[:, j[others]]).min(
+        axis=1, initial=math.inf) - last_root
     return GapReport(
         classes=len(spectrum.records),
-        unit_middle_violations=unit,
-        pairing_violations=pairing,
-        ordering_violations=ordering,
-        product_gap_violations=product,
-        min_ordering_gap=min_gap,
-        min_product_gap=min_prod_gap,
+        unit_middle_violations=int(np.count_nonzero(np.abs(lam[:, p - 1] - 1.0) > tol)),
+        pairing_violations=int(np.count_nonzero(
+            np.abs(lam * lam_bar - 1.0).max(axis=1) > tol)),
+        ordering_violations=int(np.count_nonzero(row_gaps <= tol)),
+        product_gap_violations=int(np.count_nonzero(last_root <= 1.0 + tol)
+                                   + np.count_nonzero(product_gaps <= tol)),
+        min_ordering_gap=float(row_gaps.min(initial=math.inf)),
+        min_product_gap=float(product_gaps.min(initial=math.inf)),
     )
 
 

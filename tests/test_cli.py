@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from anosovlab import cli, fuchsian
+from anosovlab import cli, fuchsian, spectra
 from anosovlab.affine_deform import FiniteDeformation
 from anosovlab.cli import derivative_check, main, sample_transversality
 from anosovlab.flag_geometry import transversality_margin
@@ -113,6 +113,12 @@ def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(tmp_path, "entropy", {"bogus_key": 1})
     assert code == 1
 
+    # the finite-difference step is the constant cli.FD_STEP, not a key
+    capsys.readouterr()
+    code, _ = run_cli(tmp_path, "deriv-check", {"seed": 1, "t": 1e-3})
+    assert code == 1
+    assert "unknown config keys: ['t']" in json.loads(capsys.readouterr().err)["error"]
+
     # the group is always the genus-2 octagon group; there is no such key
     code, _ = run_cli(tmp_path, "entropy", {"group": "genus2-octagon"})
     assert code == 1
@@ -139,6 +145,47 @@ def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "config" and "MAX_BALL_ELEMENTS" in err["error"]
+
+
+def test_linalg_error_exits_as_numerical(tmp_path, capsys, monkeypatch):
+    # np.linalg.LinAlgError subclasses ValueError, which is a config error
+    def singular(ws, out_dir):
+        np.linalg.solve(np.zeros((2, 2)), np.ones(2))
+
+    monkeypatch.setitem(cli.COMMANDS, "check-rep", singular)
+    code, _ = run_cli(tmp_path, "check-rep")
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"type": "numerical", "error": "Singular matrix"}
+
+
+# spectrum.csv and margulis.csv of {"cocycle": "random", "seed": 3,
+# "radius": 8.0}, measured while α was still a field of every class record
+# (the two files are the same table)
+PINNED_SPECTRUM_CSV_SHA256 = {
+    2: "95cbaed57113a8ddad8846f57ed5cd4ed0aaa71b87a1a841a70f57cada6e95b5",
+    3: "a1e34761418340f0e3c98eea97163a00840a70162fc6a7b2a94e253cc13364c0",
+}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_spectrum_csv_bytes_pinned(tmp_path, p):
+    config = {"cocycle": "random", "seed": 3, "radius": 8.0, "p": p}
+    for command, name in (("spectrum", "spectrum.csv"), ("margulis", "margulis.csv")):
+        code, out = run_cli(tmp_path / command, command, config)
+        assert code == 0
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == PINNED_SPECTRUM_CSV_SHA256[p], command
+    # attaching α shares the records and copies the column
+    ws = cli.Workspace(dict(cli.DEFAULTS, **config))
+    spec = ws.spectrum()
+    alphas = spectra.multi_alphas(spec, ws.rho_v, ws.basis, [ws.cocycle()])[:, 0]
+    attached = spectra.spectrum_with_alpha(spec, alphas)
+    assert attached.records is spec.records
+    assert not np.shares_memory(attached.alphas, alphas)
+    assert np.isnan(spec.alphas).all() and len(spec.alphas) == len(spec)
+    csv_bytes = cli.spectrum_csv(attached, p).encode()
+    assert hashlib.sha256(csv_bytes).hexdigest() == PINNED_SPECTRUM_CSV_SHA256[p]
 
 
 def test_entropy_names_a_thin_default_window(tmp_path, capsys):
@@ -286,7 +333,6 @@ SETTABLE_PARAMETERS = {
     "spectra.bm_average(weighted)": "cli margulis",
     "spectra.anosov_gap_report(tol)": "benchmark/session.py, the acceptance tests",
     "spectra.LengthSpectrum.lengths(functional)": "perturbed_entropy_scan, the tests",
-    "spectra.length_spectrum(omega)": "cli.Workspace.spectrum",
     "cli.Workspace.ball(radius)": "the samplers' pools and Workspace.spectrum",
     "cli.Workspace.spectrum(omega)": "cli spectrum, margulis and scan",
     "cli.main(argv)": "the tests and the benchmark's traced CLI",
@@ -346,6 +392,37 @@ def test_src_modules_use_every_import():
     unused = {path.name: _unused_imports(ast.parse(path.read_text()))
               for path in sorted(package.glob("*.py")) if path.name != "__init__.py"}
     assert {name: found for name, found in unused.items() if found} == {}
+
+
+def _dead_private_helpers(trees):
+    """Private functions and methods (`_name`, not dunders) defined in the
+    parsed modules that no node of them references by name or attribute."""
+    defined = {}
+    referenced = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{module}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in referenced)
+
+
+def test_dead_private_helpers_helper_sees_one():
+    tree = ast.parse("def _used():\n    pass\n\ndef _dead():\n    pass\n\n"
+                     "class A:\n    def __init__(self):\n        self._m()\n\n"
+                     "    def _m(self):\n        _used()\n")
+    assert _dead_private_helpers({"m": tree}) == ["_dead (m:4)"]
+
+
+def test_src_modules_have_no_dead_private_helpers():
+    package = pathlib.Path(cli.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert _dead_private_helpers(trees) == []
 
 
 class LabWorkspace:

@@ -1,4 +1,6 @@
 import hashlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,8 +28,9 @@ from anosovlab.spectra import (
 @pytest.fixture(scope="module")
 def spectrum8(lab):
     omega = lab.random_cocycle(2, 1)
-    return length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2],
-                           omega=omega, radius=8.0), omega
+    spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=8.0)
+    return spectrum_with_alpha(
+        spec, multi_alphas(spec, lab.rho_v[2], lab.basis[2], [omega])[:, 0]), omega
 
 
 def test_lastroot_equals_hyperbolic_at_fuchsian_point(lab, spectrum8):
@@ -101,18 +104,19 @@ def test_bm_average_normalization(lab, spectrum8):
 
 def test_bm_average_coboundary_control(lab, rng):
     cob = coboundary(lab.rho_v[2], rng.standard_normal(3))
-    spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2],
-                           omega=cob, radius=8.0)
+    spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=8.0)
+    spec = spectrum_with_alpha(
+        spec, multi_alphas(spec, lab.rho_v[2], lab.basis[2], [cob])[:, 0])
     assert abs(bm_average(spec, (4.0, 8.0))) <= 1e-8
-    assert np.abs(spec.alphas()).max() <= 1e-8
+    assert np.abs(spec.alphas).max() <= 1e-8
 
 
 def test_bm_average_cohomology_invariance(lab, rng, spectrum8):
     spec, omega = spectrum8
     shift = coboundary(lab.rho_v[2], rng.standard_normal(3))
     shifted = Cocycle(omega.vectors + shift.vectors, rho=lab.rho_v[2])
-    spec2 = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2],
-                            omega=shifted, radius=8.0)
+    spec2 = spectrum_with_alpha(
+        spec, multi_alphas(spec, lab.rho_v[2], lab.basis[2], [shifted])[:, 0])
     a = bm_average(spec, (4.0, 8.0))
     b = bm_average(spec2, (4.0, 8.0))
     assert abs(a - b) <= 1e-8
@@ -127,9 +131,9 @@ def test_bm_average_empty_window(lab, spectrum8):
 def test_multi_alphas_consistency(lab, spectrum8):
     spec, omega = spectrum8
     batch = multi_alphas(spec, lab.rho_v[2], lab.basis[2], [omega])
-    assert np.abs(batch[:, 0] - spec.alphas()).max() <= 1e-10
+    assert np.abs(batch[:, 0] - spec.alphas).max() <= 1e-10
     relabeled = spectrum_with_alpha(spec, batch[:, 0])
-    assert np.abs(relabeled.alphas() - spec.alphas()).max() <= 1e-10
+    assert np.abs(relabeled.alphas - spec.alphas).max() <= 1e-10
 
 
 def test_perturbed_scan_basics(lab, spectrum8):
@@ -170,6 +174,11 @@ def test_gap_report_clean(lab, p):
     assert report.min_ordering_gap > 1e-9
     if p == 3:
         assert report.min_product_gap > 0
+    else:  # λ_1·λ_2 is the only product
+        assert report.min_product_gap == math.inf
+    empty = anosov_gap_report(replace(spec, records=[]))
+    assert (empty.classes, empty.total_violations) == (0, 0)
+    assert empty.min_ordering_gap == empty.min_product_gap == math.inf
 
 
 def test_gap_products_match_eigenvalue_law(lab):
@@ -177,7 +186,7 @@ def test_gap_products_match_eigenvalue_law(lab):
     # ordering lambda_2*lambda_3 < lambda_1*lambda_3 < lambda_1*lambda_2
     spec = length_spectrum(lab.rho_v[3], lab.ball, lab.basis[3], radius=7.0)
     for rec in spec.records[:50]:
-        lam = rec.sl2_eigenvalue
+        lam = math.exp(rec.length_hyp / 2.0)
         expected = np.array([lam ** 4, lam ** 2, 1.0])
         assert np.allclose(rec.lambdas, expected, rtol=1e-9)
         products = sorted(
