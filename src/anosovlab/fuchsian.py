@@ -18,13 +18,15 @@ root. Equal keys mean equal elements up to the radius + slack
 KEY_HORIZON (proof in `enumerate_ball`), so there is no tolerance and no
 merge pass. Keys are sorted and looked up by their first 64-bit column,
 and every hash match is confirmed on the whole key. Words are kept as
-letter-code arrays during the search and become tuples only for elements
-inside the radius. The traversal is level-synchronous with canonical
-tie-breaks, so the output is independent of internal evaluation order.
+int8 letter arrays during the search and in the returned ball; they
+become tuples only when `BallEnumeration.words` is first read. The
+traversal is level-synchronous with canonical tie-breaks, so the output
+is independent of internal evaluation order.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -214,20 +216,38 @@ class BallEnumeration:
 
     Each element appears once: elements are deduplicated by exact residue
     keys, keeping the code-smallest of the shortest words. −I is not in
-    the group, so each isometry has one matrix here. `matrices`, `words`
-    and `distances` are aligned and sorted by (distance, word length,
-    word).
+    the group, so each isometry has one matrix here. `matrices`,
+    `distances`, `letters`, `word_lengths` and `words` are aligned and
+    sorted by (distance, word length, word).
+
+    `letters` holds each word as an int8 row of letters (±1..±4),
+    zero-padded to the longest word, and `word_lengths` its length.
+    `words`, the same words as tuples, is built once, on first read, so
+    callers that only count or read distances never pay for the tuples.
     """
 
     radius: float
     slack: float
     matrices: np.ndarray
     distances: np.ndarray
-    words: list
+    letters: np.ndarray = field(repr=False)
+    word_lengths: np.ndarray = field(repr=False)
     presentation: GroupPresentation = field(repr=False, default=None)
 
     def __len__(self):
         return len(self.distances)
+
+    @cached_property
+    def words(self):
+        """The word of each element as a tuple of letters.
+
+        Read row by row through a memoryview of the int8 letters, so no
+        list of every padded row is held while the tuples are built.
+        """
+        width = self.letters.shape[1]
+        flat = memoryview(self.letters.reshape(-1))
+        return [tuple(flat[i * width:i * width + n])
+                for i, n in enumerate(self.word_lengths.tolist())]
 
     def count(self, radius):
         """N(T') = number of elements with d(o, γo) ≤ T', for T' ≤ T."""
@@ -327,14 +347,39 @@ def _key_hash(keys):
     return keys[:, 0]
 
 
+def _stable_argsort(values):
+    """`np.argsort(values, kind="stable")` from one default sort, and the
+    mask of sorted positions whose value equals the next one.
+
+    The default sort is several times faster on 64-bit integers but
+    leaves the order of equal values open. Inside each run of equal
+    values the indices are put back in input order by one sort of the
+    distinct numbers run·n + index (below 2^63 for n < 3·10⁹), which
+    gives exactly the stable order.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    ties = ordered[1:] == ordered[:-1]
+    if ties.any():
+        n = len(order)
+        follows = np.concatenate(([False], ties))
+        at = np.flatnonzero(follows | np.concatenate((ties, [False])))
+        run = np.cumsum(~follows[at])
+        packed = run * n + order[at]
+        packed.sort()
+        order[at] = packed % n
+    return order, ties
+
+
 def _first_occurrences(hashes, keys):
     """Indices of the first occurrence of each distinct key, in hash order.
 
-    The sorts are stable, so within a group of equal keys the element
-    that comes first in the input is kept.
+    The order is the stable one (`_stable_argsort`, or `np.lexsort` when
+    two different keys share a hash), so within a group of equal keys the
+    element that comes first in the input is kept.
     """
-    order = np.argsort(hashes, kind="stable")
-    pairs = np.flatnonzero(hashes[order[1:]] == hashes[order[:-1]])
+    order, ties = _stable_argsort(hashes)
+    pairs = np.flatnonzero(ties)
     same = (keys[order[pairs + 1]] == keys[order[pairs]]).all(axis=1)
     if not same.all():
         # two different keys share a hash: order exactly within each hash
@@ -356,24 +401,36 @@ def _stored_keys(store, offsets, rows):
     return out
 
 
-def _contained(index_hashes, index_rows, store, offsets, hashes, keys):
-    """Mask of keys present in the `seen` store (exact compare).
+def _contained(index_hashes, index_rows, store, offsets, hashes, keys, rows):
+    """Mask of the keys `keys[rows]`, whose hashes are `hashes`, present in
+    the `seen` store (exact compare), and the positions
+    `np.searchsorted(index_hashes, hashes)` it looked them up at.
 
     `index_hashes` is sorted and `index_rows` holds the global store row of
-    each entry; every entry with a matching hash is compared on its key.
+    each entry; every entry with a matching hash is compared on its key,
+    and only the keys with a match are gathered.
     """
+    positions = np.searchsorted(index_hashes, hashes)
     last = len(index_hashes) - 1
-    at = np.minimum(np.searchsorted(index_hashes, hashes), last)
+    at = np.minimum(positions, last)
     found = np.zeros(len(hashes), dtype=bool)
     pending = np.flatnonzero(index_hashes[at] == hashes)
     while len(pending):
         # compare with the next seen entry of the same hash
         stored = _stored_keys(store, offsets, index_rows[at[pending]])
-        found[pending] = (stored == keys[pending]).all(axis=1)
+        found[pending] = (stored == keys[rows[pending]]).all(axis=1)
         pending = pending[~found[pending] & (at[pending] < last)]
         at[pending] += 1
         pending = pending[index_hashes[at[pending]] == hashes[pending]]
-    return found
+    return found, positions
+
+
+def _merged(old, kept, slots, values):
+    """`old` at the positions `kept` and `values` at `slots` of a new array."""
+    out = np.empty(len(kept), dtype=old.dtype)
+    out[slots] = values
+    out[kept] = old
+    return out
 
 
 def enumerate_ball(generators, radius, slack=2.0, presentation=None):
@@ -384,12 +441,15 @@ def enumerate_ball(generators, radius, slack=2.0, presentation=None):
     the entries modulo the two KEY_PRIMES (see `_child_keys`). Keys are
     sorted and looked up by their first int64 column, and every hash
     match is confirmed on the whole key. Keys of earlier levels live in
-    an append-only store of per-level blocks; the frontier's keys are read
-    from the last block, and only a hash-sorted (hash, row) index is
-    merged level by level. Each level is kept in code-lexicographic word
+    an append-only store of per-level blocks, each in its level's frontier
+    order, so the frontier's keys are the last block; only a hash-sorted
+    (hash, row) index is merged level by level, at the positions the
+    lookup already found. Each level is kept in code-lexicographic word
     order, so the element kept for a key is the code-smallest of its
-    shortest words (a1 < b1 < a2 < b2 < a1⁻¹ < … < b2⁻¹). Word tuples are
-    built only for elements within `radius`.
+    shortest words (a1 < b1 < a2 < b2 < a1⁻¹ < … < b2⁻¹). A level's
+    matrices are entry-major and its temporaries are released before the
+    next level allocates. Words are int8 letter rows throughout; the
+    returned ball builds tuples only when `words` is first read.
 
     Why equal keys mean equal elements. Write K = Q(θ) with f(θ) = 0.
     Every group element has its 8·entries in Z[θ] (the lattice
@@ -463,108 +523,132 @@ def enumerate_ball(generators, radius, slack=2.0, presentation=None):
     gram = gens @ gens.transpose(0, 2, 1)
     norm_cap = 2.0 * np.cosh(horizon) * (1.0 + 1e-9)
 
+    # matrices are held entry-major, (4, n) with row 2i + k holding entry
+    # (i, k), so each step of the products runs on contiguous rows
+    gen_entries = gens.reshape(-1, 4).T.copy()
+
     # letters: 0..n-1 positive, n..2n-1 inverse; inverse code of c is (c+n) mod 2n
     codes = np.arange(n_codes, dtype=np.int16)
     letters = np.where(codes < n_gen, codes + 1, -(codes - n_gen + 1)).astype(np.int8)
 
     # the frontier is kept in code-lexicographic word order
-    frontier_mats = np.eye(2)[None, :, :]
+    frontier_mats = np.eye(2).reshape(4, 1)
     frontier_codes = np.full(1, -1, dtype=np.int16)  # last letter codes
-    frontier_words = np.zeros((1, 0), dtype=np.int16)
+    frontier_words = np.zeros((1, 0), dtype=np.int8)  # letters
 
     ball_mats = [frontier_mats]
     ball_dists = [np.zeros(1)]
     ball_words = [frontier_words]
 
-    # `seen`: append-only blocks of keys, one per level, and a hash-sorted
-    # index of (hash, global row) that new keys are merged into; the
-    # frontier's keys are the last block's rows `frontier_rows`
+    # `seen`: append-only blocks of keys, one per level and each in its
+    # level's frontier order, and a hash-sorted index of (hash, global row)
+    # that new keys are merged into
     identity = np.array([[1, 0, 0, 1] * len(KEY_PRIMES)], dtype=np.int32)
     store = [identity.view(np.int64)]
-    frontier_rows = np.zeros(1, dtype=np.intp)
     offsets = np.zeros(1, dtype=np.int64)
     index_hashes = _key_hash(store[0])
     # the count estimate bounds the store well below 2^31 rows
     index_rows = np.zeros(1, dtype=np.int32)
     total = 1
     depth = 0
-    while len(frontier_mats):
+    while len(frontier_codes):
         depth += 1
         # ‖F·g‖² = Σ_jl (FᵀF)_jl (g gᵀ)_jl: the squared norms of all
         # children from the Gram matrix of each parent, one letter at a time
-        rows = frontier_mats.reshape(-1, 4)
-        diagonal0 = rows[:, 0] ** 2 + rows[:, 2] ** 2
-        off_diagonal = 2.0 * (rows[:, 0] * rows[:, 1] + rows[:, 2] * rows[:, 3])
-        diagonal1 = rows[:, 1] ** 2 + rows[:, 3] ** 2
-        keep = np.empty((len(rows), n_codes), dtype=bool)
+        f = frontier_mats
+        diagonal0 = f[0] ** 2 + f[2] ** 2
+        off_diagonal = 2.0 * (f[0] * f[1] + f[2] * f[3])
+        diagonal1 = f[1] ** 2 + f[3] ** 2
+        keep = np.empty((len(frontier_codes), n_codes), dtype=bool)
         for c in range(n_codes):
             keep[:, c] = (diagonal0 * gram[c, 0, 0] + off_diagonal * gram[c, 0, 1]
                           + diagonal1 * gram[c, 1, 1]) <= norm_cap
-        del diagonal0, off_diagonal, diagonal1
+        del f, diagonal0, off_diagonal, diagonal1
         if depth > 1:
             keep &= codes != (frontier_codes[:, None] + n_gen) % n_codes
-        # row-major nonzero: children stay in code-lexicographic order
-        parent_idx, code_idx = np.nonzero(keep)
+        # row-major order: children stay in code-lexicographic order
+        parent_idx, code_idx = np.divmod(np.flatnonzero(keep), n_codes)
         del keep
         # only the survivors are formed, by the explicit 2×2 product
-        left, right = frontier_mats[parent_idx], gens[code_idx]
-        mats = np.empty((len(parent_idx), 2, 2))
+        left = np.take(frontier_mats, parent_idx, axis=1)
+        mats = np.empty_like(left)
         for i in range(2):
             for k in range(2):
-                mats[:, i, k] = (left[:, i, 0] * right[:, 0, k]
-                                 + left[:, i, 1] * right[:, 1, k])
-        del left, right
-        dists = np.arccosh(np.maximum(1.0, (mats**2).sum(axis=(1, 2)) / 2.0))
-        within = np.nonzero(dists <= horizon)[0]
-        mats, dists = mats[within], dists[within]
-        parent_idx, code_idx = parent_idx[within], code_idx[within]
+                entry = mats[2 * i + k]
+                np.multiply(left[2 * i], gen_entries[k][code_idx], out=entry)
+                entry += left[2 * i + 1] * gen_entries[2 + k][code_idx]
+        del left
+        # ‖M‖², summed in the entry order of (M**2).sum(axis=(1, 2))
+        dists = np.arccosh(np.maximum(
+            1.0, (mats[0] ** 2 + mats[1] ** 2 + mats[2] ** 2 + mats[3] ** 2) / 2.0))
+        within = dists <= horizon
+        if not within.all():
+            mats, dists = mats[:, within], dists[within]
+            parent_idx, code_idx = parent_idx[within], code_idx[within]
 
-        keys = _child_keys(store[-1], frontier_rows[parent_idx], code_idx, residues)
+        keys = _child_keys(store[-1], parent_idx, code_idx, residues)
         hashes = _key_hash(keys)
         # in-level dedup keeps the first, i.e. code-smallest, word per key;
         # cross-level dedup drops keys of earlier levels (shorter words)
         firsts = _first_occurrences(hashes, keys)
-        fresh = firsts[~_contained(index_hashes, index_rows, store, offsets,
-                                   hashes[firsts], keys[firsts])]
+        first_hashes = hashes[firsts]
+        found, positions = _contained(index_hashes, index_rows, store, offsets,
+                                      first_hashes, keys, firsts)
+        absent = ~found
+        fresh, fresh_hashes = firsts[absent], first_hashes[absent]  # hash order
+        # index entry j of the new keys goes to positions[j] + j
+        slots = positions[absent] + np.arange(len(fresh))
+        del hashes, firsts, first_hashes, found, positions, absent
 
-        # append the new keys as a block and merge their (hash, row)
-        # entries, already in hash order, into the index
-        store.append(keys[fresh])
+        # a scatter puts the new children back in code-lexicographic order;
+        # they become the frontier and, in that order, the next store block
+        rank = np.zeros(len(code_idx), dtype=np.int32)
+        rank[fresh] = 1
+        new = np.flatnonzero(rank)
+        rank[new] = np.arange(len(new), dtype=np.int32)
+        fresh_rows = total + rank[fresh]
+        del fresh, rank
+        store.append(keys[new])
         offsets = np.append(offsets, total)
-        at = np.searchsorted(index_hashes, hashes[fresh])
-        index_hashes = np.insert(index_hashes, at, hashes[fresh])
-        index_rows = np.insert(index_rows, at,
-                               np.arange(total, total + len(fresh), dtype=np.int32))
-        total += len(fresh)
-        del keys, hashes
-
-        frontier_rows = np.argsort(fresh)
-        new = fresh[frontier_rows]  # back to code-lexicographic order
-        frontier_mats, dists = mats[new], dists[new]
+        total += len(new)
+        del keys
+        frontier_mats, dists = np.take(mats, new, axis=1), dists[new]
+        del mats
         frontier_codes = code_idx[new].astype(np.int16)
         frontier_words = np.column_stack(
-            [frontier_words[parent_idx[new]], frontier_codes]
+            [frontier_words[parent_idx[new]], letters[frontier_codes]]
         )
+        del parent_idx, code_idx, new
+
+        # merge the new (hash, row) entries, already in hash order, into the
+        # index at the positions `_contained` found
+        kept = np.ones(len(index_hashes) + len(slots), dtype=bool)
+        kept[slots] = False
+        index_hashes = _merged(index_hashes, kept, slots, fresh_hashes)
+        index_rows = _merged(index_rows, kept, slots, fresh_rows)
+        del slots, fresh_hashes, fresh_rows, kept
+
         inside = dists <= radius
-        ball_mats.append(frontier_mats[inside])
-        ball_dists.append(dists[inside])
-        ball_words.append(frontier_words[inside])
+        if inside.any():
+            ball_mats.append(frontier_mats[:, inside])
+            ball_dists.append(dists[inside])
+            ball_words.append(frontier_words[inside])
+        del dists, inside
 
-    mats = np.concatenate(ball_mats)
+    mats = np.concatenate(ball_mats, axis=1)
     dists = np.concatenate(ball_dists)
-    lengths = np.concatenate([np.full(len(w), w.shape[1]) for w in ball_words])
-    padded = np.zeros((len(dists), depth), dtype=np.int8)
-    words = []
+    word_lengths = np.repeat([level.shape[1] for level in ball_words],
+                             [len(level) for level in ball_words])
+    padded = np.zeros((len(dists), ball_words[-1].shape[1]), dtype=np.int8)
     start = 0
-    for codes_of_level in ball_words:
-        spelled = letters[codes_of_level]
-        padded[start:start + len(spelled), :spelled.shape[1]] = spelled
-        words.extend(map(tuple, spelled.tolist()))
-        start += len(spelled)
+    for level in ball_words:
+        padded[start:start + len(level), :level.shape[1]] = level
+        start += len(level)
 
-    order = np.lexsort(tuple(padded.T[::-1]) + (lengths, dists))
+    order = np.lexsort(tuple(padded.T[::-1]) + (word_lengths, dists))
     return BallEnumeration(
-        radius=float(radius), slack=float(slack), matrices=mats[order],
-        distances=dists[order], words=[words[i] for i in order],
-        presentation=presentation,
+        radius=float(radius), slack=float(slack),
+        matrices=np.ascontiguousarray(mats.T[order]).reshape(-1, 2, 2),
+        distances=dists[order], letters=padded[order],
+        word_lengths=word_lengths[order], presentation=presentation,
     )

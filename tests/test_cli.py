@@ -77,6 +77,19 @@ def test_entropy_report(tmp_path):
     assert float(last[0]) == 9.0 and int(last[1]) > 1000
 
 
+def test_entropy_from_elements_leaves_word_tuples_unbuilt(tmp_path, monkeypatch):
+    balls = []
+
+    def recorded(*args, **kwargs):
+        balls.append(fuchsian.enumerate_ball(*args, **kwargs))
+        return balls[-1]
+
+    monkeypatch.setattr(cli, "enumerate_ball", recorded)
+    code, _ = run_cli(tmp_path, "entropy", {"seed": 1, "radius": 8.0})
+    assert code == 0 and len(balls) == 1
+    assert "words" not in vars(balls[0])
+
+
 def test_spectrum_and_determinism(tmp_path):
     # identical config + seed => byte-identical output, independent of the
     # BLAS thread count (fixed per process, hence one process per setting)

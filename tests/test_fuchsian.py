@@ -1,10 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from anosovlab import fuchsian
@@ -208,6 +211,76 @@ def test_ball_radius_11_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c2158cf2a400299c84d1d83a4f28e8be94ebfcc9b5a2ca3e526fe7d6a7ea40aa"
     )
+
+
+def test_ball_radius_11_bits_pinned():
+    # the ball in its own order, bit for bit: words, matrices and distances
+    _, gens = octagon_group()
+    ball = enumerate_ball(gens, 11.0, 2.0)
+    words = "\n".join(format_word(w) for w in ball.words)
+    digests = [hashlib.sha256(blob).hexdigest() for blob in (
+        words.encode(), ball.matrices.tobytes(), ball.distances.tobytes())]
+    assert digests == [
+        "e7b332e2af4c4bf26959585c44d1e5b4d1c860b227a905bac455c0d7fcb112e3",
+        "2202fb438f4478fb92e28aa03ab8397c50367a97349f68c2e7356e30fe5ecba0",
+        "4bdeeb603931be6c51fee3df691a5c70abd565a0e3eac63e87d024f4e0a169b2",
+    ]
+
+
+def test_ball_letters_spell_the_words(lab):
+    ball = lab.ball
+    assert ball.letters.dtype == np.int8 and len(ball.letters) == len(ball)
+    width = ball.letters.shape[1]
+    assert width == max(len(w) for w in ball.words)
+    for row, length, word in zip(ball.letters.tolist(), ball.word_lengths.tolist(),
+                                 ball.words):
+        assert tuple(row[:length]) == word and row[length:] == [0] * (width - length)
+
+
+def test_ball_memory_peak():
+    # tracemalloc sees numpy's buffers: the search's peak at R = 12 was
+    # 28.97 MiB before each level released its temporaries, 23.17 MiB after
+    _, gens = octagon_group()
+    tracemalloc.start()
+    try:
+        ball = enumerate_ball(gens, 12.0, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(ball) == 40_905
+    assert peak < 26.0 * 2**20
+
+
+@st.composite
+def _tied_integers(draw):
+    """int64 or uint64 arrays drawn from a pool of at most six values."""
+    dtype = draw(st.sampled_from([np.int64, np.uint64]))
+    info = np.iinfo(dtype)
+    pool = draw(st.lists(st.integers(int(info.min), int(info.max)),
+                         min_size=1, max_size=6))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=200))
+    return np.array([pool[i] for i in picks], dtype=dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tied_integers())
+def test_stable_argsort_is_the_stable_order(values):
+    order, ties = fuchsian._stable_argsort(values)
+    assert np.array_equal(order, np.argsort(values, kind="stable"))
+    ordered = values[order]
+    assert np.array_equal(ties, ordered[1:] == ordered[:-1])
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+def test_stable_argsort_edge_cases(dtype):
+    rng = np.random.default_rng(3)
+    cases = [np.array([], dtype=dtype), np.array([5], dtype=dtype),
+             np.full(1000, 7, dtype=dtype),
+             # long enough for the default sort to move equal values
+             rng.integers(0, 500, 100_000).astype(dtype)]
+    for values in cases:
+        order, _ = fuchsian._stable_argsort(values)
+        assert np.array_equal(order, np.argsort(values, kind="stable"))
 
 
 # exact arithmetic in Q(θ) = Q[θ]/(f), f = θ⁴ + 8θ³ + 12θ² + 16θ + 4; an
