@@ -19,7 +19,9 @@ KEY_HORIZON (proof in `enumerate_ball`), so there is no tolerance and no
 merge pass. Keys are sorted and looked up by their first 64-bit column,
 and every hash match is confirmed on the whole key. Words are kept as
 int8 letter arrays during the search and in the returned ball; they
-become tuples only when `BallEnumeration.words` is first read. The
+become tuples only when `BallEnumeration.words` is first read, and the
+closed orbits with their cyclic words (`BallEnumeration.closed_orbits`)
+are selected and peeled on the arrays. The
 traversal is level-synchronous with canonical tie-breaks, so the output
 is independent of internal evaluation order.
 """
@@ -223,7 +225,8 @@ class BallEnumeration:
     `letters` holds each word as an int8 row of letters (±1..±4),
     zero-padded to the longest word, and `word_lengths` its length.
     `words`, the same words as tuples, is built once, on first read, so
-    callers that only count or read distances never pay for the tuples.
+    callers that count, read distances or take closed orbits never pay
+    for the tuples.
     """
 
     radius: float
@@ -259,23 +262,66 @@ class BallEnumeration:
         """Cyclically reduced word and |trace| of each hyperbolic element
         of translation length ≤ `radius`, in ball order.
 
+        The tuples of `closed_orbits`, one per row, read through a
+        memoryview of its letter array; `words` is not built.
+        """
+        traces, cyclic, lengths = self.closed_orbits(radius)
+        width = cyclic.shape[1]
+        flat = memoryview(cyclic.reshape(-1))
+        for i, (n, trace) in enumerate(zip(lengths.tolist(), traces.tolist())):
+            yield tuple(flat[i * width:i * width + n]), trace
+
+    def closed_orbits(self, radius):
+        """|trace|, cyclic word and its length of each hyperbolic element
+        of translation length ≤ `radius`, in ball order, as arrays.
+
         The one rule for which ball elements are closed orbits: a |trace|
         bound over all of `matrices` at once (relative margin 1e-9), then
-        the exact test 2·acosh(t/2) ≤ radius + HYPERBOLIC_MARGIN. Ball
-        words are freely reduced, so peeling the wrap-around cyclically
-        reduces them; no matrix is evaluated.
+        the exact test 2·acosh(t/2) ≤ radius + HYPERBOLIC_MARGIN on each
+        bounded candidate. Ball words are freely reduced, so peeling the
+        wrap-around cyclically reduces them (`_peeled`); no matrix is
+        evaluated and no tuple is built. Row j of the int8 `cyclic` holds
+        its word in the first `lengths[j]` columns, zero-padded.
         """
-        traces = np.abs(self.matrices[:, 0, 0] + self.matrices[:, 1, 1])
+        traces = self.matrices[:, 0, 0] + self.matrices[:, 1, 1]
+        np.abs(traces, out=traces)
         bound = 2.0 * math.cosh(0.5 * (radius + HYPERBOLIC_MARGIN)) * (1.0 + 1e-9)
-        candidates = np.flatnonzero((traces > 2.0 + HYPERBOLIC_MARGIN)
-                                    & (traces <= bound))
-        for index, trace in zip(candidates.tolist(), traces[candidates].tolist()):
-            if 2.0 * math.acosh(trace / 2.0) > radius + HYPERBOLIC_MARGIN:
-                continue
-            word = self.words[index]
-            while len(word) >= 2 and word[0] == -word[-1]:
-                word = word[1:-1]
-            yield word, trace
+        rows = np.flatnonzero((traces > 2.0 + HYPERBOLIC_MARGIN) & (traces <= bound))
+        exact = [2.0 * math.acosh(t / 2.0) <= radius + HYPERBOLIC_MARGIN
+                 for t in traces[rows].tolist()]
+        rows = rows[np.array(exact, dtype=bool)]
+        cyclic, lengths = _peeled(self.letters[rows], self.word_lengths[rows])
+        return traces[rows], cyclic, lengths
+
+
+def _peeled(letters, lengths):
+    """Freely reduced words with their wrap-around cancelled: the int8
+    rows `letters` (row j's word in its first lengths[j] columns) and
+    their lengths after peeling every matching first/last letter pair.
+
+    Column j is compared with its mirror column lengths − 1 − j for the
+    rows still peeling, while at least two letters remain; a row stops
+    at its first mismatch. Peeled rows are shifted left and re-padded.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    peel = np.zeros(len(lengths), dtype=np.intp)
+    live = np.arange(len(lengths))
+    for j in range(letters.shape[1] // 2):
+        live = live[lengths[live] - 2 * j >= 2]
+        live = live[letters[live, j] == -letters[live, lengths[live] - 1 - j]]
+        if not live.size:
+            break
+        peel[live] += 1
+    cyclic = letters.copy()
+    lengths = lengths - 2 * peel
+    shifted = np.flatnonzero(peel)
+    columns = np.arange(letters.shape[1])
+    moved = np.take_along_axis(
+        letters[shifted],
+        np.minimum(peel[shifted, None] + columns, letters.shape[1] - 1), axis=1)
+    moved[columns >= lengths[shifted, None]] = 0
+    cyclic[shifted] = moved
+    return cyclic, lengths
 
 
 def _letter_residues(generators):

@@ -3,9 +3,11 @@
 A LengthSpectrum is the per-conjugacy-class digest of an orbit ball:
 hyperbolic length, last-root length (log λ_p + log λ_{p-1}) and eigenvalue
 list per class, and a Margulis-invariant column attached per cocycle. Classes
-are extracted by conjugacy canonicalization of ball words and enriched through
-the structural eigen route, so the records stay accurate at radius 12 and
-beyond.
+are extracted from the ball's letter array: the closed-orbit words are
+peeled to cyclic words and reduced to their least rotations as arrays, and
+each distinct cyclic word is canonicalized once per spectrum. Records are
+enriched through the structural eigen route, so they stay accurate at
+radius 12 and beyond.
 
 Entropy is estimated two independent ways: the least-squares slope of
 log N(T) over a window, and the critical exponent of the truncated
@@ -23,7 +25,7 @@ import numpy as np
 from .affine_deform import margulis_invariants
 from .fuchsian import sl2_eigenbasis, translation_length
 from .linalg import NumericalFailure
-from .surface_group import conjugacy_canonical, min_rotation
+from .surface_group import conjugacy_canonical
 
 MIN_WINDOW_COUNT = 100
 CRITICAL_EXPONENT_TOL = 1e-10
@@ -111,11 +113,11 @@ def length_spectrum(rho, ball, basis, *, radius):
     NumericalFailure are counted once each in `dropped` (must be zero for
     acceptance), any other error propagates.
 
-    The elements come from `_ball_classes`: the hyperbolic cyclic words of
-    `ball.cyclic_words`, then `conjugacy_canonical` once per cyclic word,
-    memoized on its min_rotation. Each record is built from the class's
-    SL(2,R) eigenvalue alone (`_class_record`). The α column is NaN;
-    `spectrum_with_alpha` attaches a cocycle's.
+    The classes come from `_ball_classes`, which reads the ball's letter
+    array and canonicalizes each distinct cyclic word once; nothing is
+    kept between calls. Each record is built from the class's SL(2,R)
+    eigenvalue alone (`_class_record`, once per class). The α column is
+    NaN; `spectrum_with_alpha` attaches a cocycle's.
 
     Parameters
     ----------
@@ -128,39 +130,87 @@ def length_spectrum(rho, ball, basis, *, radius):
     """
     p = basis.p
     sl2 = rho.base
-    seen = {}
-    failed = set()  # canonical words whose record raised NumericalFailure
-    for letters, _ in _ball_classes(ball, radius):
-        if letters in seen or letters in failed:
-            continue
+    records = []
+    failed = 0  # classes whose record raised NumericalFailure
+    for letters in _ball_classes(ball, radius)[0]:
         try:
-            seen[letters] = _class_record(letters, sl2, basis)
+            records.append(_class_record(letters, sl2, basis))
         except NumericalFailure:
-            failed.add(letters)
-    records = sorted(seen.values(), key=lambda r: (r.length_hyp, r.word))
+            failed += 1
+    records.sort(key=lambda r: (r.length_hyp, r.word))
     return LengthSpectrum(
         p=p, radius=float(radius), ball_radius=ball.radius, slack=ball.slack,
-        records=records, dropped=len(failed), alphas=np.full(len(records), math.nan),
+        records=records, dropped=failed, alphas=np.full(len(records), math.nan),
     )
 
 
 def _ball_classes(ball, radius):
-    """Canonical class and |trace| of each hyperbolic ball element of
-    translation length ≤ `radius`, in ball order.
+    """Conjugacy classes of the hyperbolic ball elements of translation
+    length ≤ `radius`.
 
-    The elements and their cyclic words come from `ball.cyclic_words`.
-    `conjugacy_canonical` depends only on the cyclic word, so it runs once
-    per min_rotation of it.
+    Returns (classes, class_of, traces): the distinct canonical words in
+    order of first occurrence in the ball, and for each such element in
+    ball order the index of its class in `classes` and its |trace|.
+
+    The elements and their cyclic words are the arrays of
+    `ball.closed_orbits`. `conjugacy_canonical` depends only on the
+    cyclic word, so it runs once per distinct least rotation
+    (`_cyclic_keys`), in order of first occurrence.
     """
-    canonical_of = {}
-    for word, trace in ball.cyclic_words(radius):
-        key = min_rotation(word)
-        letters = canonical_of.get(key)
-        if letters is None:
-            letters = canonical_of[key] = conjugacy_canonical(
-                key, ball.presentation).letters
-        if letters:
-            yield letters, trace
+    traces, cyclic, lengths = ball.closed_orbits(radius)
+    keys, key_of = _cyclic_keys(cyclic, lengths)
+    classes = {}
+    class_of_key = np.array(
+        [classes.setdefault(conjugacy_canonical(key, ball.presentation).letters,
+                            len(classes)) for key in keys], dtype=np.intp)
+    return list(classes), class_of_key[key_of], traces
+
+
+def _cyclic_keys(cyclic, lengths):
+    """Distinct least rotations of cyclic words, in order of first
+    occurrence, and the index into them of each word.
+
+    Row j of the int8 `cyclic` holds a word in its first lengths[j]
+    columns. Rows are grouped by length; within a group the least
+    rotation of every row is found at once (`_least_rotations`) and the
+    rows are deduplicated by one `np.unique` over their bytes, which
+    works at any length. The keys are the tuples `min_rotation` gives.
+    """
+    key_of = np.empty(len(lengths), dtype=np.intp)
+    keys, firsts = [], []
+    for n in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == n)
+        least = _least_rotations(cyclic[rows, :n])
+        # each row as one n-byte value; rows of the empty word are all equal
+        flat = least.view(np.dtype((np.void, n))).ravel() if n else np.zeros(len(rows))
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+        key_of[rows] = len(keys) + inverse
+        keys += map(tuple, least[first].tolist())
+        firsts.append(rows[first])
+    order = np.argsort(np.concatenate(firsts) if firsts else np.zeros(0, np.intp))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return [keys[k] for k in order.tolist()], rank[key_of]
+
+
+def _least_rotations(words):
+    """Lexicographically least rotation of each row of an (n, m) array.
+
+    The start columns of the least rotation are narrowed column by column
+    over the doubled rows: after step c only the starts whose first c + 1
+    letters are least remain. Starts tied after m steps give the same
+    rotation (a periodic word), so any of them serves.
+    """
+    n, m = words.shape
+    doubled = np.concatenate([words, words], axis=1)
+    starts = np.ones((n, m), dtype=bool)
+    for c in range(m):
+        letters = doubled[:, c:c + m]
+        least = np.where(starts, letters, np.iinfo(words.dtype).max).min(
+            axis=1, keepdims=True)
+        starts &= letters == least
+    first = starts.argmax(axis=1) if m else np.zeros(n, dtype=np.intp)
+    return np.take_along_axis(doubled, first[:, None] + np.arange(m), axis=1)
 
 
 def _class_record(word, sl2, basis):
@@ -417,22 +467,24 @@ def counting_consistency(spectrum, ball):
     Distinct classes may legitimately share a trace (inverses, isometry
     symmetry), so only intra-class disagreement counts as a violation.
     The elements and their classes come from `_ball_classes`, as in
-    `length_spectrum`.
+    `length_spectrum`; trace groups are formed from the trace of each
+    class's first element in ball order.
 
     Returns (n_classes, n_trace_groups, violations).
     """
-    by_class = {}
-    for letters, trace in _ball_classes(ball, spectrum.radius):
-        by_class.setdefault(letters, []).append(trace)
-    violations = sum(
-        1 for traces in by_class.values() if max(traces) - min(traces) > 1e-9 * max(traces)
-    )
-    all_traces = sorted(t for traces in by_class.values() for t in traces[:1])
+    classes, class_of, traces = _ball_classes(ball, spectrum.radius)
+    high = np.full(len(classes), -math.inf)
+    low = np.full(len(classes), math.inf)
+    np.maximum.at(high, class_of, traces)
+    np.minimum.at(low, class_of, traces)
+    violations = int(np.count_nonzero(high - low > 1e-9 * high))
+    _, first = np.unique(class_of, return_index=True)
+    all_traces = np.sort(traces[first]).tolist()
     groups = 1 if all_traces else 0
     for a, b in zip(all_traces, all_traces[1:]):
         if b - a > TRACE_GROUP_TOL * max(1.0, b):
             groups += 1
-    return len(by_class), groups, violations
+    return len(classes), groups, violations
 
 
 def spectrum_stabilization(make_spectrum, margins):

@@ -139,11 +139,24 @@ def _cyclic_dehn_step(word, long_moves):
     Among all applicable replacements, the one whose result has the
     smallest (length, minimal rotation) is chosen, which makes the greedy
     reduction independent of the input rotation.
+
+    The windows of the shortest move length are scanned first, and a
+    word none of them matches takes no step. That prefilter is exact:
+    every long-move key is the first k letters of a rotation of the
+    relator or its inverse, so its first letters up to the shortest move
+    length are themselves a key of the shortest moves, found in the same
+    cyclic window.
     """
     n = len(word)
-    if n == 0:
+    if not long_moves or n < long_moves[-1][0]:
         return None
     doubled = word + word
+    shortest, first_keys = long_moves[-1]
+    for i in range(n):
+        if doubled[i:i + shortest] in first_keys:
+            break
+    else:
+        return None
     best = None
     for k, moves in long_moves:
         if k > n:

@@ -16,7 +16,7 @@ from anosovlab.affine_deform import special_shape
 from anosovlab.fuchsian import sl2_eigenbasis
 from anosovlab.linalg import NumericalFailure, orthonormal_span
 from anosovlab.principal_rep import sym_power_rep
-from anosovlab.surface_group import free_reduce
+from anosovlab.surface_group import cyclic_reduce, free_reduce, min_rotation
 
 
 # --- linear algebra -------------------------------------------------------
@@ -69,6 +69,32 @@ def orbit_distance(m):
     """d(i, M·i) = arccosh(‖M‖_F² / 2) for M in SL(2,R)."""
     m = np.asarray(m, float)
     return float(np.arccosh(max(1.0, (m * m).sum() / 2.0)))
+
+
+# --- words -----------------------------------------------------------------
+
+def cyclic_dehn_step_unfiltered(word, long_moves):
+    """`surface_group._cyclic_dehn_step` without its shortest-move
+    prefilter: every window of every long-move length is tried."""
+    n = len(word)
+    if n == 0:
+        return None
+    doubled = word + word
+    best = None
+    for k, moves in long_moves:
+        if k > n:
+            continue
+        for i in range(n):
+            s = doubled[i : i + k]
+            if s in moves:
+                rest = doubled[i + k : i + n]
+                candidate = cyclic_reduce(moves[s] + rest)
+                key = (len(candidate), min_rotation(candidate))
+                if best is None or key < best[0]:
+                    best = (key, candidate)
+        if best is not None:
+            return best[1]
+    return None
 
 
 # --- flag geometry --------------------------------------------------------

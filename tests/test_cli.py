@@ -334,7 +334,8 @@ def test_package_runs_without_scipy(tmp_path):
 # set it; a value no caller changes is a module constant instead
 SETTABLE_PARAMETERS = {
     "fuchsian.BallEnumeration.cyclic_words(radius)":
-        "spectra._ball_classes passes the class cutoff; the samplers take all",
+        "the samplers' pools take all; the tests pass a cutoff (the class "
+        "spectra read `closed_orbits`, whose radius has no default)",
     "fuchsian.enumerate_ball(slack)": "cli.Workspace.ball, the tests, the benchmark",
     "fuchsian.enumerate_ball(presentation)": "cli.Workspace.ball, benchmark/session.py",
     "principal_rep.Representation.__init__(form)": "sym_representation and the E one",

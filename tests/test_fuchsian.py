@@ -190,6 +190,25 @@ def test_cyclic_words_within_a_radius(lab):
     assert list(lab.ball.cyclic_words(7.0)) == expected
 
 
+# the transversality (R = 6.5) and deriv-check (R = 6.0) pools: size and
+# SHA-256 of the newline-joined `format_word` of the sorted pool, recorded
+# before `cyclic_words` read the peeled letter array
+PINNED_POOLS = {
+    6.5: (128, "e1e14f6ebbbc66869e8901cc8225c22b04ee85da499628c80239c9417a5c39c2"),
+    6.0: (88, "567ffd68d0994fd38adfc6ab2561a06abc1dbfc4b474ea17bc720e01e8f29e0f"),
+}
+
+
+@pytest.mark.parametrize("radius", sorted(PINNED_POOLS))
+def test_sampler_pools_pinned(radius):
+    presentation, gens = octagon_group()
+    ball = enumerate_ball(gens, radius, 2.0, presentation=presentation)
+    pool = sorted({w for w, _ in ball.cyclic_words()})
+    digest = hashlib.sha256("\n".join(map(format_word, pool)).encode()).hexdigest()
+    assert (len(pool), digest) == PINNED_POOLS[radius]
+    assert "words" not in vars(ball)
+
+
 def test_ball_independent_of_key_hash(monkeypatch):
     # a 2-bit hash makes most keys collide; exact key compares must keep
     # every element apart, so the ball cannot change

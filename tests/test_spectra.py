@@ -4,12 +4,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anosovlab import spectra
+from anosovlab import fuchsian, spectra
 from anosovlab.affine_deform import Cocycle, coboundary
 from anosovlab.fuchsian import enumerate_ball
 from anosovlab.linalg import NumericalFailure
-from anosovlab.surface_group import conjugacy_canonical, format_word
+from anosovlab.surface_group import (
+    conjugacy_canonical,
+    cyclic_reduce,
+    format_word,
+    free_reduce,
+    inverse_word,
+    min_rotation,
+)
 from anosovlab.spectra import (
     LengthFunctional,
     anosov_gap_report,
@@ -303,3 +312,134 @@ def test_multi_alphas_pinned(lab, pinned_spectra):
         assert alphas.shape == (len(spec), 3)
         digest.update(alphas.tobytes())
     assert digest.hexdigest() == PINNED_ALPHAS_SHA256
+
+
+# recorded before class extraction moved onto the ball's letter array:
+# SHA-256 of the newline-joined sorted `format_word` class words of
+# `spectrum8` (p = 2, T = 8, lab ball), and its counting_consistency triple
+PINNED_SPECTRUM8_WORDS_SHA256 = (
+    "151e1ee54446efc258ca67514ba9b7c6d41902fac7e1aea049285d24b7458386"
+)
+PINNED_SPECTRUM8_COUNTING = (430, 23, 0)
+
+
+def test_spectrum8_class_words_pinned(spectrum8):
+    spec, _ = spectrum8
+    words = "\n".join(sorted(format_word(r.word) for r in spec.records))
+    assert hashlib.sha256(words.encode()).hexdigest() == PINNED_SPECTRUM8_WORDS_SHA256
+
+
+def test_spectrum8_counting_consistency_pinned(lab, spectrum8):
+    spec, _ = spectrum8
+    assert counting_consistency(spec, lab.ball) == PINNED_SPECTRUM8_COUNTING
+
+
+@pytest.fixture(scope="module")
+def parity_spectra(lab):
+    """T = 8 spectra at p = 2 and 3 with the α of cocycle seed 1, by word."""
+    out = {}
+    for p in (2, 3):
+        spec = length_spectrum(lab.rho_v[p], lab.ball, lab.basis[p], radius=8.0)
+        omega = lab.random_cocycle(p, 1)
+        alphas = multi_alphas(spec, lab.rho_v[p], lab.basis[p], [omega])[:, 0]
+        out[p] = dict(zip((r.word for r in spec.records), alphas.tolist()))
+    return out
+
+
+def _inverse_class(word, presentation):
+    return conjugacy_canonical(inverse_word(word), presentation).letters
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_spectrum_is_inversion_closed(lab, parity_spectra, p):
+    words = parity_spectra[p]
+    assert len(words) > 400
+    assert all(_inverse_class(w, lab.presentation) in words for w in words)
+
+
+@pytest.mark.parametrize("p", [
+    2,
+    # measured over cocycle seeds 1-3: 24-26 of the 430 classes miss the
+    # bound, worst 1.3e-8 relative (a 6-letter class of length 7.37); at
+    # p = 2 the worst is 5.6e-13
+    pytest.param(3, marks=pytest.mark.xfail(
+        strict=True, reason="orbit-sum alpha of a class and of its inverse "
+                            "differ by up to 1.3e-8 relative at p = 3")),
+])
+def test_inversion_parity_over_the_spectrum(lab, parity_spectra, p):
+    # α(γ⁻¹) = (−1)^p α(γ) on every class of the spectrum
+    alpha_of = parity_spectra[p]
+    sign = (-1) ** p
+    for word, alpha in alpha_of.items():
+        inverse = alpha_of[_inverse_class(word, lab.presentation)]
+        assert abs(inverse - sign * alpha) <= 1e-9 * max(1.0, abs(alpha))
+
+
+def test_class_extraction_leaves_word_tuples_unbuilt(lab):
+    ball = enumerate_ball(lab.sl2.generators, 8.0, 2.0, presentation=lab.presentation)
+    spec = length_spectrum(lab.rho_v[2], ball, lab.basis[2], radius=6.0)
+    assert len(spec) > 50
+    counting_consistency(spec, ball)
+    assert "words" not in vars(ball)
+
+
+def test_one_canonicalization_per_distinct_cyclic_key(lab, monkeypatch):
+    calls = []
+    original = spectra.conjugacy_canonical
+
+    def counting(word, presentation):
+        calls.append(word)
+        return original(word, presentation)
+
+    monkeypatch.setattr(spectra, "conjugacy_canonical", counting)
+    length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=8.0)
+    in_ball_order = [min_rotation(w) for w, _ in lab.ball.cyclic_words(8.0)]
+    assert calls == list(dict.fromkeys(in_ball_order))
+
+
+LETTERS = (1, -1, 2, -2, 3, -3, 4, -4)
+FREELY_REDUCED = st.lists(st.sampled_from(LETTERS), max_size=48).map(free_reduce)
+# powers of cyclically reduced words: rotations tie
+PERIODIC = st.tuples(FREELY_REDUCED, st.integers(2, 4)).map(
+    lambda t: cyclic_reduce(t[0]) * t[1])
+# conjugates u·w·u⁻¹: the wrap-around peels
+CONJUGATED = st.tuples(FREELY_REDUCED, FREELY_REDUCED).map(
+    lambda t: free_reduce(t[0] + t[1] + inverse_word(t[0])))
+
+
+def _letter_rows(words):
+    """Words as zero-padded int8 rows and their lengths, as a ball holds them."""
+    width = max(map(len, words), default=0)
+    rows = np.zeros((len(words), width), dtype=np.int8)
+    for i, word in enumerate(words):
+        rows[i, :len(word)] = word
+    return rows, np.array([len(word) for word in words])
+
+
+def _assert_keys_are_min_rotations(words):
+    cyclic, lengths = fuchsian._peeled(*_letter_rows(words))
+    reduced = [cyclic_reduce(w) for w in words]
+    assert lengths.tolist() == [len(w) for w in reduced]
+    assert [tuple(row[:n]) for row, n in zip(cyclic.tolist(), lengths)] == reduced
+    assert not any(any(row[n:]) for row, n in zip(cyclic.tolist(), lengths))
+    keys, key_of = spectra._cyclic_keys(cyclic, lengths)
+    expected = [min_rotation(w) for w in reduced]
+    assert [keys[k] for k in key_of.tolist()] == expected
+    assert keys == list(dict.fromkeys(expected))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(FREELY_REDUCED, PERIODIC, CONJUGATED), max_size=30))
+def test_cyclic_keys_are_the_min_rotations(words):
+    _assert_keys_are_min_rotations(words)
+
+
+def test_cyclic_keys_edge_cases():
+    long_word = (1, 2, -3, 4, 1, 1, 2, -3, -4, -4, 2, 3, 3, -1, 2, 4, -3, -2, 1, 4, 3)
+    words = [(), (3,), (-4,), (1, 2), (2, 1), (1, 2, 1, 2), (2, 1, 2, 1), (-1, -1),
+             (1, 2, -1), (3, 1, 2, -3), (2, -1, 2, -1, 2, -1), (1, 2, 3) * 7,
+             long_word, long_word[5:] + long_word[:5], (4,) + long_word + (-4,)]
+    assert len(long_word) >= 20
+    _assert_keys_are_min_rotations(words)
+    _assert_keys_are_min_rotations([])
+    _assert_keys_are_min_rotations([()])

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from anosovlab import spectra
 from anosovlab.surface_group import (
     CocycleBasis,
     GroupPresentation,
+    _cyclic_dehn_step,
+    _relator_tables,
     conjugacy_canonical,
     cyclic_reduce,
     extend_cocycle,
@@ -12,6 +17,8 @@ from anosovlab.surface_group import (
     min_rotation,
     solve_cocycle_space,
 )
+
+from oracles import cyclic_dehn_step_unfiltered
 
 PRES = GroupPresentation.genus2()
 RELATOR = PRES.relator
@@ -103,6 +110,46 @@ def test_faithfulness_cross_check(lab, rng):
     for members in by_class.values():
         traces = [abs(float(np.trace(lab.sl2.evaluate(w)))) for w in members]
         assert max(traces) - min(traces) <= 1e-9 * max(traces)
+
+
+# letters, and pieces of rotations of the relator and its inverse (so that
+# windows often match a Dehn move), concatenated
+RELATOR_FORMS = [form[i:] + form[:i] for form in (RELATOR, inverse_word(RELATOR))
+                 for i in range(len(RELATOR))]
+WORD_PIECES = st.one_of(
+    st.sampled_from((1, -1, 2, -2, 3, -3, 4, -4)).map(lambda letter: (letter,)),
+    st.builds(lambda form, k: form[:k], st.sampled_from(RELATOR_FORMS),
+              st.integers(1, len(RELATOR))),
+)
+PIECED_WORDS = st.lists(WORD_PIECES, max_size=8).map(lambda parts: sum(parts, ()))
+
+
+@settings(max_examples=500, deadline=None)
+@given(PIECED_WORDS)
+def test_dehn_prefilter_is_exact(word):
+    long_moves, _ = _relator_tables(RELATOR)
+    for w in (word, cyclic_reduce(word)):
+        assert _cyclic_dehn_step(w, long_moves) == cyclic_dehn_step_unfiltered(w, long_moves)
+
+
+def test_dehn_prefilter_is_exact_on_the_ball_keys(lab):
+    # every distinct cyclic key of the T = 8 spectrum, and each word its
+    # canonicalization steps through
+    long_moves, _ = _relator_tables(RELATOR)
+    _, cyclic, lengths = lab.ball.closed_orbits(8.0)
+    keys, _ = spectra._cyclic_keys(cyclic, lengths)
+    stepped = 0
+    for key in keys:
+        word = key
+        while True:
+            expected = cyclic_dehn_step_unfiltered(word, long_moves)
+            assert _cyclic_dehn_step(word, long_moves) == expected
+            if expected is None:
+                break
+            stepped += word == key
+            word = expected
+    # both outcomes of the prefilter are exercised
+    assert 0 < stepped < len(keys)
 
 
 @pytest.mark.parametrize("p,expected", [(2, 9), (3, 15)])
