@@ -98,9 +98,10 @@ def margulis_invariants(rho, omegas, words, basis):
 
     Batched: the reduced words are grouped by length. Per group, the 2×2
     product of every rotation the sum reads is built left to right as one
-    stacked product per letter position, the neutral vectors of all those
-    rotations come from one stacked `sl2_eigenbasis` and `sym_power_rep`,
-    and the pairings are stacked dot products summed letter by letter.
+    stacked product per letter position (`Representation.products`), the
+    neutral vectors of all those rotations come from one stacked
+    `sl2_eigenbasis` and `sym_power_rep`, and the pairings are stacked
+    dot products summed letter by letter.
     These are the per-word products, dots and summation order, so every
     α has the bits of the word evaluated alone.
     """
@@ -112,10 +113,6 @@ def margulis_invariants(rho, omegas, words, basis):
         raise ValueError("margulis_invariants needs the SL(2,R) base representation")
     q = basis.form_v.matrix
     p = basis.p
-    n_gen = len(rho.base.generators)
-    # letter codes: g -> g - 1 and g⁻¹ -> n_gen + g - 1
-    mats2 = np.array([rho.base.generator(g) for g in range(1, n_gen + 1)]
-                     + [rho.base.generator(-g) for g in range(1, n_gen + 1)])
     vectors = np.array([om.vectors for om in omegas])
     totals = np.zeros((len(reduced), len(omegas)))
     by_length = {}
@@ -129,12 +126,8 @@ def margulis_invariants(rho, omegas, words, basis):
         needed = np.zeros(letters.shape, dtype=bool)
         needed[np.arange(len(indices))[:, None], reads] = True
         word_of, start = np.nonzero(needed)
-        codes = np.where(positive, letters - 1, n_gen - letters - 1)
-        spelled = codes[word_of[:, None], (start[:, None] + np.arange(m)) % m]
-        prod = np.broadcast_to(np.eye(2), (len(start), 2, 2)).copy()
-        for column in spelled.T:
-            prod = prod @ mats2[column]
-        h, _ = sl2_eigenbasis(prod)
+        spelled = letters[word_of[:, None], (start[:, None] + np.arange(m)) % m]
+        h, _ = sl2_eigenbasis(rho.base.products(spelled))
         x = sym_power_rep(p, h) @ basis.eps[:, p - 1]
         qx_of = (q @ x[:, :, None])[:, :, 0]
         slot = np.zeros(letters.shape, dtype=np.intp)

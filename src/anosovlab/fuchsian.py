@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import NumericalFailure
-from .surface_group import GroupPresentation
+from .surface_group import GroupPresentation, _peeled
 
 # smallest |trace| margin accepted as hyperbolic
 HYPERBOLIC_MARGIN = 1e-12
@@ -144,27 +144,51 @@ def sl2_eigenbasis(m):
     Closed-form and stable; the PSL sign ambiguity is absorbed into ±.
 
     Stacked: `m` is one (2, 2) matrix, giving (h, float λ), or an
-    (N, 2, 2) stack, giving (h of shape (N, 2, 2), λ of shape (N,)); a
-    single matrix is evaluated as a one-element stack. The two library
-    steps, the vector norms (by the BLAS dot that np.linalg.norm uses on a
-    vector) and the determinants, run once over the whole stack; the
-    scalar arithmetic around them is done on Python floats, which round
-    exactly as numpy's float64 does and cost far less per call on small
-    stacks. Each matrix of a stack gets the bits it gets alone.
+    (N, 2, 2) stack, giving (h of shape (N, 2, 2), λ of shape (N,)). The
+    values are those of `hyperbolic_eigenbases`; a non-hyperbolic matrix
+    or a degenerate eigenbasis anywhere in the stack raises
+    NumericalFailure, a non-hyperbolic one first.
     """
     m = np.asarray(m, float)
-    single = m.ndim == 2
-    entries = m.reshape(-1).tolist()
-    lams, candidates = [], []
-    for a, b, c, d in zip(*[iter(entries)] * 4):
+    h, lams, ok = hyperbolic_eigenbases(m)
+    if not ok.all():
+        for a, d in m.reshape(-1, 4)[:, [0, 3]].tolist():
+            if abs(a + d) <= 2.0 + HYPERBOLIC_MARGIN:
+                raise NumericalFailure(f"non-hyperbolic element, |trace| = {abs(a + d)}")
+        raise NumericalFailure("eigenbasis degenerate (nearly parabolic element)")
+    if m.ndim == 2:
+        return h[0], float(lams[0])
+    return h, lams
+
+
+def hyperbolic_eigenbases(m):
+    """Eigenbases of a stack of SL(2,R) matrices, row by row: (h, λ, ok).
+
+    `m` is (N, 2, 2), or one (2, 2) matrix taken as a one-element stack;
+    h is (N, 2, 2) and λ and ok are (N,). A row that is not hyperbolic
+    (|trace| ≤ 2 + HYPERBOLIC_MARGIN) or whose eigenbasis is degenerate
+    (|det| < 1e-14 before normalization) has ok False and NaN in h and
+    λ; the other rows are as `sl2_eigenbasis` describes.
+
+    The two library steps, the vector norms (by the BLAS dot that
+    np.linalg.norm uses on a vector) and the determinants, run once over
+    the stack; the scalar arithmetic around them is done on Python
+    floats, which round exactly as numpy's float64 does and cost far less
+    per call on small stacks. Each matrix of a stack gets the bits it
+    gets alone.
+    """
+    entries = np.asarray(m, float).reshape(-1).tolist()
+    rows, lams, candidates = [], [], []
+    for row, (a, b, c, d) in enumerate(zip(*[iter(entries)] * 4)):
         tr = a + d
         atr = abs(tr)
         if atr <= 2.0 + HYPERBOLIC_MARGIN:
-            raise NumericalFailure(f"non-hyperbolic element, |trace| = {atr}")
+            continue
         if tr < 0:
             a, b, c, d = -a, -b, -c, -d
         lam = (atr + math.sqrt(atr * atr - 4.0)) / 2.0
         inv = 1.0 / lam
+        rows.append(row)
         lams.append(lam)
         # per eigenvalue μ = λ, 1/λ: the candidates (b, μ - a), (μ - d, c)
         candidates += (b, lam - a, lam - d, c, b, inv - a, inv - d, c)
@@ -178,19 +202,24 @@ def sl2_eigenbasis(m):
         else:
             columns += (candidates[2 * i + 2] / n2, candidates[2 * i + 3] / n2)
     h = np.array(columns).reshape(-1, 2, 2).transpose(0, 2, 1)
-    out = []
+    good, out = [], []
     for j, det in enumerate(np.linalg.det(h).tolist()):
         if abs(det) < 1e-14:
-            raise NumericalFailure("eigenbasis degenerate (nearly parabolic element)")
+            continue
         x0, x1, y0, y1 = columns[4 * j: 4 * j + 4]
         if det < 0:
             y0, y1, det = -y0, -y1, -det
         root = math.sqrt(det)
+        good.append(j)
         out += (x0 / root, y0 / root, x1 / root, y1 / root)
-    h = np.array(out).reshape(-1, 2, 2)
-    if single:
-        return h[0], lams[0]
-    return h, np.array(lams)
+    kept = [rows[j] for j in good]
+    ok = np.zeros(len(entries) // 4, dtype=bool)
+    ok[kept] = True
+    bases = np.full((len(ok), 2, 2), math.nan)
+    bases[kept] = np.array(out).reshape(-1, 2, 2)
+    eigenvalues = np.full(len(ok), math.nan)
+    eigenvalues[kept] = [lams[j] for j in good]
+    return bases, eigenvalues, ok
 
 
 def _canonical_line(v):
@@ -292,36 +321,6 @@ class BallEnumeration:
         rows = rows[np.array(exact, dtype=bool)]
         cyclic, lengths = _peeled(self.letters[rows], self.word_lengths[rows])
         return traces[rows], cyclic, lengths
-
-
-def _peeled(letters, lengths):
-    """Freely reduced words with their wrap-around cancelled: the int8
-    rows `letters` (row j's word in its first lengths[j] columns) and
-    their lengths after peeling every matching first/last letter pair.
-
-    Column j is compared with its mirror column lengths − 1 − j for the
-    rows still peeling, while at least two letters remain; a row stops
-    at its first mismatch. Peeled rows are shifted left and re-padded.
-    """
-    lengths = np.asarray(lengths, dtype=np.intp)
-    peel = np.zeros(len(lengths), dtype=np.intp)
-    live = np.arange(len(lengths))
-    for j in range(letters.shape[1] // 2):
-        live = live[lengths[live] - 2 * j >= 2]
-        live = live[letters[live, j] == -letters[live, lengths[live] - 1 - j]]
-        if not live.size:
-            break
-        peel[live] += 1
-    cyclic = letters.copy()
-    lengths = lengths - 2 * peel
-    shifted = np.flatnonzero(peel)
-    columns = np.arange(letters.shape[1])
-    moved = np.take_along_axis(
-        letters[shifted],
-        np.minimum(peel[shifted, None] + columns, letters.shape[1] - 1), axis=1)
-    moved[columns >= lengths[shifted, None]] = 0
-    cyclic[shifted] = moved
-    return cyclic, lengths
 
 
 def _letter_residues(generators):

@@ -363,6 +363,21 @@ class Representation:
         self._cache[word] = m
         return m
 
+    def products(self, words):
+        """Images of the rows of an (m, n) array of signed letters, each
+        row one n-letter word, as an (m, dim, dim) stack: the products
+        `evaluate` forms, left to right, one stacked product per letter
+        position. Nothing is memoized."""
+        n_gen = len(self.generators)
+        # letter codes: g -> g - 1 and g⁻¹ -> n_gen + g - 1
+        mats = np.array([self.generator(g) for g in range(1, n_gen + 1)]
+                        + [self.generator(-g) for g in range(1, n_gen + 1)])
+        codes = np.where(words > 0, words - 1, n_gen - words - 1)
+        prod = np.broadcast_to(np.eye(self.dim), (len(codes), self.dim, self.dim)).copy()
+        for column in codes.T:
+            prod = prod @ mats[column]
+        return prod
+
     def relator_residual(self, presentation):
         """Distance of the relator image from the identity."""
         h = self.evaluate(presentation.relator)

@@ -5,9 +5,11 @@ hyperbolic length, last-root length (log λ_p + log λ_{p-1}) and eigenvalue
 list per class, and a Margulis-invariant column attached per cocycle. Classes
 are extracted from the ball's letter array: the closed-orbit words are
 peeled to cyclic words and reduced to their least rotations as arrays, and
-each distinct cyclic word is canonicalized once per spectrum. Records are
-enriched through the structural eigen route, so they stay accurate at
-radius 12 and beyond.
+the distinct cyclic words are canonicalized in one batched call per
+spectrum. Each record comes from its class's SL(2,R) eigenvalue through
+the structural eigen route, so records stay accurate at radius 12 and
+beyond; the SL(2,R) products are stacked per word length and share one
+stacked eigenbasis.
 
 Entropy is estimated two independent ways: the least-squares slope of
 log N(T) over a window, and the critical exponent of the truncated
@@ -23,9 +25,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .affine_deform import margulis_invariants
-from .fuchsian import sl2_eigenbasis, translation_length
-from .linalg import NumericalFailure
-from .surface_group import conjugacy_canonical
+from .fuchsian import hyperbolic_eigenbases
+from .surface_group import (
+    _first_occurrences,
+    _least_rotations,
+    conjugacy_canonical_rows,
+)
+# not called here: benchmark/test_harness.py reads spectra.conjugacy_canonical
+from .surface_group import conjugacy_canonical  # noqa: F401
 
 MIN_WINDOW_COUNT = 100
 CRITICAL_EXPONENT_TOL = 1e-10
@@ -109,15 +116,15 @@ def length_spectrum(rho, ball, basis, *, radius):
     translation length ≤ `radius`; γ and γ⁻¹ are distinct classes and
     both retained. Completeness below `radius` relies on the ball
     reaching radius + margin and is certified by the margin-doubling
-    stabilization test (see tests); classes whose record raises
-    NumericalFailure are counted once each in `dropped` (must be zero for
-    acceptance), any other error propagates.
+    stabilization test (see tests); a class that is not hyperbolic or
+    whose eigenbasis is degenerate is counted once in `dropped` (must be
+    zero for acceptance), and any error propagates.
 
     The classes come from `_ball_classes`, which reads the ball's letter
-    array and canonicalizes each distinct cyclic word once; nothing is
-    kept between calls. Each record is built from the class's SL(2,R)
-    eigenvalue alone (`_class_record`, once per class). The α column is
-    NaN; `spectrum_with_alpha` attaches a cocycle's.
+    array and canonicalizes the distinct cyclic words in one batched
+    call; the records from `_class_records`, from one stacked eigenbasis
+    of the classes' SL(2,R) products. Nothing is kept between calls. The
+    α column is NaN; `spectrum_with_alpha` attaches a cocycle's.
 
     Parameters
     ----------
@@ -128,19 +135,12 @@ def length_spectrum(rho, ball, basis, *, radius):
     radius : float
         Class-length cutoff; required, keyword only.
     """
-    p = basis.p
-    sl2 = rho.base
-    records = []
-    failed = 0  # classes whose record raised NumericalFailure
-    for letters in _ball_classes(ball, radius)[0]:
-        try:
-            records.append(_class_record(letters, sl2, basis))
-        except NumericalFailure:
-            failed += 1
+    words, lengths = _ball_classes(ball, radius)[:2]
+    records, dropped = _class_records(words, lengths, rho.base, basis.p)
     records.sort(key=lambda r: (r.length_hyp, r.word))
     return LengthSpectrum(
-        p=p, radius=float(radius), ball_radius=ball.radius, slack=ball.slack,
-        records=records, dropped=failed, alphas=np.full(len(records), math.nan),
+        p=basis.p, radius=float(radius), ball_radius=ball.radius, slack=ball.slack,
+        records=records, dropped=dropped, alphas=np.full(len(records), math.nan),
     )
 
 
@@ -148,22 +148,22 @@ def _ball_classes(ball, radius):
     """Conjugacy classes of the hyperbolic ball elements of translation
     length ≤ `radius`.
 
-    Returns (classes, class_of, traces): the distinct canonical words in
-    order of first occurrence in the ball, and for each such element in
-    ball order the index of its class in `classes` and its |trace|.
+    Returns (words, lengths, class_of, traces): the distinct canonical
+    words in order of first occurrence in the ball, as zero-padded int8
+    rows and their lengths, and for each such element in ball order the
+    index of its class and its |trace|.
 
     The elements and their cyclic words are the arrays of
-    `ball.closed_orbits`. `conjugacy_canonical` depends only on the
-    cyclic word, so it runs once per distinct least rotation
-    (`_cyclic_keys`), in order of first occurrence.
+    `ball.closed_orbits`. The canonical word depends only on the cyclic
+    word, so the distinct least rotations (`_cyclic_keys`) are
+    canonicalized, in one `conjugacy_canonical_rows` call on the key
+    arrays.
     """
     traces, cyclic, lengths = ball.closed_orbits(radius)
-    keys, key_of = _cyclic_keys(cyclic, lengths)
-    classes = {}
-    class_of_key = np.array(
-        [classes.setdefault(conjugacy_canonical(key, ball.presentation).letters,
-                            len(classes)) for key in keys], dtype=np.intp)
-    return list(classes), class_of_key[key_of], traces
+    keys, key_lengths, key_of = _cyclic_keys(cyclic, lengths)
+    words, word_lengths = conjugacy_canonical_rows(keys, key_lengths, ball.presentation)
+    firsts, class_of_key = _first_occurrences(words)
+    return words[firsts], word_lengths[firsts], class_of_key[key_of], traces
 
 
 def _cyclic_keys(cyclic, lengths):
@@ -171,68 +171,53 @@ def _cyclic_keys(cyclic, lengths):
     occurrence, and the index into them of each word.
 
     Row j of the int8 `cyclic` holds a word in its first lengths[j]
-    columns. Rows are grouped by length; within a group the least
-    rotation of every row is found at once (`_least_rotations`) and the
-    rows are deduplicated by one `np.unique` over their bytes, which
-    works at any length. The keys are the tuples `min_rotation` gives.
+    columns. Rows are grouped by length and the least rotation of every
+    row of a group is found at once (`_least_rotations`); the rows are
+    then deduplicated over their bytes (`_first_occurrences`). Returns
+    (keys, key_lengths, key_of), the keys zero-padded as `cyclic` is.
     """
-    key_of = np.empty(len(lengths), dtype=np.intp)
-    keys, firsts = [], []
+    least = np.zeros_like(cyclic)
     for n in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == n)
-        least = _least_rotations(cyclic[rows, :n])
-        # each row as one n-byte value; rows of the empty word are all equal
-        flat = least.view(np.dtype((np.void, n))).ravel() if n else np.zeros(len(rows))
-        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-        key_of[rows] = len(keys) + inverse
-        keys += map(tuple, least[first].tolist())
-        firsts.append(rows[first])
-    order = np.argsort(np.concatenate(firsts) if firsts else np.zeros(0, np.intp))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return [keys[k] for k in order.tolist()], rank[key_of]
+        least[rows, :n] = _least_rotations(cyclic[rows, :n])
+    firsts, key_of = _first_occurrences(least)
+    return least[firsts], lengths[firsts], key_of
 
 
-def _least_rotations(words):
-    """Lexicographically least rotation of each row of an (n, m) array.
+def _class_records(words, lengths, sl2, p):
+    """Records of classes given as zero-padded int8 rows and their
+    lengths, from each class's SL(2,R) eigenvalue λ alone: (records,
+    dropped), in row order.
 
-    The start columns of the least rotation are narrowed column by column
-    over the doubled rows: after step c only the starts whose first c + 1
-    letters are least remain. Starts tied after m steps give the same
-    rotation (a periodic word), so any of them serves.
+    The SL(2,R) products are stacked per word length
+    (`Representation.products`, the bits of `evaluate`); one
+    `hyperbolic_eigenbases` call over all of them gives λ and drops,
+    row by row, a class that is not hyperbolic or whose eigenbasis is
+    degenerate. On the Fuchsian locus the E-eigenvalues are
+    λ^(±2(p-i)), i = 1..p, the same powers `eigendata_fuchsian` writes.
+    The per-class scalars use the per-class arithmetic of
+    `translation_length` and of numpy scalars.
     """
-    n, m = words.shape
-    doubled = np.concatenate([words, words], axis=1)
-    starts = np.ones((n, m), dtype=bool)
-    for c in range(m):
-        letters = doubled[:, c:c + m]
-        least = np.where(starts, letters, np.iinfo(words.dtype).max).min(
-            axis=1, keepdims=True)
-        starts &= letters == least
-    first = starts.argmax(axis=1) if m else np.zeros(n, dtype=np.intp)
-    return np.take_along_axis(doubled, first[:, None] + np.arange(m), axis=1)
-
-
-def _class_record(word, sl2, basis):
-    """Record of one class from its SL(2,R) eigenvalue λ alone.
-
-    On the Fuchsian locus the E-eigenvalues are λ^(±2(p-i)), i = 1..p, the
-    same powers `eigendata_fuchsian` writes. `sl2_eigenbasis` still runs:
-    it raises NumericalFailure for a non-hyperbolic element or a
-    degenerate eigenbasis, and that drops the class.
-    """
-    p = basis.p
-    m2 = sl2.evaluate(word)
-    trace = abs(float(np.trace(m2)))
-    ell = translation_length(m2)
-    _, lam = sl2_eigenbasis(m2)
-    lambdas = np.array([lam ** (2 * (p - i)) for i in range(1, p + 1)])
-    lambdas_bar = np.array([lam ** (-2 * (p - i)) for i in range(1, p + 1)])
-    lastroot = float(np.log(lambdas[p - 1]) + np.log(lambdas[p - 2]))
-    return ClassRecord(
-        word=word, trace=trace, length_hyp=ell, length_lastroot=lastroot,
-        lambdas=lambdas, lambdas_bar=lambdas_bar,
-    )
+    products = np.empty((len(lengths), 2, 2))
+    for n in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == n)
+        products[rows] = sl2.products(words[rows, :n])
+    traces = np.abs(products[:, 0, 0] + products[:, 1, 1])
+    _, lams, ok = hyperbolic_eigenbases(products)
+    lams = lams[ok].tolist()
+    powers = [2 * (p - i) for i in range(1, p + 1)]
+    lambdas = np.array([[lam ** k for k in powers] for lam in lams]).reshape(-1, p)
+    lambdas_bar = np.array([[lam ** -k for k in powers] for lam in lams]).reshape(-1, p)
+    records = []
+    for word, n, trace, lam, lam_bar in zip(words[ok].tolist(), lengths[ok].tolist(),
+                                            traces[ok].tolist(), lambdas, lambdas_bar):
+        records.append(ClassRecord(
+            word=tuple(word[:n]), trace=trace,
+            length_hyp=2.0 * float(np.arccosh(trace / 2.0)),
+            length_lastroot=float(np.log(lam[p - 1]) + np.log(lam[p - 2])),
+            lambdas=lam, lambdas_bar=lam_bar,
+        ))
+    return records, int(np.count_nonzero(~ok))
 
 
 def multi_alphas(spectrum, rho, basis, omegas):
@@ -467,14 +452,15 @@ def counting_consistency(spectrum, ball):
     Distinct classes may legitimately share a trace (inverses, isometry
     symmetry), so only intra-class disagreement counts as a violation.
     The elements and their classes come from `_ball_classes`, as in
-    `length_spectrum`; trace groups are formed from the trace of each
-    class's first element in ball order.
+    `length_spectrum`, one batched canonicalization on the ball's key
+    arrays; trace groups are formed from the trace of each class's first
+    element in ball order.
 
     Returns (n_classes, n_trace_groups, violations).
     """
-    classes, class_of, traces = _ball_classes(ball, spectrum.radius)
-    high = np.full(len(classes), -math.inf)
-    low = np.full(len(classes), math.inf)
+    words, _, class_of, traces = _ball_classes(ball, spectrum.radius)
+    high = np.full(len(words), -math.inf)
+    low = np.full(len(words), math.inf)
     np.maximum.at(high, class_of, traces)
     np.minimum.at(low, class_of, traces)
     violations = int(np.count_nonzero(high - low > 1e-9 * high))
@@ -484,7 +470,7 @@ def counting_consistency(spectrum, ball):
     for a, b in zip(all_traces, all_traces[1:]):
         if b - a > TRACE_GROUP_TOL * max(1.0, b):
             groups += 1
-    return len(classes), groups, violations
+    return len(words), groups, violations
 
 
 def spectrum_stabilization(make_spectrum, margins):

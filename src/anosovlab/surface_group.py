@@ -11,6 +11,12 @@ the equal-length half-relator swaps, then minimal rotation. The relator
 satisfies the small-cancellation condition that makes the shortening step
 terminate, and the result is cross-checked downstream against holonomy
 traces (same class ⇒ same trace).
+
+The canonicalization runs on many words at once, as int8 letter arrays
+(`conjugacy_canonical_rows`): cyclic windows are packed a few bits per
+letter and looked up in the sorted packed move keys, word lengths are
+taken longest first, and the swap closure is a batched frontier.
+`conjugacy_canonical` is its one-row call.
 """
 
 import warnings
@@ -133,102 +139,317 @@ def _relator_tables(relator):
     return sorted(long_moves.items(), reverse=True), half_moves
 
 
-def _cyclic_dehn_step(word, long_moves):
-    """Best strictly-shortening cyclic replacement, or None.
+@dataclass(frozen=True)
+class _Moves:
+    """The Dehn moves of a presentation as arrays.
 
-    Among all applicable replacements, the one whose result has the
-    smallest (length, minimal rotation) is chosen, which makes the greedy
-    reduction independent of the input rotation.
-
-    The windows of the shortest move length are scanned first, and a
-    word none of them matches takes no step. That prefilter is exact:
-    every long-move key is the first k letters of a rotation of the
-    relator or its inverse, so its first letters up to the shortest move
-    length are themselves a key of the shortest moves, found in the same
-    cyclic window.
+    A letter packs to its rank among the 2·n_generators signed letters,
+    in `bits` bits, so packed words of one length compare as their
+    letter tuples do. `half` and each entry of `long` (longest first)
+    are (k, keys, replacements): the packed k-letter keys, sorted, and
+    the int8 replacement row of each.
     """
-    n = len(word)
-    if not long_moves or n < long_moves[-1][0]:
-        return None
-    doubled = word + word
-    shortest, first_keys = long_moves[-1]
-    for i in range(n):
-        if doubled[i:i + shortest] in first_keys:
-            break
-    else:
-        return None
-    best = None
-    for k, moves in long_moves:
-        if k > n:
+
+    n_generators: int
+    bits: int
+    half: tuple
+    long: tuple
+
+    def windows(self, words, k_max):
+        """Packed cyclic windows of the rows of an (m, n) letter array:
+        entry k ≤ min(k_max, n) is an (m, n) array whose column i packs
+        the k letters from position i on, wrapping, first letter
+        highest."""
+        n = words.shape[1]
+        ranks = words.astype(np.int64)
+        ranks += self.n_generators - (ranks > 0)
+        windows = {}
+        packed = np.zeros_like(ranks)
+        for k in range(1, min(k_max, n) + 1):
+            packed = packed << self.bits | ranks[:, (np.arange(n) + k - 1) % n]
+            windows[k] = packed
+        return windows
+
+    def shortening(self, words):
+        """Whether each row of an (m, n) letter array admits a Dehn step:
+        a window of the shortest long move, which begins every long-move
+        key, is one of its keys."""
+        k = self.long[-1][0]
+        if words.shape[1] < k:
+            return np.zeros(len(words), dtype=bool)
+        return _lookup(self.windows(words, k), self.long[-1])[0].any(axis=1)
+
+
+def _moves(presentation):
+    """`_relator_tables` of the presentation's relator as `_Moves`, built
+    afresh on each call (a few dozen keys). The batched route's length
+    argument for swaps needs a relator of even length, at least 4."""
+    if len(presentation.relator) % 2 or len(presentation.relator) < 4:
+        raise ValueError("canonicalization needs a relator of even length ≥ 4")
+    long_moves, half_moves = _relator_tables(presentation.relator)
+    n_generators = presentation.n_generators
+    packing = _Moves(n_generators, (2 * n_generators - 1).bit_length(), (), ())
+
+    def table(k, moves):
+        keys = packing.windows(np.array(list(moves), dtype=np.int8), k)[k][:, 0]
+        order = np.argsort(keys)
+        return k, keys[order], np.array(list(moves.values()), dtype=np.int8)[order]
+
+    return _Moves(packing.n_generators, packing.bits,
+                  table(len(presentation.relator) // 2, half_moves),
+                  tuple(table(k, moves) for k, moves in long_moves))
+
+
+def _lookup(windows, table):
+    """(hit, position): where the packed windows of a move table's length
+    are its keys, and the index of the key."""
+    k, keys, _ = table
+    position = np.searchsorted(keys, windows[k])
+    np.minimum(position, len(keys) - 1, out=position)
+    return keys[position] == windows[k], position
+
+
+def _moved(words, hit, position, table):
+    """(row, replacement, rest) of each hit window of an (m, n) letter
+    array: its row, the move's replacement, and the n − k letters that
+    follow the window cyclically."""
+    k, _, replacements = table
+    n = words.shape[1]
+    row, start = np.nonzero(hit)
+    rest = words[row[:, None], (start[:, None] + k + np.arange(n - k)) % n]
+    return row, replacements[position[row, start]], rest
+
+
+def conjugacy_canonical_rows(keys, lengths, presentation):
+    """Canonical cyclic words of the conjugacy classes of many words.
+
+    Row j of the int8 `keys` holds a cyclically reduced word, in its
+    least rotation, in its first lengths[j] columns, zero-padded. Returns
+    (words, lengths) in the same layout and width: row j holds the
+    canonical word of row j's class, the empty word for the trivial
+    class.
+
+    The rule is the cyclic Dehn algorithm for the single relator: cyclic
+    Dehn steps while one applies, each taking the longest matching move,
+    then the result of least (length, least rotation); then the closure
+    under the equal-length half-relator swaps, whose least word is the
+    canonical one. A closure that reaches a word admitting a Dehn step
+    restarts from that word. All rows run at once, one word length at a
+    time, longest first, since a step only shortens a word:
+    - Cyclic windows are packed (`_Moves.windows`) and looked up in the
+      sorted packed move keys. A row with no half-relator window takes
+      no move (every long-move key begins with one) and keeps its key.
+    - Rows that admit a Dehn step take one (`_dehn_steps`); the results
+      join the rows of their new length.
+    - The others run the half-swap closure (`_half_swap_closure`).
+    Words are held as least rotations throughout.
+    """
+    moves = _moves(presentation)
+    lengths = np.asarray(lengths, dtype=np.intp)
+    out = np.zeros_like(keys)
+    out_lengths = np.zeros_like(lengths)
+    pending = {}
+    _file(pending, np.arange(len(lengths)), keys, lengths)
+    while pending:
+        n = max(pending)
+        rows, words = (np.concatenate(part) for part in zip(*pending.pop(n)))
+        steps = np.zeros(len(rows), dtype=bool)
+        if n >= moves.half[0]:
+            swapping = _lookup(moves.windows(words, moves.half[0]), moves.half)[0]
+            steps = moves.shortening(words)
+            swaps = np.flatnonzero(swapping.any(axis=1) & ~steps)
+            words[swaps], restart = _half_swap_closure(words[swaps], moves)
+            steps[swaps[restart]] = True
+        if steps.any():
+            _file(pending, rows[steps], *_dehn_steps(words[steps], moves))
+        out[rows[~steps], :n] = words[~steps]
+        out_lengths[rows[~steps]] = n
+    return out, out_lengths
+
+
+def _file(pending, rows, words, lengths):
+    """File rows by word length: pending[n] lists (rows, (m, n) words)."""
+    for n in np.unique(lengths).tolist():
+        chosen = lengths == n
+        pending.setdefault(n, []).append((rows[chosen], words[chosen, :n]))
+
+
+def _dehn_steps(words, moves):
+    """One cyclic Dehn step on each row of an (m, n) letter array, each
+    of which admits one.
+
+    A row takes its longest matching move; among that move's windows
+    the result of least (length, least rotation) wins. Returns the least
+    rotations of the results, zero-padded to n columns, and their
+    lengths.
+    """
+    m, n = words.shape
+    windows = moves.windows(words, moves.long[0][0])
+    taken = np.zeros(m, dtype=bool)
+    rows, results, lengths = [], [], []
+    for table in moves.long:
+        if table[0] > n:
             continue
-        for i in range(n):
-            s = doubled[i : i + k]
-            if s in moves:
-                rest = doubled[i + k : i + n]
-                candidate = cyclic_reduce(moves[s] + rest)
-                key = (len(candidate), min_rotation(candidate))
-                if best is None or key < best[0]:
-                    best = (key, candidate)
-        if best is not None:
-            return best[1]
-    return None
+        hit, position = _lookup(windows, table)
+        hit &= ~taken[:, None]
+        taken |= hit.any(axis=1)
+        row, replacement, rest = _moved(words, hit, position, table)
+        joined, length = _cyclic_join(replacement, rest)
+        rows.append(row)
+        results.append(np.pad(joined, ((0, 0), (0, n - joined.shape[1]))))
+        lengths.append(length)
+    rows, results, lengths = map(np.concatenate, (rows, results, lengths))
+    for length in np.unique(lengths).tolist():
+        chosen = lengths == length
+        results[chosen, :length] = _least_rotations(results[chosen, :length])
+    first = _least_per_row(rows, lengths, *results.T)
+    return results[first], lengths[first]
 
 
-def _half_swap_variants(word, half_moves):
-    """Equal-length conjugates obtained by one half-relator swap."""
-    n = len(word)
-    out = set()
-    if not half_moves:
-        return out
-    half = len(next(iter(half_moves)))
-    if n < half:
-        return out
-    doubled = word + word
-    for i in range(n):
-        s = doubled[i : i + half]
-        if s in half_moves:
-            rest = doubled[i + half : i + n]
-            out.add(cyclic_reduce(half_moves[s] + rest))
-    return out
+def _least_per_row(rows, *columns):
+    """Index of the least entry of each row index, in row order: entries
+    compare by `columns`, most significant first, and `rows` holds each
+    index 0 .. m − 1 at least once."""
+    order = np.lexsort([*columns[::-1], rows])
+    return order[np.diff(rows[order], prepend=-1) != 0]
+
+
+def _cyclic_join(left, right):
+    """Cyclic reduction of the cyclic words left·right, for rows of freely
+    reduced words: the junction left | right is cancelled, then the
+    wrap-around is peeled (`_peeled`). Returns zero-padded words of the
+    joint width and their lengths."""
+    a, b = left.shape[1], right.shape[1]
+    cut = np.zeros(len(left), dtype=np.intp)
+    for j in range(min(a, b)):
+        cut[(cut == j) & (left[:, a - 1 - j] == -right[:, j])] += 1
+    columns = np.arange(a + b)
+    source = np.where(columns < a - cut[:, None], columns, columns + 2 * cut[:, None])
+    letters = np.take_along_axis(np.concatenate([left, right], axis=1),
+                                 np.minimum(source, a + b - 1), axis=1)
+    lengths = a + b - 2 * cut
+    letters[columns >= lengths[:, None]] = 0
+    return _peeled(letters, lengths)
+
+
+def _half_swap_closure(words, moves):
+    """Half-swap closure of the Dehn-reduced rows of an (m, n) array of
+    least rotations.
+
+    A batched frontier: each round takes every half-relator swap of the
+    frontier's words, in least rotation, and the (row, word) pairs not
+    seen before, found over their bytes (`_first_occurrences`), are the
+    next frontier. A swap keeps the length of a Dehn-reduced word: a
+    cancellation at either junction would need a window of the shortest
+    long move. Returns (words, restart): a row none of whose reachable
+    words admits a Dehn step gets the least of them; a row that reaches
+    one that does gets that word, and restart marks it.
+    """
+    result = words.copy()
+    live = np.ones(len(words), dtype=bool)
+    seen_rows = front_rows = np.arange(len(words))
+    seen = front = words
+    while len(front_rows):
+        windows = moves.windows(front, moves.half[0])
+        row, replacement, rest = _moved(front, *_lookup(windows, moves.half), moves.half)
+        row = front_rows[row]
+        swapped = _least_rotations(np.concatenate([replacement, rest], axis=1))
+        steps = moves.shortening(swapped)
+        restarted, first = np.unique(row[steps], return_index=True)
+        result[restarted] = swapped[steps][first]
+        live[restarted] = False
+        keep = live[row]
+        rows = np.concatenate([seen_rows, row[keep]]).astype(np.int64)
+        both = np.concatenate([seen, swapped[keep]])
+        firsts, _ = _first_occurrences(
+            np.concatenate([rows[:, None].view(np.int8), both], axis=1))
+        new = firsts[firsts >= len(seen_rows)]
+        front_rows, front = rows[new], both[new]
+        seen_rows = np.concatenate([seen_rows, front_rows])
+        seen = np.concatenate([seen, front])
+    closed = live[seen_rows]
+    # `_least_per_row` wants the live rows numbered 0, 1, ...
+    rank = np.cumsum(live) - 1
+    result[live] = seen[closed][_least_per_row(rank[seen_rows[closed]], *seen[closed].T)]
+    return result, ~live
+
+
+def _first_occurrences(rows):
+    """(firsts, index): the row of the first occurrence of each distinct
+    row of a 2-D array, in order of first occurrence, and for each row
+    the index of its value among them. Rows are compared by their bytes,
+    which works at any width."""
+    flat = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+    if not rows.shape[1]:
+        flat = np.zeros(len(rows))
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
+def _least_rotations(words):
+    """Lexicographically least rotation of each row of an (n, m) array.
+
+    The start columns of the least rotation are narrowed column by column
+    over the doubled rows: after step c only the starts whose first c + 1
+    letters are least remain. Starts tied after m steps give the same
+    rotation (a periodic word), so any of them serves.
+    """
+    n, m = words.shape
+    doubled = np.concatenate([words, words], axis=1)
+    starts = np.ones((n, m), dtype=bool)
+    for c in range(m):
+        letters = doubled[:, c:c + m]
+        least = np.where(starts, letters, np.iinfo(words.dtype).max).min(
+            axis=1, keepdims=True)
+        starts &= letters == least
+    first = starts.argmax(axis=1) if m else np.zeros(n, dtype=np.intp)
+    return np.take_along_axis(doubled, first[:, None] + np.arange(m), axis=1)
+
+
+def _peeled(letters, lengths):
+    """Freely reduced words with their wrap-around cancelled: the int8
+    rows `letters` (row j's word in its first lengths[j] columns) and
+    their lengths after peeling every matching first/last letter pair.
+
+    Column j is compared with its mirror column lengths − 1 − j for the
+    rows still peeling, while at least two letters remain; a row stops
+    at its first mismatch. Peeled rows are shifted left and re-padded.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    peel = np.zeros(len(lengths), dtype=np.intp)
+    live = np.arange(len(lengths))
+    for j in range(letters.shape[1] // 2):
+        live = live[lengths[live] - 2 * j >= 2]
+        live = live[letters[live, j] == -letters[live, lengths[live] - 1 - j]]
+        if not live.size:
+            break
+        peel[live] += 1
+    cyclic = letters.copy()
+    lengths = lengths - 2 * peel
+    shifted = np.flatnonzero(peel)
+    columns = np.arange(letters.shape[1])
+    moved = np.take_along_axis(
+        letters[shifted],
+        np.minimum(peel[shifted, None] + columns, letters.shape[1] - 1), axis=1)
+    moved[columns >= lengths[shifted, None]] = 0
+    cyclic[shifted] = moved
+    return cyclic, lengths
 
 
 def conjugacy_canonical(word, presentation):
     """Canonical CyclicWord of the conjugacy class of `word`.
 
-    Cyclic reduction, cyclic Dehn reduction, closure under half-relator
-    swaps, then minimal rotation over everything reachable. Conjugate
-    inputs map to equal outputs; the relator itself maps to the empty
-    class.
+    A one-row call of `conjugacy_canonical_rows` on the least rotation of
+    the cyclically reduced word. Conjugate inputs map to equal outputs;
+    the relator itself maps to the empty class.
     """
-    long_moves, half_moves = _relator_tables(presentation.relator)
-    w = cyclic_reduce(word)
-    # shorten as far as possible first
-    while True:
-        nxt = _cyclic_dehn_step(w, long_moves)
-        if nxt is None:
-            break
-        w = nxt
-    if not w:
-        return CyclicWord(())
-    # closure of the shortest representatives under rotations + half swaps
-    seen = {min_rotation(w)}
-    frontier = [min_rotation(w)]
-    guard = 0
-    while frontier:
-        guard += 1
-        if guard > 10000:
-            raise RuntimeError("canonicalization closure did not stabilize")
-        current = frontier.pop()
-        for variant in _half_swap_variants(current, half_moves):
-            shorter = _cyclic_dehn_step(variant, long_moves)
-            if shorter is not None:
-                # strictly shorter representative found: restart from it
-                return conjugacy_canonical(shorter, presentation)
-            key = min_rotation(variant)
-            if key not in seen:
-                seen.add(key)
-                frontier.append(key)
-    return CyclicWord(min(seen))
+    key = min_rotation(cyclic_reduce(word))
+    letters, lengths = conjugacy_canonical_rows(
+        np.array(key, dtype=np.int8).reshape(1, len(key)), [len(key)], presentation)
+    return CyclicWord(tuple(letters[0, :lengths[0]].tolist()))
 
 
 def extend_cocycle(omega, word, rho):

@@ -16,7 +16,13 @@ from anosovlab.affine_deform import special_shape
 from anosovlab.fuchsian import sl2_eigenbasis
 from anosovlab.linalg import NumericalFailure, orthonormal_span
 from anosovlab.principal_rep import sym_power_rep
-from anosovlab.surface_group import cyclic_reduce, free_reduce, min_rotation
+from anosovlab.surface_group import (
+    CyclicWord,
+    _relator_tables,
+    cyclic_reduce,
+    free_reduce,
+    min_rotation,
+)
 
 
 # --- linear algebra -------------------------------------------------------
@@ -73,9 +79,108 @@ def orbit_distance(m):
 
 # --- words -----------------------------------------------------------------
 
+def cyclic_dehn_step(word, long_moves):
+    """Best strictly-shortening cyclic replacement, or None.
+
+    Among all applicable replacements, the one whose result has the
+    smallest (length, minimal rotation) is chosen, which makes the greedy
+    reduction independent of the input rotation.
+
+    The windows of the shortest move length are scanned first, and a
+    word none of them matches takes no step. That prefilter is exact:
+    every long-move key is the first k letters of a rotation of the
+    relator or its inverse, so its first letters up to the shortest move
+    length are themselves a key of the shortest moves, found in the same
+    cyclic window.
+    """
+    n = len(word)
+    if not long_moves or n < long_moves[-1][0]:
+        return None
+    doubled = word + word
+    shortest, first_keys = long_moves[-1]
+    for i in range(n):
+        if doubled[i:i + shortest] in first_keys:
+            break
+    else:
+        return None
+    best = None
+    for k, moves in long_moves:
+        if k > n:
+            continue
+        for i in range(n):
+            s = doubled[i : i + k]
+            if s in moves:
+                rest = doubled[i + k : i + n]
+                candidate = cyclic_reduce(moves[s] + rest)
+                key = (len(candidate), min_rotation(candidate))
+                if best is None or key < best[0]:
+                    best = (key, candidate)
+        if best is not None:
+            return best[1]
+    return None
+
+
+def half_swap_variants(word, half_moves):
+    """Equal-length conjugates obtained by one half-relator swap."""
+    n = len(word)
+    out = set()
+    if not half_moves:
+        return out
+    half = len(next(iter(half_moves)))
+    if n < half:
+        return out
+    doubled = word + word
+    for i in range(n):
+        s = doubled[i : i + half]
+        if s in half_moves:
+            rest = doubled[i + half : i + n]
+            out.add(cyclic_reduce(half_moves[s] + rest))
+    return out
+
+
+def conjugacy_canonical_per_word(word, presentation):
+    """Canonical CyclicWord of the conjugacy class of `word`, one word at
+    a time: the route `surface_group.conjugacy_canonical_rows` batches.
+
+    Cyclic reduction, cyclic Dehn reduction, closure under half-relator
+    swaps, then minimal rotation over everything reachable. Conjugate
+    inputs map to equal outputs; the relator itself maps to the empty
+    class.
+    """
+    long_moves, half_moves = _relator_tables(presentation.relator)
+    w = cyclic_reduce(word)
+    # shorten as far as possible first
+    while True:
+        nxt = cyclic_dehn_step(w, long_moves)
+        if nxt is None:
+            break
+        w = nxt
+    if not w:
+        return CyclicWord(())
+    # closure of the shortest representatives under rotations + half swaps
+    seen = {min_rotation(w)}
+    frontier = [min_rotation(w)]
+    guard = 0
+    while frontier:
+        guard += 1
+        if guard > 10000:
+            raise RuntimeError("canonicalization closure did not stabilize")
+        current = frontier.pop()
+        for variant in half_swap_variants(current, half_moves):
+            shorter = cyclic_dehn_step(variant, long_moves)
+            if shorter is not None:
+                # strictly shorter representative found: restart from it
+                return conjugacy_canonical_per_word(shorter, presentation)
+            key = min_rotation(variant)
+            if key not in seen:
+                seen.add(key)
+                frontier.append(key)
+    return CyclicWord(min(seen))
+
+
 def cyclic_dehn_step_unfiltered(word, long_moves):
-    """`surface_group._cyclic_dehn_step` without its shortest-move
-    prefilter: every window of every long-move length is tried."""
+    """`cyclic_dehn_step` without its shortest-move prefilter: every
+    window of every long-move length is tried."""
     n = len(word)
     if n == 0:
         return None

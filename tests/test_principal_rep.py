@@ -202,6 +202,16 @@ def test_representation_cache_and_residuals(lab):
     assert lab.rho_e[2].relator_residual(lab.presentation) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_products_have_the_bits_of_evaluate(lab, rng, n):
+    words = rng.choice([1, -1, 2, -2, 3, -3, 4, -4], size=(30, n)).astype(np.int8)
+    for rho in (lab.sl2, lab.rho_v[3], lab.rho_e[3]):
+        stack = rho.products(words)
+        assert stack.shape == (30, rho.dim, rho.dim)
+        assert stack.tobytes() == np.array(
+            [rho.evaluate(tuple(w)) for w in words.tolist()]).tobytes()
+
+
 def _sym_power_formula(p, m):
     """The single-matrix column-by-column np.convolve form."""
     from math import comb

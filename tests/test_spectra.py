@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from anosovlab import fuchsian, spectra
 from anosovlab.affine_deform import Cocycle, coboundary
 from anosovlab.fuchsian import enumerate_ball
-from anosovlab.linalg import NumericalFailure
+from anosovlab.principal_rep import Representation
 from anosovlab.surface_group import (
     conjugacy_canonical,
     cyclic_reduce,
@@ -223,26 +223,35 @@ def test_spectrum_stabilization_certificate(lab):
     assert counts[0] == counts[1] > 0
 
 
+def _failing_rows(victim_matrix):
+    """`hyperbolic_eigenbases` with every row equal to `victim_matrix`
+    reported as failed, as a degenerate eigenbasis would be."""
+    original = spectra.hyperbolic_eigenbases
+
+    def failing(m):
+        h, lams, ok = original(m)
+        victims = (np.asarray(m) == victim_matrix).all(axis=(1, 2))
+        h[victims], lams[victims], ok[victims] = math.nan, math.nan, False
+        return h, lams, ok
+
+    return failing
+
+
 def test_only_numerical_failures_are_dropped(lab, monkeypatch):
     full = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
     victim = full.records[0].word
-    original = spectra._class_record
-
-    def failing(word, *args):
-        if word == victim:
-            raise NumericalFailure("simulated ill-conditioned class")
-        return original(word, *args)
-
-    monkeypatch.setattr(spectra, "_class_record", failing)
+    monkeypatch.setattr(spectra, "hyperbolic_eigenbases",
+                        _failing_rows(lab.sl2.evaluate(victim)))
     spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
     # the failed class is left out of the records and counted in `dropped`
     assert spec.dropped >= 1 and len(spec) == len(full) - 1
+    assert victim not in {r.word for r in spec.records}
 
     # any other exception is a bug and must not be counted as a dropped class
-    def broken(word, *args):
+    def broken(m):
         raise TypeError("simulated bug")
 
-    monkeypatch.setattr(spectra, "_class_record", broken)
+    monkeypatch.setattr(spectra, "hyperbolic_eigenbases", broken)
     with pytest.raises(TypeError):
         length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
 
@@ -256,16 +265,46 @@ def test_failed_class_counted_once(lab, monkeypatch):
             letters = conjugacy_canonical(word, lab.presentation).letters
             elements[letters] = elements.get(letters, 0) + 1
     victim = next(r.word for r in full.records if elements[r.word] >= 2)
-    original = spectra._class_record
-
-    def failing(word, *args):
-        if word == victim:
-            raise NumericalFailure("simulated ill-conditioned class")
-        return original(word, *args)
-
-    monkeypatch.setattr(spectra, "_class_record", failing)
+    monkeypatch.setattr(spectra, "hyperbolic_eigenbases",
+                        _failing_rows(lab.sl2.evaluate(victim)))
     spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
     assert spec.dropped == 1 and len(spec) == len(full) - 1
+
+
+# recorded with the per-class record route this replaced: SHA-256 of the
+# p = 3 records of the 136 `spectrum8` classes without a1 or A1, every bit
+PINNED_NO_A1_RECORDS_SHA256 = (
+    "b94c870cf5e5d7e67f64c60800e65cc73957564c99519faca6ac36424e60518d"
+)
+
+
+def _digest_records(digest, p, records):
+    """Feed every bit of the records, in word order, to a SHA-256 digest."""
+    for rec in sorted(records, key=lambda r: r.word):
+        digest.update(f"{p} {format_word(rec.word)}\n".encode())
+        for value in (rec.trace, rec.length_hyp, rec.length_lastroot):
+            digest.update(np.float64(value).tobytes())
+        digest.update(rec.lambdas.tobytes())
+        digest.update(rec.lambdas_bar.tobytes())
+
+
+def test_stacked_records_drop_a_non_hyperbolic_row(lab, spectrum8):
+    # a1 is parabolic here, so (a1)^4 is the one non-hyperbolic class of its
+    # stack; the classes without a1 keep the octagon's products
+    spec, _ = spectrum8
+    words = [r.word for r in spec.records if 1 not in map(abs, r.word)]
+    assert len(words) == 136 and sum(len(w) == 4 for w in words) == 40
+    generators = dict(lab.sl2.generators)
+    generators[1] = np.array([[1.0, 1.0], [0.0, 1.0]])
+    parabolic = Representation(generators)
+    bad = (1, 1, 1, 1)
+    rows, lengths = _letter_rows(words[:70] + [bad] + words[70:])
+    records, dropped = spectra._class_records(rows, lengths, parabolic, 3)
+    assert dropped == 1 and len(records) == len(words)
+    assert [r.word for r in records] == words
+    digest = hashlib.sha256()
+    _digest_records(digest, 3, records)
+    assert digest.hexdigest() == PINNED_NO_A1_RECORDS_SHA256
 
 
 # measured before the spectrum and α paths were batched; any moved bit fails.
@@ -293,12 +332,7 @@ def test_spectrum_records_pinned(pinned_spectra):
     digest = hashlib.sha256()
     for p, spec in pinned_spectra.items():
         assert spec.dropped == 0
-        for rec in sorted(spec.records, key=lambda r: r.word):
-            digest.update(f"{p} {format_word(rec.word)}\n".encode())
-            for value in (rec.trace, rec.length_hyp, rec.length_lastroot):
-                digest.update(np.float64(value).tobytes())
-            digest.update(rec.lambdas.tobytes())
-            digest.update(rec.lambdas_bar.tobytes())
+        _digest_records(digest, p, spec.records)
     assert [len(s) for s in pinned_spectra.values()] == PINNED_COUNTS
     assert digest.hexdigest() == PINNED_RECORDS_SHA256
 
@@ -384,17 +418,19 @@ def test_class_extraction_leaves_word_tuples_unbuilt(lab):
 
 
 def test_one_canonicalization_per_distinct_cyclic_key(lab, monkeypatch):
+    # one batched call per spectrum, on exactly the distinct keys in order
+    # of first occurrence
     calls = []
-    original = spectra.conjugacy_canonical
+    original = spectra.conjugacy_canonical_rows
 
-    def counting(word, presentation):
-        calls.append(word)
-        return original(word, presentation)
+    def counting(keys, lengths, presentation):
+        calls.append([tuple(row[:n]) for row, n in zip(keys.tolist(), lengths.tolist())])
+        return original(keys, lengths, presentation)
 
-    monkeypatch.setattr(spectra, "conjugacy_canonical", counting)
+    monkeypatch.setattr(spectra, "conjugacy_canonical_rows", counting)
     length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=8.0)
     in_ball_order = [min_rotation(w) for w, _ in lab.ball.cyclic_words(8.0)]
-    assert calls == list(dict.fromkeys(in_ball_order))
+    assert calls == [list(dict.fromkeys(in_ball_order))]
 
 
 LETTERS = (1, -1, 2, -2, 3, -3, 4, -4)
@@ -422,7 +458,10 @@ def _assert_keys_are_min_rotations(words):
     assert lengths.tolist() == [len(w) for w in reduced]
     assert [tuple(row[:n]) for row, n in zip(cyclic.tolist(), lengths)] == reduced
     assert not any(any(row[n:]) for row, n in zip(cyclic.tolist(), lengths))
-    keys, key_of = spectra._cyclic_keys(cyclic, lengths)
+    keys, key_lengths, key_of = spectra._cyclic_keys(cyclic, lengths)
+    assert keys.shape[1] == cyclic.shape[1] and keys.dtype == np.int8
+    assert not any(any(row[n:]) for row, n in zip(keys.tolist(), key_lengths))
+    keys = [tuple(row[:n]) for row, n in zip(keys.tolist(), key_lengths)]
     expected = [min_rotation(w) for w in reduced]
     assert [keys[k] for k in key_of.tolist()] == expected
     assert keys == list(dict.fromkeys(expected))

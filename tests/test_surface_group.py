@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anosovlab import spectra
+from anosovlab import spectra, surface_group
 from anosovlab.surface_group import (
     CocycleBasis,
     GroupPresentation,
-    _cyclic_dehn_step,
     _relator_tables,
     conjugacy_canonical,
+    conjugacy_canonical_rows,
     cyclic_reduce,
     extend_cocycle,
     free_reduce,
@@ -18,7 +18,11 @@ from anosovlab.surface_group import (
     solve_cocycle_space,
 )
 
-from oracles import cyclic_dehn_step_unfiltered
+from oracles import (
+    conjugacy_canonical_per_word,
+    cyclic_dehn_step,
+    cyclic_dehn_step_unfiltered,
+)
 
 PRES = GroupPresentation.genus2()
 RELATOR = PRES.relator
@@ -129,27 +133,121 @@ PIECED_WORDS = st.lists(WORD_PIECES, max_size=8).map(lambda parts: sum(parts, ()
 def test_dehn_prefilter_is_exact(word):
     long_moves, _ = _relator_tables(RELATOR)
     for w in (word, cyclic_reduce(word)):
-        assert _cyclic_dehn_step(w, long_moves) == cyclic_dehn_step_unfiltered(w, long_moves)
+        assert cyclic_dehn_step(w, long_moves) == cyclic_dehn_step_unfiltered(w, long_moves)
+
+
+def ball_keys(lab, radius):
+    """Distinct cyclic keys of the lab ball's classes up to `radius`, as tuples."""
+    _, cyclic, lengths = lab.ball.closed_orbits(radius)
+    keys, key_lengths, _ = spectra._cyclic_keys(cyclic, lengths)
+    return [tuple(row[:n]) for row, n in zip(keys.tolist(), key_lengths.tolist())]
 
 
 def test_dehn_prefilter_is_exact_on_the_ball_keys(lab):
     # every distinct cyclic key of the T = 8 spectrum, and each word its
     # canonicalization steps through
     long_moves, _ = _relator_tables(RELATOR)
-    _, cyclic, lengths = lab.ball.closed_orbits(8.0)
-    keys, _ = spectra._cyclic_keys(cyclic, lengths)
+    keys = ball_keys(lab, 8.0)
     stepped = 0
     for key in keys:
         word = key
         while True:
             expected = cyclic_dehn_step_unfiltered(word, long_moves)
-            assert _cyclic_dehn_step(word, long_moves) == expected
+            assert cyclic_dehn_step(word, long_moves) == expected
             if expected is None:
                 break
             stepped += word == key
             word = expected
     # both outcomes of the prefilter are exercised
     assert 0 < stepped < len(keys)
+
+
+def batched_classes(words):
+    """Canonical words of `words` from one `conjugacy_canonical_rows` call."""
+    keys = [min_rotation(cyclic_reduce(w)) for w in words]
+    rows = np.zeros((len(keys), max(map(len, keys), default=0)), dtype=np.int8)
+    for i, key in enumerate(keys):
+        rows[i, :len(key)] = key
+    out, lengths = conjugacy_canonical_rows(rows, [len(key) for key in keys], PRES)
+    assert out.shape == rows.shape and out.dtype == np.int8
+    out, lengths = out.tolist(), lengths.tolist()
+    assert not any(any(row[n:]) for row, n in zip(out, lengths))
+    return [tuple(row[:n]) for row, n in zip(out, lengths)]
+
+
+def assert_batched_matches_oracle(words):
+    expected = [conjugacy_canonical_per_word(w, PRES).letters for w in words]
+    assert batched_classes(words) == expected
+    # each Dehn step on its own: the oracle's step, up to rotation
+    long_moves, _ = _relator_tables(RELATOR)
+    stepping = {}
+    for w in words:
+        w = min_rotation(cyclic_reduce(w))
+        while (step := cyclic_dehn_step(w, long_moves)) is not None:
+            stepping[w] = min_rotation(step)
+            w = min_rotation(step)
+    for n in {len(w) for w in stepping}:
+        before = [w for w in stepping if len(w) == n]
+        out, lengths = surface_group._dehn_steps(
+            np.array(before, dtype=np.int8), surface_group._moves(PRES))
+        assert [tuple(row[:k]) for row, k in zip(out.tolist(), lengths.tolist())] == [
+            stepping[w] for w in before]
+
+
+LETTERS = (1, -1, 2, -2, 3, -3, 4, -4)
+# u·w·u⁻¹ with a short conjugator u around a pieced core: at most 48 letters
+CONJUGATED = st.tuples(
+    st.lists(st.sampled_from(LETTERS), max_size=8).map(free_reduce),
+    st.lists(WORD_PIECES, max_size=4).map(lambda parts: sum(parts, ())),
+).map(lambda t: free_reduce(t[0] + t[1] + inverse_word(t[0])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(PIECED_WORDS, CONJUGATED), max_size=12))
+def test_batched_route_matches_the_per_word_oracle(words):
+    assert_batched_matches_oracle(words)
+
+
+def test_batched_route_examples():
+    long_moves, _ = _relator_tables(RELATOR)
+    trivial = [()] + RELATOR_FORMS
+    assert batched_classes(trivial) == [()] * len(trivial)
+    # every freely reduced word of 1-4 letters
+    short = [()]
+    for _ in range(4):
+        short = [w + (letter,) for w in short for letter in LETTERS
+                 if not w or w[-1] != -letter]
+        assert_batched_matches_oracle(short)
+    # a full relator rotation: the 7-letter move's one-letter replacement
+    # cancels against the rest
+    holding = [form + (2, 3) for form in RELATOR_FORMS]
+    assert batched_classes(holding) == [(2, 3)] * len(holding)
+    assert_batched_matches_oracle(holding)
+    # a Dehn-reduced key whose half-swap closure reaches a word that takes
+    # a Dehn step, so the closure restarts from a shorter word
+    restart = (-4, -3, -4, 1, 2, 2, -1, -2, 3)
+    assert cyclic_dehn_step(restart, long_moves) is None
+    assert batched_classes([restart]) == [(-4, -4, -4, -3, 2, 4, 3)]
+    assert_batched_matches_oracle([restart])
+
+
+def test_batched_route_on_other_relators():
+    # the torus relator [a1, b1] runs the same route; relators
+    # of odd length or fewer than 4 letters are refused
+    torus = GroupPresentation(2, (1, 2, -1, -2))
+    for word in [(1,), (2, 1, -2, -1), (1, 1, 2), (1, 2, -1, -2, 1), (1, 2, 1, 2)]:
+        assert conjugacy_canonical(word, torus) == conjugacy_canonical_per_word(word, torus)
+    assert conjugacy_canonical((2, 1, -2, -1), torus).is_trivial
+    for relator in [(1, 2), (1, 2, 1), (1, 2, 2, 1, 2)]:
+        presentation = GroupPresentation(2, relator)
+        with pytest.raises(ValueError, match="even length"):
+            conjugacy_canonical((1,), presentation)
+
+
+def test_batched_route_matches_oracle_on_the_ball_keys(lab):
+    keys = ball_keys(lab, 8.0)
+    assert len(keys) > 500
+    assert_batched_matches_oracle(keys)
 
 
 @pytest.mark.parametrize("p,expected", [(2, 9), (3, 15)])
