@@ -85,7 +85,7 @@ SEPARATION = 0.2
 DEFAULTS = {
     "p": 2,
     "radius": 8.0,
-    "slack": 2.0,
+    "slack": 0.0,
     "margin": 3.0,
     "window": None,       # defaults to [radius - 4, radius]
     "seed": None,

@@ -12,18 +12,19 @@ The group lies in SL(2) of the quartic field Q(θ), f(θ) = θ⁴ + 8θ³ +
 (Takeuchi, J. Math. Soc. Japan 27, 1975, for the arithmetic background).
 
 Ball enumeration is a breadth-first search over freely reduced words,
-pruned by orbit distance with a configurable slack and deduplicated by
-exact keys: the entries' residues modulo two primes at which f has a
-root. Equal keys mean equal elements up to the radius + slack
-KEY_HORIZON (proof in `enumerate_ball`), so there is no tolerance and no
-merge pass. Keys are sorted and looked up by their first 64-bit column,
-and every hash match is confirmed on the whole key. Words are kept as
-int8 letter arrays during the search and in the returned ball; they
-become tuples only when `BallEnumeration.words` is first read, and the
-closed orbits with their cyclic words (`BallEnumeration.closed_orbits`)
-are selected and peeled on the arrays. The
-traversal is level-synchronous with canonical tie-breaks, so the output
-is independent of internal evaluation order.
+pruned at the ball's own radius (the octagon is the Dirichlet domain of
+o, so every ball element has a neighbour in the ball closer to o; proof
+in `enumerate_ball`) and deduplicated by exact keys: the entries'
+residues modulo two primes at which f has a root. Equal keys mean equal
+elements at search horizons up to KEY_HORIZON (proof in
+`enumerate_ball`), so there is no tolerance and no merge pass. Keys are
+sorted and looked up by their first 64-bit column, and every hash match
+is confirmed on the whole key. Words are kept as int8 letter arrays
+during the search and in the returned ball; they become tuples only when
+`BallEnumeration.words` is first read, and the closed orbits with their
+cyclic words (`BallEnumeration.closed_orbits`) are selected and peeled on
+the arrays. The traversal is level-synchronous with canonical
+tie-breaks, so the output is independent of internal evaluation order.
 """
 
 import math
@@ -57,8 +58,17 @@ KEY_PRIMES = ((2147483543, 1728828756), (2147483489, 911795266))
 # 2^17·cosh(KEY_HORIZON) < p₁p₂ (see enumerate_ball)
 KEY_HORIZON = 31.88
 
-# largest orbit count (cosh H − 1)/2 at H = radius + slack enumerate_ball takes
-MAX_BALL_ELEMENTS = 40_000_000
+# largest orbit count (cosh H − 1)/2 at H = radius + slack enumerate_ball
+# takes. Budget: 4 GB, half of the 8 GB machine the lab is sized for. At
+# slack 0 every explored element is kept; the peak RSS of a process that
+# builds one ball, over its 32 MB base, measured 243 to 265 B per element
+# at R = 13 to 16.5 (2-core Xeon, numpy 2.4.6). At 270 B per element the
+# largest admitted ball (horizon 17.84) peaks near 1.4e7 · 270 B + 32 MB
+# ≈ 3.8 GB. The class-spectrum commands (spectrum, margulis, scan), which
+# build one ball at radius + margin and then their classes, measured end
+# to end 245 B per ball element at R = 16 and 233 B at R = 17 (margulis
+# --p 3), so the same budget covers them.
+MAX_BALL_ELEMENTS = 14_000_000
 
 
 def rotation(theta):
@@ -478,7 +488,7 @@ def _merged(old, kept, slots, values):
     return out
 
 
-def enumerate_ball(generators, radius, slack=2.0, presentation=None):
+def enumerate_ball(generators, radius, slack=0.0, presentation=None):
     """Enumerate the orbit ball of radius `radius` around o = i.
 
     Breadth-first search over freely reduced words pruned at orbit
@@ -496,6 +506,31 @@ def enumerate_ball(generators, radius, slack=2.0, presentation=None):
     next level allocates. Words are int8 letter rows throughout; the
     returned ball builds tuples only when `words` is first read.
 
+    Why pruning at the radius reaches the whole ball (Dirichlet descent;
+    Beardon, The Geometry of Discrete Groups, §9.4). The octagon D is the
+    Dirichlet domain of o: each side of D lies on the perpendicular
+    bisector of o and s·o for the letter s whose tile s·D lies across it
+    (tested from the exact entries). Let g ≠ e. The tiles have disjoint
+    interiors and o is interior to D, so o ∉ g·D, and g·D is convex, so o
+    lies strictly beyond one of its sides g·σ. That side lies on the
+    bisector of g·o and gs·o, with o on the side of gs·o, so
+    d(o, gs·o) < d(o, g·o). So every ball element g ≠ e has a neighbour gs
+    strictly closer to o, and the ball is finite, so repeating the step
+    reaches e. Read backwards, g is spelled from e one letter at a time
+    through elements no farther from o than g: the ball pruned at its own
+    radius is connected, and slack 0 reaches every element. Floats enter
+    only through the pruning test at the horizon radius + slack, which is
+    guarded by 1e-9 relative, so an intermediate element whose computed
+    distance rounds just past it is still expanded; the ball keeps only
+    distances ≤ radius.
+    The argument fixes the set of elements. That each kept word, the
+    code-smallest shortest word spelled within the horizon, is the same
+    at any slack is measured, not proved: the slack equality test holds
+    it at seven radii up to 13, and it was checked bit for bit up to
+    R = 16 against a search to the largest admitted horizon 17.84, not
+    at the larger radii the size limit admits. The class outputs do not
+    depend on the representative word.
+
     Why equal keys mean equal elements. Write K = Q(θ) with f(θ) = 0.
     Every group element has its 8·entries in Z[θ] (the lattice
     certificate in the tests), and each key prime p has a root r of f,
@@ -504,11 +539,12 @@ def enumerate_ball(generators, radius, slack=2.0, presentation=None):
     for an entry where A and B differ. Then x lies in both kernels, so
     p₁p₂ divides N(x) = [Z[θ] : xZ[θ]]. Bound N(x) by its four
     embeddings. In the first, the float matrices, each entry is at most
-    √(2 cosh H) at horizon H = radius + slack. The second real embedding
+    √(2 cosh H) at the guarded horizon H. The second real embedding
     maps [[a, b], [c, d]] to [[d, −c], [−b, a]], so its entries are
     bounded alike. The complex pair is unitary, so there each entry has
     modulus at most 1. Hence 1 ≤ |N(x)| ≤ (16√(2 cosh H))² · 16² =
-    2^17·cosh H, below p₁p₂ for H ≤ KEY_HORIZON: no such pair exists.
+    2^17·cosh H, below p₁p₂ for H < 31.8847, which leaves room for the
+    rounding guard at a horizon ≤ KEY_HORIZON: no such pair exists.
 
     Why a key needs no sign. The relator is exactly I in SL(2, K) (the
     exact-generators certificate), so the matrix group G is a quotient of
@@ -526,9 +562,8 @@ def enumerate_ball(generators, radius, slack=2.0, presentation=None):
         Ball radius T (elements with d(o, γo) ≤ T are returned).
     slack : float
         Pruning slack C ≥ 0; exploration horizon is T + C ≤ KEY_HORIZON.
-        Counts must stabilize under doubling of C (calibration test); the
-        default is validated by that certificate rather than a worst-case
-        bound.
+        The default 0 reaches every ball element (Dirichlet descent,
+        above); a larger C explores more for the same elements.
 
     Returns
     -------
@@ -562,11 +597,14 @@ def enumerate_ball(generators, radius, slack=2.0, presentation=None):
     for k in range(1, n_gen + 1):
         gens[k - 1] = generators[k]
         gens[k - 1 + n_gen] = np.linalg.inv(generators[k])
+    # the descent argument needs every element within the horizon expanded,
+    # so the pruning test forgives a rounding of the distance past it
+    reach = horizon * (1.0 + 1e-9)
     # squared-norm prefilter: its margin covers the rounding of the Gram
-    # form, so it keeps a superset of the children with dists <= horizon,
+    # form, so it keeps a superset of the children with dists <= reach,
     # which is still tested exactly below
     gram = gens @ gens.transpose(0, 2, 1)
-    norm_cap = 2.0 * np.cosh(horizon) * (1.0 + 1e-9)
+    norm_cap = 2.0 * np.cosh(reach) * (1.0 + 1e-9)
 
     # matrices are held entry-major, (4, n) with row 2i + k holding entry
     # (i, k), so each step of the products runs on contiguous rows
@@ -626,7 +664,7 @@ def enumerate_ball(generators, radius, slack=2.0, presentation=None):
         # ‖M‖², summed in the entry order of (M**2).sum(axis=(1, 2))
         dists = np.arccosh(np.maximum(
             1.0, (mats[0] ** 2 + mats[1] ** 2 + mats[2] ** 2 + mats[3] ** 2) / 2.0))
-        within = dists <= horizon
+        within = dists <= reach
         if not within.all():
             mats, dists = mats[:, within], dists[within]
             parent_idx, code_idx = parent_idx[within], code_idx[within]

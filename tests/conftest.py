@@ -20,14 +20,14 @@ from anosovlab.surface_group import GENERATOR_LABELS
 class Lab:
     """Shared bundle: octagon group, principal representations, orbit ball."""
 
-    def __init__(self, radius, slack=2.0):
+    def __init__(self, radius):
         self.presentation, self.sl2_generators = octagon_group()
         self.sl2 = Representation(self.sl2_generators, labels=GENERATOR_LABELS)
         self.basis = {p: principal_basis(p) for p in (2, 3, 4)}
         self.rho_v = {p: sym_representation(p, self.sl2) for p in (2, 3)}
         self.rho_e = {p: embedded_representation(p, self.sl2) for p in (2, 3)}
         self.ball = enumerate_ball(
-            self.sl2.generators, radius, slack, presentation=self.presentation
+            self.sl2.generators, radius, presentation=self.presentation
         )
 
     def hyperbolic_words(self, max_count=None, rng=None):

@@ -148,7 +148,7 @@ def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "ends beyond radius 10.0" in json.loads(capsys.readouterr().err)["error"]
 
-    # radius 16 with margin 3 and slack 2 asks for an R = 19 ball, about
+    # radius 16 with margin 3 and slack 0 asks for an R = 19 ball, about
     # 55 times the R = 15 one; it is refused before its first key
     def allocated(keys):
         raise AssertionError("the ball started before refusing")
@@ -158,6 +158,25 @@ def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
     assert code == 1
     err = json.loads(capsys.readouterr().err)
     assert err["type"] == "config" and "MAX_BALL_ELEMENTS" in err["error"]
+
+
+def test_smallest_refused_spectrum_radius(tmp_path, capsys, monkeypatch):
+    # radius 15 with margin 3 asks for an R = 18 ball, (cosh 18 − 1)/2 ≈
+    # 1.64e7 elements or about 4.4 GB at slack 0: the smallest whole radius
+    # the size limit refuses, before the first key
+    def allocated(keys):
+        raise AssertionError("the ball started before refusing")
+
+    monkeypatch.setattr(fuchsian, "_key_hash", allocated)
+    code, _ = run_cli(tmp_path, "spectrum", extra=("--radius", "15"))
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "config"
+    assert "needs about 1.64e+07 ball elements" in err["error"]
+    # radius 14 (an R = 17 ball of about 6.04e6 elements) is admitted: the
+    # search starts
+    with pytest.raises(AssertionError, match="started before refusing"):
+        run_cli(tmp_path, "spectrum", extra=("--radius", "14"))
 
 
 def test_linalg_error_exits_as_numerical(tmp_path, capsys, monkeypatch):

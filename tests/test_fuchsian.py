@@ -142,6 +142,21 @@ def test_ball_slack_stabilization(lab):
     assert [small.count(t) for t in grid] == [double.count(t) for t in grid]
 
 
+@pytest.mark.parametrize("radius", [4.0, 6.0, 6.5, 8.0, 9.5, 11.0, 13.0])
+def test_ball_at_slack_zero_is_the_slack_two_ball(radius):
+    # the descent proof covers the set of elements; that the kept words,
+    # and so every bit of the ball, are the same is measured here at the
+    # samplers' pools, the lab fixture, the pinned R = 11 ball and the
+    # benchmark's set-up radii
+    _, gens = octagon_group()
+    pruned = enumerate_ball(gens, radius, 0.0)
+    wide = enumerate_ball(gens, radius, 2.0)
+    for name in ("letters", "word_lengths", "matrices", "distances"):
+        mine, theirs = getattr(pruned, name), getattr(wide, name)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
+        assert mine.tobytes() == theirs.tobytes()
+
+
 def test_ball_matrices_match_their_words(lab):
     rng = np.random.default_rng(7)
     idx = rng.permutation(len(lab.ball))[:300]
@@ -224,7 +239,7 @@ def test_ball_independent_of_key_hash(monkeypatch):
 
 def test_ball_radius_11_pinned():
     _, gens = octagon_group()
-    ball = enumerate_ball(gens, 11.0, 2.0)
+    ball = enumerate_ball(gens, 11.0)
     assert len(ball) == 15_337
     text = "\n".join(sorted(format_word(w) for w in ball.words))
     assert hashlib.sha256(text.encode()).hexdigest() == (
@@ -235,7 +250,7 @@ def test_ball_radius_11_pinned():
 def test_ball_radius_11_bits_pinned():
     # the ball in its own order, bit for bit: words, matrices and distances
     _, gens = octagon_group()
-    ball = enumerate_ball(gens, 11.0, 2.0)
+    ball = enumerate_ball(gens, 11.0)
     words = "\n".join(format_word(w) for w in ball.words)
     digests = [hashlib.sha256(blob).hexdigest() for blob in (
         words.encode(), ball.matrices.tobytes(), ball.distances.tobytes())]
@@ -417,6 +432,47 @@ def test_exact_generators_certificate():
     assert p1 != p2 and 2**17 * mpmath.cosh(KEY_HORIZON) < p1 * p2
 
 
+def test_octagon_is_the_dirichlet_domain_of_o():
+    """The premise of the descent proof in `enumerate_ball`: each side of
+    the octagon D lies on the perpendicular bisector of o and s·o for one
+    letter s, with D on the side of o."""
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([1, 8, 12, 16, 4], maxsteps=200, extraprec=200)
+        theta = min(mpmath.re(r) for r in roots if abs(mpmath.im(r)) < 1e-30)
+        o = mpmath.mpc(0, 1)
+
+        def cosh_distance(z, w):
+            return 1 + abs(z - w) ** 2 / (2 * mpmath.im(z) * mpmath.im(w))
+
+        def act(m, z):
+            return (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
+
+        # the vertices of the regular π/4-octagon about o: circumradius ρ
+        # with cosh ρ = cot²(π/8), at the odd multiples of π/8 between the
+        # side midpoints (rotations about o as in `rotation`)
+        top = o * mpmath.exp(mpmath.acosh(mpmath.cot(mpmath.pi / 8) ** 2))
+        vertices = []
+        for k in range(8):
+            half = (2 * k + 1) * mpmath.pi / 16  # half the Möbius angle
+            c, s = mpmath.cos(half), mpmath.sin(half)
+            vertices.append((c * top + s) / (-s * top + c))
+        sides = set()
+        for letter in (1, 2, 3, 4):
+            m = _embedded(letter, theta)
+            for g in (m, mpmath.inverse(m)):
+                image = act(g, o)
+                # cosh d(v, s·o) − cosh d(v, o) at each vertex v of D
+                gap = [cosh_distance(v, image) - cosh_distance(v, o) for v in vertices]
+                on = [k for k in range(8) if abs(gap[k]) < 1e-40]
+                # two adjacent vertices, so their side, lie on the bisector,
+                # and the other six lie strictly on the side of o
+                assert len(on) == 2 and on[1] - on[0] in (1, 7)
+                assert all(gap[k] > 0.1 for k in range(8) if k not in on)
+                sides.add(frozenset(on))
+    # the eight letters pair off the eight sides
+    assert len(sides) == 8
+
+
 def test_ball_refuses_uncertified_input(monkeypatch):
     _, gens = octagon_group()
 
@@ -440,13 +496,30 @@ def test_ball_memory_budget(monkeypatch):
 
     # the size limit is checked from radius + slack, before the first key
     monkeypatch.setattr(fuchsian, "_key_hash", allocated)
-    # (cosh 19 − 1)/2 ≈ 4.46e7 orbit points, over MAX_BALL_ELEMENTS
+    # (cosh 18 − 1)/2 ≈ 1.64e7 orbit points, over MAX_BALL_ELEMENTS
+    with pytest.raises(ValueError, match=r"1\.64e\+07 ball elements"):
+        enumerate_ball(gens, 18.0)
+    # (cosh 17.8 − 1)/2 ≈ 1.34e7 is admitted: the search starts
+    with pytest.raises(AssertionError, match="started before refusing"):
+        enumerate_ball(gens, 17.8)
+    # the slack is charged: radius 16 alone is admitted, with slack 2 it
+    # asks for the same (cosh 18 − 1)/2, and 17 + 2 for (cosh 19 − 1)/2
+    with pytest.raises(AssertionError, match="started before refusing"):
+        enumerate_ball(gens, 16.0)
+    with pytest.raises(ValueError, match=r"1\.64e\+07 ball elements"):
+        enumerate_ball(gens, 16.0, 2.0)
     with pytest.raises(ValueError, match=r"4\.46e\+07 ball elements"):
         enumerate_ball(gens, 17.0, 2.0)
-    # (cosh 11 − 1)/2 ≈ 3.0e4 orbit points, over a budget of 100
+    # (cosh 9 − 1)/2 ≈ 4.1e3 orbit points, over a budget of 100
     monkeypatch.setattr(fuchsian, "MAX_BALL_ELEMENTS", 100)
     with pytest.raises(ValueError, match="MAX_BALL_ELEMENTS = 100"):
-        enumerate_ball(gens, 9.0, 2.0)
+        enumerate_ball(gens, 9.0)
+    # (cosh 4 − 1)/2 ≈ 13 fits a budget of 100, (cosh 6 − 1)/2 ≈ 100.4
+    # at slack 2 does not
+    with pytest.raises(AssertionError, match="started before refusing"):
+        enumerate_ball(gens, 4.0)
+    with pytest.raises(ValueError, match=r"about 100 ball elements, over MAX_BALL_ELEMENTS = 100"):
+        enumerate_ball(gens, 4.0, 2.0)
 
 
 def test_distance_formulas_agree():
