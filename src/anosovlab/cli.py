@@ -15,8 +15,9 @@ randomness requires a seed, and identical config + seed produces
 byte-identical outputs. Outputs are byte-identical at any BLAS thread
 count; cap threads with OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set before
 the process starts. Outputs are written atomically (temp file + rename)
-with 17 significant digits. Exit codes: 0 success, 1 invalid input,
-2 numerical failure; errors emit machine-readable JSON on stderr.
+with 17 significant digits. Exit codes: 0 success, 1 invalid input (a
+bad flag or config key included), 2 numerical failure; errors emit
+machine-readable JSON on stderr.
 """
 
 import argparse
@@ -80,18 +81,19 @@ FREE_LETTERS = (1, 2)
 FD_STEP = 1e-4
 S_GRID = (-0.05, 0.0, 0.05)
 SEPARATION = 0.2
+# the class spectra read classes of length ≤ radius from a ball this much
+# wider, and check-rep passes when its residuals are at most CHECK_REP_TOL
+SPECTRUM_MARGIN = 3.0
+CHECK_REP_TOL = 1e-9
 
 
 DEFAULTS = {
     "p": 2,
     "radius": 8.0,
-    "slack": 0.0,
-    "margin": 3.0,
     "window": None,       # defaults to [radius - 4, radius]
     "seed": None,
     "count": 1000,
     "source": "elements",
-    "tolerance": 1e-9,
     "out": "out",
     "cocycle": None,
     "project": False,
@@ -110,8 +112,8 @@ def load_config(args):
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         config.update(loaded)
-    for key in ("p", "radius", "slack", "seed", "out", "tolerance"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in ("p", "radius", "seed", "out"):
+        value = getattr(args, key)
         if value is not None:
             config[key] = value
     _validate(config)
@@ -123,10 +125,6 @@ def _validate(config):
         raise ConfigError("p must be one of 2, 3, 4")
     if not 0 < config["radius"] <= 16:
         raise ConfigError("radius must lie in (0, 16]")
-    if not 0 <= config["slack"] <= 12:
-        raise ConfigError("slack must lie in [0, 12]")
-    if config["margin"] < 0:
-        raise ConfigError("margin must be nonnegative")
     if config["window"] is not None:
         t0, t1 = config["window"]
         if not (0 < t0 < t1):
@@ -161,16 +159,14 @@ class Workspace:
 
     def ball(self, radius=None):
         radius = self.config["radius"] if radius is None else radius
-        return enumerate_ball(
-            self.sl2.generators, radius, self.config["slack"],
-            presentation=self.presentation,
-        )
+        return enumerate_ball(self.sl2.generators, radius,
+                              presentation=self.presentation)
 
     def spectrum(self, omega=None):
-        """Class spectrum at the configured radius from a ball `margin`
-        beyond it; with a cocycle, its α column attached."""
+        """Class spectrum at the configured radius from a ball
+        SPECTRUM_MARGIN beyond it; with a cocycle, its α column attached."""
         radius = self.config["radius"]
-        ball = self.ball(radius + self.config["margin"])
+        ball = self.ball(radius + SPECTRUM_MARGIN)
         spec = length_spectrum(self.rho_v, ball, self.basis, radius=radius)
         if omega is None:
             return spec
@@ -276,11 +272,11 @@ def run_check_rep(ws, out_dir):
     ]
     write_json(os.path.join(out_dir, "check_rep.json"), report)
     passed = (
-        float(report["relator_residual_sl2"]) <= config["tolerance"]
+        float(report["relator_residual_sl2"]) <= CHECK_REP_TOL
         and tuple(report["signature_v"]) == (p, p - 1)
         and tuple(report["signature_e"]) == (p, p)
-        and worst_v <= config["tolerance"]
-        and worst_e <= config["tolerance"]
+        and worst_v <= CHECK_REP_TOL
+        and worst_e <= CHECK_REP_TOL
     )
     if not passed:
         raise NumericalFailure("check-rep report failed its thresholds")
@@ -315,7 +311,6 @@ def run_spectrum(ws, out_dir):
         "p": ws.p,
         "radius": float17(spec.radius),
         "ball_radius": float17(spec.ball_radius),
-        "slack": float17(spec.slack),
         "classes": len(spec),
         "dropped": spec.dropped,
         "margulis_convention": "alpha(g) = Q(omega_g, x_g); middle eigenvalue "
@@ -590,8 +585,7 @@ def run_scan(ws, out_dir):
                          float17(est.residual), est.count])
     atomic_write(os.path.join(out_dir, "scan.csv"), buf.getvalue())
     half_alpha_avg = 0.5 * bm_average(spec, window)
-    residual = next(est.residual for s, est in scan.table if s == 0.0) \
-        if any(s == 0.0 for s, _ in scan.table) else scan.table[0][1].residual
+    residual = dict(scan.table)[0.0].residual
     write_json(os.path.join(out_dir, "scan.json"), {
         "window": [float17(window[0]), float17(window[1])],
         "central_slope": float17(scan.central_slope),
@@ -614,8 +608,16 @@ COMMANDS = {
 }
 
 
+class UsageParser(argparse.ArgumentParser):
+    """Argument parser whose usage errors are config errors (exit 1), not
+    argparse's exit 2, which this CLI keeps for numerical failure."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = UsageParser(
         prog="anosovlab",
         description="Numerical laboratory for surface-group representations "
                     "into SO(p,p-1) and their affine deformations.",
@@ -627,16 +629,14 @@ def build_parser():
         cmd.add_argument("--config", help="JSON configuration file")
         cmd.add_argument("--p", type=int, default=None)
         cmd.add_argument("--radius", type=float, default=None)
-        cmd.add_argument("--slack", type=float, default=None)
         cmd.add_argument("--seed", type=int, default=None)
         cmd.add_argument("--out", default=None)
-        cmd.add_argument("--tolerance", type=float, default=None)
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args)
         workspace = Workspace(config)
         out_dir = config["out"]

@@ -269,7 +269,6 @@ class BallEnumeration:
     """
 
     radius: float
-    slack: float
     matrices: np.ndarray
     distances: np.ndarray
     letters: np.ndarray = field(repr=False)
@@ -563,7 +562,8 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
     slack : float
         Pruning slack C ≥ 0; exploration horizon is T + C ≤ KEY_HORIZON.
         The default 0 reaches every ball element (Dirichlet descent,
-        above); a larger C explores more for the same elements.
+        above); a larger C explores more for the same elements. The CLI
+        always searches at slack 0; only library callers pass a slack.
 
     Returns
     -------
@@ -718,6 +718,10 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
             ball_words.append(frontier_words[inside])
         del dists, inside
 
+    # the keys and their index are dead once the search ends; free them
+    # before the assembly below, where the level arrays, their
+    # concatenation and the sorted copies make the enumeration's peak
+    del store, offsets, index_hashes, index_rows
     mats = np.concatenate(ball_mats, axis=1)
     dists = np.concatenate(ball_dists)
     word_lengths = np.repeat([level.shape[1] for level in ball_words],
@@ -730,7 +734,7 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
 
     order = np.lexsort(tuple(padded.T[::-1]) + (word_lengths, dists))
     return BallEnumeration(
-        radius=float(radius), slack=float(slack),
+        radius=float(radius),
         matrices=np.ascontiguousarray(mats.T[order]).reshape(-1, 2, 2),
         distances=dists[order], letters=padded[order],
         word_lengths=word_lengths[order], presentation=presentation,

@@ -327,11 +327,10 @@ def embed_so_pp(p, m_v):
 
 
 class Representation:
-    """Generator-indexed matrix representation with memoized evaluation.
+    """Generator-indexed matrix representation.
 
-    Generators are keyed by positive letters 1..n; inverses are cached.
-    Evaluation is a pure function of the word, so the cache is safe under
-    concurrent readers.
+    Generators are keyed by positive letters 1..n; their inverses are
+    formed once. Evaluation is a pure function of the word.
     """
 
     def __init__(self, generators, form=None, labels=None, base=None):
@@ -341,7 +340,6 @@ class Representation:
         self.base = base  # underlying SL(2,R) representation, if any
         first = next(iter(self.generators.values()))
         self.dim = first.shape[0]
-        self._cache = {(): np.eye(self.dim)}
         self._inverses = {k: np.linalg.inv(m) for k, m in self.generators.items()}
         if form is not None:
             for k, m in self.generators.items():
@@ -352,22 +350,17 @@ class Representation:
         return self.generators[letter] if letter > 0 else self._inverses[-letter]
 
     def evaluate(self, word):
-        """Image of a word (tuple of signed letters), memoized."""
-        word = tuple(word)
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
+        """Image of a word (sequence of signed letters), left to right."""
         m = np.eye(self.dim)
         for letter in word:
             m = m @ self.generator(letter)
-        self._cache[word] = m
         return m
 
     def products(self, words):
         """Images of the rows of an (m, n) array of signed letters, each
         row one n-letter word, as an (m, dim, dim) stack: the products
         `evaluate` forms, left to right, one stacked product per letter
-        position. Nothing is memoized."""
+        position."""
         n_gen = len(self.generators)
         # letter codes: g -> g - 1 and g⁻¹ -> n_gen + g - 1
         mats = np.array([self.generator(g) for g in range(1, n_gen + 1)]
@@ -389,7 +382,7 @@ def word_form_residual(rho, word):
 
     Freely reduced words can still backtrack metrically, so intermediate
     prefix products may dwarf the final matrix; the residual of the
-    computed product (the last prefix, unmemoized) is therefore measured
+    computed product (the last prefix) is therefore measured
     against the largest scale the multiplication chain actually passes through.
     """
     q = rho.form.matrix

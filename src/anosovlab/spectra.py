@@ -82,7 +82,6 @@ class LengthSpectrum:
     p: int
     radius: float
     ball_radius: float
-    slack: float
     records: list
     dropped: int
     alphas: np.ndarray
@@ -139,7 +138,7 @@ def length_spectrum(rho, ball, basis, *, radius):
     records, dropped = _class_records(words, lengths, rho.base, basis.p)
     records.sort(key=lambda r: (r.length_hyp, r.word))
     return LengthSpectrum(
-        p=basis.p, radius=float(radius), ball_radius=ball.radius, slack=ball.slack,
+        p=basis.p, radius=float(radius), ball_radius=ball.radius,
         records=records, dropped=dropped, alphas=np.full(len(records), math.nan),
     )
 
@@ -472,23 +471,3 @@ def counting_consistency(spectrum, ball):
             groups += 1
     return len(words), groups, violations
 
-
-def spectrum_stabilization(make_spectrum, margins):
-    """Margin-doubling completeness certificate.
-
-    `make_spectrum(margin)` builds a spectrum at fixed radius from a ball
-    of radius radius+margin; the class sets must agree across margins.
-    Returns the list of class counts.
-    """
-    words = None
-    counts = []
-    for margin in margins:
-        spec = make_spectrum(margin)
-        current = {r.word for r in spec.records}
-        counts.append(len(current))
-        if words is not None and current != words:
-            raise AssertionError(
-                f"spectrum not stabilized: {len(current)} vs {len(words)} classes"
-            )
-        words = current
-    return counts

@@ -3,8 +3,9 @@
 Each oracle computes a quantity by a second, more literal route than the
 package does (a direct neutral vector, the literal Ad-cocycle sum, the
 upper half-plane distance) or supplies test data the package never needs
-(random form isometries, an orientation reference). None of them is on a
-path the CLI runs, so they live here rather than in ``src/``.
+(random form isometries, an orientation reference), or checks a claim the
+package relies on (the spectra's margin). None of them is on a path the
+CLI runs, so they live here rather than in ``src/``.
 """
 
 from dataclasses import dataclass
@@ -360,3 +361,26 @@ def value_by_adjoint(omega, word, rho_e):
             prefix = prefix @ rho_e.generator(letter)
             out = out - prefix @ generators[-letter - 1] @ np.linalg.inv(prefix)
     return out
+
+
+# --- spectra ---------------------------------------------------------------
+
+def spectrum_stabilization(make_spectrum, margins):
+    """Margin-doubling completeness certificate.
+
+    `make_spectrum(margin)` builds a spectrum at fixed radius from a ball
+    of radius radius+margin; the class sets must agree across margins.
+    Returns the list of class counts.
+    """
+    words = None
+    counts = []
+    for margin in margins:
+        spec = make_spectrum(margin)
+        current = {r.word for r in spec.records}
+        counts.append(len(current))
+        if words is not None and current != words:
+            raise AssertionError(
+                f"spectrum not stabilized: {len(current)} vs {len(words)} classes"
+            )
+        words = current
+    return counts

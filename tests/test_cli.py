@@ -14,6 +14,7 @@ from anosovlab.affine_deform import FiniteDeformation
 from anosovlab.cli import derivative_check, main, sample_transversality
 from anosovlab.flag_geometry import transversality_margin
 from anosovlab.fuchsian import boundary_separation, sl2_eigenbasis
+from anosovlab.linalg import float17
 from anosovlab.principal_rep import eigendata_fuchsian
 from anosovlab.surface_group import format_word
 
@@ -75,6 +76,22 @@ def test_entropy_report(tmp_path):
     assert counts[0] == "T,N,log_N_over_T"
     last = counts[-1].split(",")
     assert float(last[0]) == 9.0 and int(last[1]) > 1000
+
+
+def test_entropy_from_classes(tmp_path):
+    # the same fits over the class spectrum's hyperbolic lengths, from a
+    # ball that reaches every class of length ≤ 8
+    config = {"seed": 1, "radius": 8.0, "source": "classes"}
+    code, out = run_cli(tmp_path, "entropy", config)
+    assert code == 0
+    report = read_json(out / "entropy.json")
+    assert report["source"] == "classes"
+    assert not (out / "entropy_counts.csv").exists()
+    ws = cli.Workspace(dict(cli.DEFAULTS, **config))
+    spec = spectra.length_spectrum(ws.rho_v, ws.ball(11.0), ws.basis, radius=8.0)
+    slope = spectra.entropy_estimate(spec.lengths(), ws.window())
+    assert report["estimate"] == float17(slope.estimate)
+    assert report["count"] == slope.count
 
 
 def test_entropy_from_elements_leaves_word_tuples_unbuilt(tmp_path, monkeypatch):
@@ -148,7 +165,33 @@ def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "ends beyond radius 10.0" in json.loads(capsys.readouterr().err)["error"]
 
-    # radius 16 with margin 3 and slack 0 asks for an R = 19 ball, about
+    # the ball's slack, the spectra's margin and check-rep's tolerance are
+    # constants, not keys
+    for key, value in (("slack", 2.0), ("margin", 3.0), ("tolerance", 1e-9)):
+        code, _ = run_cli(tmp_path, "entropy", {key: value})
+        assert code == 1
+        assert f"unknown config keys: ['{key}']" in json.loads(capsys.readouterr().err)["error"]
+
+    # a usage error is invalid input: exit 1 with a JSON config error, not
+    # argparse's exit 2, which means numerical failure here
+    for command, extra in (("entropy", ("--slack", "2")),
+                           ("check-rep", ("--seed", "1", "--tolerance", "1")),
+                           ("entropy", ("--radius", "abc")),
+                           ("entropy", ("--bogus", "1"))):
+        code, _ = run_cli(tmp_path, command, extra=extra)
+        assert code == 1, extra
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "config", extra
+    assert main([]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["type"] == "config" and "command" in err["error"]
+    for argv in (["--help"], ["--version"], ["entropy", "--help"]):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0, argv
+    capsys.readouterr()
+
+    # radius 16 with SPECTRUM_MARGIN 3 asks for an R = 19 ball, about
     # 55 times the R = 15 one; it is refused before its first key
     def allocated(keys):
         raise AssertionError("the ball started before refusing")
@@ -161,8 +204,8 @@ def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
 
 
 def test_smallest_refused_spectrum_radius(tmp_path, capsys, monkeypatch):
-    # radius 15 with margin 3 asks for an R = 18 ball, (cosh 18 − 1)/2 ≈
-    # 1.64e7 elements or about 4.4 GB at slack 0: the smallest whole radius
+    # radius 15 with SPECTRUM_MARGIN 3 asks for an R = 18 ball, (cosh 18 −
+    # 1)/2 ≈ 1.64e7 elements or about 4.4 GB: the smallest whole radius
     # the size limit refuses, before the first key
     def allocated(keys):
         raise AssertionError("the ball started before refusing")
@@ -355,7 +398,7 @@ SETTABLE_PARAMETERS = {
     "fuchsian.BallEnumeration.cyclic_words(radius)":
         "the samplers' pools take all; the tests pass a cutoff (the class "
         "spectra read `closed_orbits`, whose radius has no default)",
-    "fuchsian.enumerate_ball(slack)": "cli.Workspace.ball, the tests, the benchmark",
+    "fuchsian.enumerate_ball(slack)": "the tests, benchmark/session.py",
     "fuchsian.enumerate_ball(presentation)": "cli.Workspace.ball, benchmark/session.py",
     "principal_rep.Representation.__init__(form)": "sym_representation and the E one",
     "principal_rep.Representation.__init__(labels)": "cli.Workspace, the benchmark",

@@ -195,9 +195,6 @@ def test_attracting_plane_is_positive(lab, p):
 
 def test_representation_cache_and_residuals(lab):
     rho = lab.rho_v[2]
-    m1 = rho.evaluate((1, 2, -1))
-    m2 = rho.evaluate((1, 2, -1))
-    assert m1 is m2  # memoized
     assert rho.relator_residual(lab.presentation) <= 1e-9
     assert lab.rho_e[2].relator_residual(lab.presentation) <= 1e-9
 

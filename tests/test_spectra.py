@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from anosovlab import fuchsian, spectra
 from anosovlab.affine_deform import Cocycle, coboundary
+from anosovlab.cli import SPECTRUM_MARGIN
 from anosovlab.fuchsian import enumerate_ball
 from anosovlab.principal_rep import Representation
 from anosovlab.surface_group import (
@@ -29,9 +30,10 @@ from anosovlab.spectra import (
     length_spectrum,
     multi_alphas,
     perturbed_entropy_scan,
-    spectrum_stabilization,
     spectrum_with_alpha,
 )
+
+from oracles import spectrum_stabilization
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +221,8 @@ def test_spectrum_stabilization_certificate(lab):
                               presentation=lab.presentation)
         return length_spectrum(lab.rho_v[2], ball, lab.basis[2], radius=6.0)
 
-    counts = spectrum_stabilization(make, (3.0, 4.5))
+    # the CLI's margin and one half again give the same classes
+    counts = spectrum_stabilization(make, (SPECTRUM_MARGIN, 1.5 * SPECTRUM_MARGIN))
     assert counts[0] == counts[1] > 0
 
 
