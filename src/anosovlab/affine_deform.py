@@ -44,8 +44,10 @@ MIDDLE_COLLISION_TOL = 1e-6
 class Cocycle:
     """Translation parts per generator for an affine deformation of rho.
 
-    `vectors` has shape (n_generators, dim). For surface groups the
-    relator extension must vanish; `relator_residual` reports it.
+    `vectors` has shape (n_generators, dim), or (N, n_generators, dim)
+    for a stack of N cocycles, whose values and tangents are then stacks
+    too. For surface groups the relator extension must vanish;
+    `relator_residual` reports it.
     """
 
     vectors: np.ndarray
@@ -53,7 +55,7 @@ class Cocycle:
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, float)
-        if self.vectors.shape[1] != self.rho.dim:
+        if self.vectors.shape[-1] != self.rho.dim:
             raise ValueError("cocycle vectors must match the representation dimension")
 
     def value(self, word):
@@ -179,31 +181,37 @@ def eigenvalue_derivative(eig, rho_dot_w):
     eig : EigenData
         Eigen-structure of A = ρ0(w), with the split middle pair.
     rho_dot_w : ndarray
-        Cocycle value of the deformation direction at w.
+        Tangent of the deformation at w, one (2p, 2p) matrix or an
+        (N, 2p, 2p) stack of them. Per eigenpair, v̄_i·Q and the
+        denominator are formed once and the numerators of the whole stack
+        are stacked products, so each tangent gets the bits it gets alone.
 
     Returns
     -------
     (lambda_dot, lambda_bar_dot) : ndarray, ndarray
-        Derivatives of λ_1..λ_p and of λ̄_1..λ̄_p.
+        Derivatives of λ_1..λ_p and of λ̄_1..λ̄_p, shape (p,), or (N, p)
+        for a stack.
     """
     q = eig.form.matrix
     dim = eig.vectors.shape[0]
     p = eig.p
-    derivs = np.zeros(dim)
+    rho_dots = np.asarray(rho_dot_w, float)
+    stack = rho_dots if rho_dots.ndim == 3 else rho_dots[None]
+    derivs = np.zeros((len(stack), dim))
     for i in range(dim):
         v = eig.vectors[:, i]
-        partner = eig.vectors[:, dim - 1 - i]
+        pq = eig.vectors[:, dim - 1 - i] @ q
+        den = pq @ v
+        if abs(den) < 1e-12:
+            raise NumericalFailure("degenerate eigenvector pairing")
         # (ρ̇ A) v = λ_i ρ̇ v on the exact eigenvector: evaluating the
         # right factor first keeps the products at the scale of ρ̇ instead
         # of ‖ρ̇‖·‖A‖
-        num = eig.eigenvalues[i] * (partner @ q @ rho_dot_w @ v)
-        den = partner @ q @ v
-        if abs(den) < 1e-12:
-            raise NumericalFailure("degenerate eigenvector pairing")
-        derivs[i] = num / den
-    lam_dot = derivs[:p]
-    lam_bar_dot = derivs[p:][::-1]
-    return lam_dot, lam_bar_dot
+        num = eig.eigenvalues[i] * ((pq[None, None, :] @ stack) @ v[None, :, None])[:, 0, 0]
+        derivs[:, i] = num / den
+    if rho_dots.ndim == 2:
+        derivs = derivs[0]
+    return derivs[..., :p], derivs[..., p:][..., ::-1]
 
 
 def ping_pong_certificate(sl2_rep, letters):

@@ -120,21 +120,39 @@ def load_config(args):
     return config
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value):
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
 def _validate(config):
     if config["p"] not in (2, 3, 4):
         raise ConfigError("p must be one of 2, 3, 4")
+    if not _is_number(config["radius"]):
+        raise ConfigError("radius must be a number")
     if not 0 < config["radius"] <= 16:
         raise ConfigError("radius must lie in (0, 16]")
     if config["window"] is not None:
-        t0, t1 = config["window"]
+        window = config["window"]
+        if not (isinstance(window, (list, tuple)) and len(window) == 2
+                and all(_is_number(end) for end in window)):
+            raise ConfigError("window must be a list of two numbers [T0, T1]")
+        t0, t1 = window
         if not (0 < t0 < t1):
             raise ConfigError("window must satisfy 0 < T0 < T1")
         if t1 > config["radius"]:
             raise ConfigError(f"window [{t0}, {t1}] ends beyond radius {config['radius']}")
-    if config["seed"] is not None and int(config["seed"]) != config["seed"]:
+    if config["seed"] is not None and not _is_integer(config["seed"]):
         raise ConfigError("seed must be an integer")
+    if not isinstance(config["out"], str):
+        raise ConfigError("out must be a directory path")
     if config["source"] not in ("elements", "classes"):
         raise ConfigError("source must be 'elements' or 'classes'")
+    if not _is_integer(config["count"]):
+        raise ConfigError("count must be an integer")
     if config["count"] < 1:
         raise ConfigError("count must be positive")
 
@@ -385,66 +403,81 @@ def sample_transversality(ws, count, seed, separation):
     the ball's hyperbolic cyclic words (`BallEnumeration.cyclic_words`).
 
     Whether a draw is kept depends only on the two drawn words, so the
-    draws come first, in the order of one triple at a time; a draw's
-    separation is `boundary_separation` of the words' eigenbasis columns,
-    whose norms are taken once per word. Each drawn word is then
-    evaluated once, with one SL(2,R) eigenbasis, one
-    `eigendata_fuchsian` and the frame its role needs (Θ(z) for z, F(x,y)
-    for x, y); a row costs one 2p x 2p determinant (`frame_margin`, the
-    last step of `transversality_margin`).
+    draws come first. They are made in blocks of count - kept (x and y
+    word, z word) index pairs, at most CHUNK, one `rng.integers` call per
+    block, which is the stream of one draw at a time; a block can keep at
+    most what is still missing, so no draw falls past the stopping point,
+    and at most 100·count pairs are drawn. The words a block draws for
+    the first time get their matrices and one stacked `sl2_eigenbasis`,
+    with the norms of the eigenbasis columns; the block's separations
+    (`boundary_separation` of the words' columns) are array arithmetic.
+    Each drawn word is then evaluated once, with one `eigendata_fuchsian`
+    and the frame its role needs (Θ(z) for z, F(x,y) for x, y); a row
+    costs one 2p x 2p determinant (`frame_margin`, the last step of
+    `transversality_margin`).
     """
     rng = np.random.default_rng(seed)
     pool = sorted({w for w, _ in ws.ball(6.5).cyclic_words()})
     if len(pool) < 4:
         raise NumericalFailure("element pool too small for triple sampling")
-    matrices, eigenbases = {}, {}
-
-    def eigenbasis(word):
-        """The columns x, y of the word's eigenbasis, and their norms."""
-        if word not in eigenbases:
-            matrices[word] = ws.sl2.evaluate(word)
-            h, _ = sl2_eigenbasis(matrices[word])
-            eigenbases[word] = h.T.tolist(), [float(np.linalg.norm(c)) for c in h.T]
-        return eigenbases[word]
-
-    drawn = []          # (x and y word, z word, separation) of each kept draw
-    attempts = 0
-    while len(drawn) < count:
-        attempts += 1
-        if attempts > 100 * count:
+    # per pool word, once drawn: its matrix, the columns x, y of its
+    # eigenbasis as rows (x0, x1), (y0, y1), and their norms
+    matrices = np.zeros((len(pool), 2, 2))
+    columns = np.zeros((len(pool), 2, 2))
+    norms = np.zeros((len(pool), 2))
+    known = np.zeros(len(pool), dtype=bool)
+    # the kept (x and y word, z word) pool indices and separations
+    pairs = np.zeros((count, 2), dtype=np.int64)
+    seps = np.zeros(count)
+    kept = attempts = 0
+    while kept < count:
+        block = min(count - kept, CHUNK, 100 * count - attempts)
+        if block == 0:
             raise NumericalFailure("could not sample separated triples")
-        wa = pool[rng.integers(0, len(pool))]
-        wb = pool[rng.integers(0, len(pool))]
-        ((x0, x1), (y0, y1)), (nx, ny) = eigenbasis(wa)
-        ((z0, z1), _), (nz, _) = eigenbasis(wb)
-        sep = min(abs(x0 * z1 - x1 * z0) / (nx * nz), abs(y0 * z1 - y1 * z0) / (ny * nz),
-                  abs(x0 * y1 - x1 * y0) / (nx * ny))
-        if sep >= separation:
-            drawn.append((wa, wb, sep))
-    eig = {w: eigendata_fuchsian(ws.p, matrices[w], ws.basis)
-           for w in dict.fromkeys(w for row in drawn for w in row[:2])}
-    thetas = {wb: theta_frame(eig[wb].theta)
-              for wb in dict.fromkeys(row[1] for row in drawn)}
-    fxys = {wa: fxy_frame(eig[wa].line(ws.p), eig[wa].line(ws.p - 1),
-                          eig[wa].theta_bar, ws.basis.form_e)
-            for wa in dict.fromkeys(row[0] for row in drawn)}
-    for start in range(0, len(drawn), CHUNK):
-        chunk = drawn[start:start + CHUNK]
-        margins = frame_margin(np.array([thetas[wb] for _, wb, _ in chunk]),
-                               np.array([fxys[wa] for wa, _, _ in chunk]))
-        drawn[start:start + CHUNK] = [row + (m,) for row, m in zip(chunk, margins.tolist())]
-    return drawn
+        attempts += block
+        drawn = rng.integers(0, len(pool), size=(block, 2))
+        new = np.unique(drawn[~known[drawn]])
+        if len(new):
+            matrices[new] = [ws.sl2.evaluate(pool[i]) for i in new.tolist()]
+            columns[new] = sl2_eigenbasis(matrices[new])[0].transpose(0, 2, 1)
+            c = columns[new]
+            norms[new] = np.sqrt(c[..., None, :] @ c[..., :, None])[..., 0, 0]
+            known[new] = True
+        (x, y), (nx, ny) = columns[drawn[:, 0]].transpose(1, 2, 0), norms[drawn[:, 0]].T
+        z, nz = columns[drawn[:, 1], 0].T, norms[drawn[:, 1], 0]
+        sep = np.minimum(np.minimum(np.abs(x[0] * z[1] - x[1] * z[0]) / (nx * nz),
+                                    np.abs(y[0] * z[1] - y[1] * z[0]) / (ny * nz)),
+                         np.abs(x[0] * y[1] - x[1] * y[0]) / (nx * ny))
+        accepted = sep >= separation
+        added = int(accepted.sum())
+        pairs[kept:kept + added] = drawn[accepted]
+        seps[kept:kept + added] = sep[accepted]
+        kept += added
+    eig = {i: eigendata_fuchsian(ws.p, matrices[i], ws.basis)
+           for i in np.unique(pairs).tolist()}
+    thetas = {i: theta_frame(eig[i].theta) for i in np.unique(pairs[:, 1]).tolist()}
+    fxys = {i: fxy_frame(eig[i].line(ws.p), eig[i].line(ws.p - 1),
+                         eig[i].theta_bar, ws.basis.form_e)
+            for i in np.unique(pairs[:, 0]).tolist()}
+    rows = []
+    for start in range(0, count, CHUNK):
+        a, b = pairs[start:start + CHUNK].T.tolist()
+        margins = frame_margin(np.array([thetas[i] for i in b]),
+                               np.array([fxys[i] for i in a]))
+        rows += zip([pool[i] for i in a], [pool[i] for i in b],
+                    seps[start:start + CHUNK].tolist(), margins.tolist())
+    return rows
 
 
 def run_transversality(ws, out_dir):
     seed = need_seed(ws.config, "triple sampling")
     rows = sample_transversality(ws, int(ws.config["count"]), seed, SEPARATION)
+    names = {w: format_word(w) for w in dict.fromkeys(w for row in rows for w in row[:2])}
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["word_xy", "word_z", "separation", "margin"])
     for wa, wb, sep, margin in rows:
-        writer.writerow([format_word(wa), format_word(wb), float17(sep),
-                         float17(margin)])
+        writer.writerow([names[wa], names[wb], float17(sep), float17(margin)])
     atomic_write(os.path.join(out_dir, "transversality.csv"), buf.getvalue())
     margins = np.array([r[3] for r in rows])
     write_json(os.path.join(out_dir, "transversality.json"), {
@@ -466,9 +499,11 @@ def derivative_check(ws, n_pairs, seed, t):
 
     Each pair draws a word, a cocycle (normal coefficients in the cocycle
     space) and a word in the free pair FREE_LETTERS, in that order; all
-    draws come first (`draw_derivative_pairs`). Then α is evaluated once per word over all cocycles drawn
-    with it, `eigendata_fuchsian` once per word, and the formula route
-    (`eigenvalue_derivative`) per pair. The finite-difference route runs
+    draws come first (`draw_derivative_pairs`). Then `eigendata_fuchsian`
+    runs once per word, and per drawn word α, the tangents (one stacked
+    `Cocycle.tangent`) and the formula route (one stacked
+    `eigenvalue_derivative`) are evaluated for all cocycles drawn with it;
+    each pair gets the bits it gets alone. The finite-difference route runs
     `FiniteDeformation.middle_eigenvalue` on stacks of pairs that share a
     free word, CHUNK at a time, at s = ±t and ±t/2, and extrapolates the
     central differences D(s) = (μ(s) - μ(-s)) / 2s to (4·D(t/2) - D(t))/3,
@@ -484,19 +519,18 @@ def derivative_check(ws, n_pairs, seed, t):
            for w in dict.fromkeys(words + free_words)}
     worst_formula = 0.0
     worst_lower = 0.0
-    for i, (word, alpha) in enumerate(zip(words, alphas)):
-        rho_dot = Cocycle(vectors[i], rho=ws.rho_v).tangent(word)
-        lam_dot, _ = eigenvalue_derivative(eig[word], rho_dot)
-        if abs(alpha) > 1e-9:
-            worst_formula = max(worst_formula,
-                                abs(lam_dot[-1] - 0.5 * alpha) / abs(0.5 * alpha))
-        worst_lower = max(worst_lower, float(np.abs(lam_dot[:-1]).max(initial=0.0)))
+    for word, indices in _indices_by_word(words).items():
+        rho_dots = Cocycle(vectors[indices], rho=ws.rho_v).tangent(word)
+        lam_dot, _ = eigenvalue_derivative(eig[word], rho_dots)
+        half_alpha = 0.5 * alphas[indices]
+        kept = np.abs(alphas[indices]) > 1e-9
+        worst_formula = float(np.max(
+            np.abs(lam_dot[kept, -1] - half_alpha[kept]) / np.abs(half_alpha[kept]),
+            initial=worst_formula))
+        worst_lower = float(np.abs(lam_dot[:, :-1]).max(initial=worst_lower))
     worst_fd = 0.0
     alphas_free = _alphas_by_word(ws, free_words, vectors)
-    by_free_word = {}
-    for index, wfree in enumerate(free_words):
-        by_free_word.setdefault(wfree, []).append(index)
-    for wfree, indices in by_free_word.items():
+    for wfree, indices in _indices_by_word(free_words).items():
         pair = eig[wfree].vectors[:, ws.p - 1:ws.p + 1]
         for start in range(0, len(indices), CHUNK):
             chunk = indices[start:start + CHUNK]
@@ -521,7 +555,8 @@ def draw_derivative_pairs(ws, n_pairs, seed):
     FREE_LETTERS (none when the pool has no such word).
 
     Returns (words, vectors, free_words), `vectors` holding the cocycles'
-    generator vectors as one (n_pairs, generators, dim) array; per-pair
+    generator vectors as one (n_pairs, generators, dim) array, mapped from
+    the stacked coefficients by one `CocycleBasis.element`; per-pair
     objects are built where they are used, which keeps the working memory
     small.
     """
@@ -529,23 +564,28 @@ def draw_derivative_pairs(ws, n_pairs, seed):
     pool = sorted({w for w, _ in ws.ball(6.0).cyclic_words()})
     basis = solve_cocycle_space(ws.rho_v, ws.presentation)
     free_pool = [w for w in pool if all(abs(l) in FREE_LETTERS for l in w)]
-    words, vectors, free_words = [], [], []
+    words, coefficients, free_words = [], [], []
     for _ in range(n_pairs):
         words.append(pool[rng.integers(0, len(pool))])
-        vectors.append(basis.element(rng.standard_normal(basis.dimension)))
+        coefficients.append(rng.standard_normal(basis.dimension))
         if free_pool:
             free_words.append(free_pool[rng.integers(0, len(free_pool))])
-    return words, np.array(vectors), free_words
+    return words, basis.element(np.array(coefficients)), free_words
+
+
+def _indices_by_word(words):
+    """The indices of each distinct word of `words`, in first-draw order."""
+    by_word = {}
+    for index, word in enumerate(words):
+        by_word.setdefault(word, []).append(index)
+    return by_word
 
 
 def _alphas_by_word(ws, words, vectors):
     """α of pair i's cocycle (`vectors[i]`) at words[i], batched per word
     over the pairs that drew it."""
     alphas = np.zeros(len(words))
-    by_word = {}
-    for index, word in enumerate(words):
-        by_word.setdefault(word, []).append(index)
-    for word, indices in by_word.items():
+    for word, indices in _indices_by_word(words).items():
         omegas = [Cocycle(vectors[i], rho=ws.rho_v) for i in indices]
         alphas[indices] = margulis_invariants(ws.rho_v, omegas, word, ws.basis)
     return alphas

@@ -459,7 +459,9 @@ def extend_cocycle(omega, word, rho):
     ----------
     omega : array
         Translation vectors per positive generator letter, shape
-        (n_generators, dim); letter g reads row g - 1.
+        (n_generators, dim), giving a (dim,) value, or a stack of N such
+        assignments, shape (N, n_generators, dim), giving (N, dim);
+        letter g reads row g - 1.
     word : tuple
         Word in signed letters.
     rho : Representation
@@ -470,24 +472,27 @@ def extend_cocycle(omega, word, rho):
     The word is freely reduced first (the value depends only on the group
     element, and reduction removes exactly the prefix products that would
     cancel). Direct evaluation; intended for words of moderate length.
+    The prefix products are formed once for the whole stack and each step
+    applies them to every assignment as one stacked matrix-vector product,
+    so each assignment gets the bits it gets alone.
     Class invariants of the Margulis pairing are evaluated by the
     numerically stable orbit sum in `affine_deform`.
     """
     word = free_reduce(word)
     vectors = np.asarray(omega, float)
-    if vectors.ndim != 2 or vectors.shape[1] != rho.dim:
-        raise ValueError("omega must be (n_generators, dim)")
-    value = np.zeros(rho.dim)
+    if vectors.ndim not in (2, 3) or vectors.shape[-1] != rho.dim:
+        raise ValueError("omega must be (n_generators, dim) or (N, n_generators, dim)")
+    stack = vectors if vectors.ndim == 3 else vectors[None]
+    value = np.zeros((len(stack), rho.dim))
     prefix = np.eye(rho.dim)
     for letter in word:
         if letter > 0:
-            value = value + prefix @ vectors[letter - 1]
+            value = value + (prefix[None] @ stack[:, letter - 1, :, None])[..., 0]
             prefix = prefix @ rho.generator(letter)
         else:
-            inv = rho.generator(letter)  # rho caches inverses
-            value = value - prefix @ inv @ vectors[-letter - 1]
-            prefix = prefix @ inv
-    return value
+            prefix = prefix @ rho.generator(letter)  # rho caches inverses
+            value = value - (prefix[None] @ stack[:, -letter - 1, :, None])[..., 0]
+    return value if vectors.ndim == 3 else value[0]
 
 
 @dataclass
@@ -506,9 +511,14 @@ class CocycleBasis:
         return self.vectors.shape[0]
 
     def element(self, coefficients):
-        """Generator assignment (n_generators, dim) for given coefficients."""
+        """Generator assignment (n_generators, dim) for a (dimension,)
+        coefficient vector, or (N, n_generators, dim) for the rows of an
+        (N, dimension) stack; each row gets the bits it gets alone."""
         coefficients = np.asarray(coefficients, float)
-        return np.tensordot(coefficients, self.vectors, axes=(0, 0))
+        rows = coefficients.reshape(-1, 1, self.dimension)
+        flat = self.vectors.reshape(self.dimension, -1)
+        elements = (rows @ flat[None])[:, 0, :].reshape((-1,) + self.vectors.shape[1:])
+        return elements if coefficients.ndim == 2 else elements[0]
 
 
 def relator_constraint_matrix(rho, presentation):

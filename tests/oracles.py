@@ -2,7 +2,8 @@
 
 Each oracle computes a quantity by a second, more literal route than the
 package does (a direct neutral vector, the literal Ad-cocycle sum, the
-upper half-plane distance) or supplies test data the package never needs
+upper half-plane distance, one pair at a time where the package works
+on stacks) or supplies test data the package never needs
 (random form isometries, an orientation reference), or checks a claim the
 package relies on (the spectra's margin). None of them is on a path the
 CLI runs, so they live here rather than in ``src/``.
@@ -23,6 +24,7 @@ from anosovlab.surface_group import (
     cyclic_reduce,
     free_reduce,
     min_rotation,
+    solve_cocycle_space,
 )
 
 
@@ -361,6 +363,70 @@ def value_by_adjoint(omega, word, rho_e):
             prefix = prefix @ rho_e.generator(letter)
             out = out - prefix @ generators[-letter - 1] @ np.linalg.inv(prefix)
     return out
+
+
+def extend_cocycle_per_row(vectors, word, rho):
+    """ω_word of one (n_generators, dim) assignment, one matrix-vector
+    product per letter: the per-pair evaluation that `extend_cocycle`
+    runs on stacks."""
+    value = np.zeros(rho.dim)
+    prefix = np.eye(rho.dim)
+    for letter in free_reduce(word):
+        if letter > 0:
+            value = value + prefix @ vectors[letter - 1]
+            prefix = prefix @ rho.generator(letter)
+        else:
+            inv = rho.generator(letter)
+            value = value - prefix @ inv @ vectors[-letter - 1]
+            prefix = prefix @ inv
+    return value
+
+
+def eigenvalue_derivative_per_pair(eig, rho_dot):
+    """(λ̇, λ̄̇) of one (2p, 2p) tangent, one eigenpair at a time:
+    λ_i·(v̄_i Q ρ̇ v_i) / (v̄_i Q v_i), the form `eigenvalue_derivative`
+    evaluates on stacks."""
+    q = eig.form.matrix
+    dim = eig.vectors.shape[0]
+    derivs = np.zeros(dim)
+    for i in range(dim):
+        v = eig.vectors[:, i]
+        partner = eig.vectors[:, dim - 1 - i]
+        num = eig.eigenvalues[i] * (partner @ q @ rho_dot @ v)
+        den = partner @ q @ v
+        if abs(den) < 1e-12:
+            raise NumericalFailure("degenerate eigenvector pairing")
+        derivs[i] = num / den
+    return derivs[:eig.p], derivs[eig.p:][::-1]
+
+
+def derivative_pairs_per_pair(ws, n_pairs, seed, free_letters):
+    """The draws of `cli.draw_derivative_pairs`, each cocycle's generator
+    vectors contracted from its coefficients alone (`np.tensordot`)."""
+    rng = np.random.default_rng(seed)
+    pool = sorted({w for w, _ in ws.ball(6.0).cyclic_words()})
+    basis = solve_cocycle_space(ws.rho_v, ws.presentation)
+    free_pool = [w for w in pool if all(abs(l) in free_letters for l in w)]
+    words, vectors, free_words = [], [], []
+    for _ in range(n_pairs):
+        words.append(pool[rng.integers(0, len(pool))])
+        coefficients = rng.standard_normal(basis.dimension)
+        vectors.append(np.tensordot(coefficients, basis.vectors, axes=(0, 0)))
+        if free_pool:
+            free_words.append(free_pool[rng.integers(0, len(free_pool))])
+    return words, np.array(vectors), free_words
+
+
+def formula_route_per_pair(ws, words, vectors, eig):
+    """λ̇_1..λ̇_p of each pair of `cli.derivative_check`'s formula route, one
+    pair at a time: the pair's tangent ½·X_{ω_w} from its own cocycle
+    value, then `eigenvalue_derivative_per_pair`. Shape (n_pairs, p)."""
+    q_v = ws.rho_v.form.matrix
+    return np.array([
+        eigenvalue_derivative_per_pair(
+            eig[word], 0.5 * special_shape(extend_cocycle_per_row(row, word, ws.rho_v), q_v))[0]
+        for word, row in zip(words, vectors)
+    ])
 
 
 # --- spectra ---------------------------------------------------------------

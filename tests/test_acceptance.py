@@ -337,23 +337,28 @@ def test_criterion_10_constant_entropy_first_order(big):
 
 def test_criterion_11_determinism(tmp_path):
     # the BLAS thread count is fixed when a process starts, so each thread
-    # setting runs the CLI in its own process
-    config = {"seed": 11, "radius": 7.0, "window": [4.0, 7.0],
-              "cocycle": "random"}
-    cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(config))
-    outputs = []
-    for i, threads in enumerate(THREAD_SETTINGS):
-        out = tmp_path / f"out{i}"
-        code = run_cli_process(["margulis", "--config", str(cfg),
-                                "--out", str(out)], threads)
-        assert code == 0, threads
-        outputs.append(
-            ((out / "margulis.csv").read_bytes(),
-             (out / "margulis.json").read_bytes())
-        )
-    assert outputs[0] == outputs[1] == outputs[2]
-    report(11, "byte-identical margulis.csv/json across thread settings")
+    # setting runs the CLI in its own process; the samplers run stacked
+    # products and determinants, margulis the class spectrum
+    runs = (
+        ("margulis", {"seed": 11, "radius": 7.0, "window": [4.0, 7.0],
+                      "cocycle": "random"}, ("margulis.csv", "margulis.json")),
+        ("transversality", {"seed": 11, "p": 3, "count": 500},
+         ("transversality.csv", "transversality.json")),
+        ("deriv-check", {"seed": 11, "p": 3, "count": 200}, ("deriv_check.json",)),
+    )
+    for command, config, files in runs:
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        outputs = []
+        for i, threads in enumerate(THREAD_SETTINGS):
+            out = tmp_path / f"{command}{i}"
+            code = run_cli_process([command, "--config", str(cfg),
+                                    "--out", str(out)], threads)
+            assert code == 0, (command, threads)
+            outputs.append([(out / name).read_bytes() for name in files])
+        assert outputs[0] == outputs[1] == outputs[2], command
+    report(11, "byte-identical margulis, transversality and deriv-check "
+               "outputs across thread settings")
 
 
 def test_ball_radius_15_counts_each_element_once(big):

@@ -10,15 +10,20 @@ import numpy as np
 import pytest
 
 from anosovlab import cli, fuchsian, spectra
-from anosovlab.affine_deform import FiniteDeformation
+from anosovlab.affine_deform import Cocycle, FiniteDeformation, eigenvalue_derivative
 from anosovlab.cli import derivative_check, main, sample_transversality
 from anosovlab.flag_geometry import transversality_margin
 from anosovlab.fuchsian import boundary_separation, sl2_eigenbasis
-from anosovlab.linalg import float17
+from anosovlab.linalg import NumericalFailure, float17
 from anosovlab.principal_rep import eigendata_fuchsian
-from anosovlab.surface_group import format_word
+from anosovlab.surface_group import format_word, solve_cocycle_space
 
 from conftest import THREAD_SETTINGS, package_env, run_cli_process
+from oracles import (
+    derivative_pairs_per_pair,
+    extend_cocycle_per_row,
+    formula_route_per_pair,
+)
 
 
 def run_cli(tmp_path, command, config=None, extra=()):
@@ -158,6 +163,26 @@ def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
     code, _ = run_cli(tmp_path, "margulis", {"seed": 3, "cocycle": {"random": True}})
     assert code == 1
     assert "cocycle missing generators" in json.loads(capsys.readouterr().err)["error"]
+
+    # values of the wrong type are config errors, not tracebacks, and a
+    # fractional count is not rounded down
+    for config, message in (({"radius": "abc"}, "radius must be a number"),
+                            ({"radius": True}, "radius must be a number"),
+                            ({"window": [4.0, "7"]}, "window must be a list"),
+                            ({"window": [4.0, False]}, "window must be a list"),
+                            ({"window": 7.0}, "window must be a list"),
+                            ({"count": "5"}, "count must be an integer"),
+                            ({"count": True}, "count must be an integer"),
+                            ({"count": 2.5}, "count must be an integer")):
+        capsys.readouterr()
+        code, _ = run_cli(tmp_path, "transversality", dict(config, seed=1))
+        assert code == 1, config
+        err = json.loads(capsys.readouterr().err)
+        assert err["type"] == "config" and message in err["error"], config
+    config_path = tmp_path / "out.json"
+    config_path.write_text(json.dumps({"out": 5}))
+    assert main(["entropy", "--config", str(config_path)]) == 1
+    assert "out must be a directory path" in json.loads(capsys.readouterr().err)["error"]
 
     # the orbit counts stop at the radius, so a window past it fits a
     # truncated counting function
@@ -645,6 +670,60 @@ def test_transversality_builds_each_word_once(lab, monkeypatch):
     assert len(rows) == 1000
     assert max(sl2.calls.values()) == 1
     assert max(built.values()) == 1
+
+
+def test_transversality_stops_at_the_draw_cap(lab, monkeypatch):
+    # |sin| ≤ 1, so no triple clears a floor of 1.01: the sampler raises
+    # after exactly 100·count attempts, two drawn words each
+    drawn = []
+    default_rng = np.random.default_rng
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, low, high, size=None):
+            values = self.rng.integers(low, high, size=size)
+            drawn.append(np.size(values))
+            return values
+
+    monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+    with pytest.raises(NumericalFailure, match="could not sample separated triples"):
+        sample_transversality(LabWorkspace(lab, 2), 7, seed=404, separation=1.01)
+    assert sum(drawn) == 2 * 100 * 7
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_stacked_derivative_pairs_match_the_per_pair_oracle(p):
+    # the pairs' cocycles come from one stacked `element`, their tangents
+    # from one stacked `extend_cocycle` per word and their derivatives from
+    # one stacked `eigenvalue_derivative` per word; every bit is the one
+    # the pair gets alone
+    ws = cli.Workspace(dict(cli.DEFAULTS, p=p, seed=5))
+    words, vectors, free_words = cli.draw_derivative_pairs(ws, 300, seed=5)
+    expected = derivative_pairs_per_pair(ws, 300, 5, cli.FREE_LETTERS)
+    assert (words, free_words) == (expected[0], expected[2])
+    assert vectors.tobytes() == expected[1].tobytes()
+    # a one-row `element`, as `random_cocycle` calls it
+    basis = solve_cocycle_space(ws.rho_v, ws.presentation)
+    coefficients = np.random.default_rng(5).standard_normal(basis.dimension)
+    assert basis.element(coefficients).tobytes() == np.tensordot(
+        coefficients, basis.vectors, axes=(0, 0)).tobytes()
+    eig = {w: eigendata_fuchsian(p, ws.sl2.evaluate(w), ws.basis)
+           for w in dict.fromkeys(words)}
+    lam_dot = np.zeros((len(words), p))
+    for word in dict.fromkeys(words):
+        indices = [i for i, w in enumerate(words) if w == word]
+        values = Cocycle(vectors[indices], rho=ws.rho_v).value(word)
+        assert values.tobytes() == np.array(
+            [extend_cocycle_per_row(vectors[i], word, ws.rho_v) for i in indices]).tobytes()
+        lam_dot[indices], _ = eigenvalue_derivative(
+            eig[word], Cocycle(vectors[indices], rho=ws.rho_v).tangent(word))
+        # one tangent alone is the stack of one
+        alone, _ = eigenvalue_derivative(
+            eig[word], Cocycle(vectors[indices[0]], rho=ws.rho_v).tangent(word))
+        assert alone.tobytes() == lam_dot[indices[0]].tobytes()
+    assert lam_dot.tobytes() == formula_route_per_pair(ws, words, vectors, eig).tobytes()
 
 
 # the worst finite-difference pairs of seeds 1 and 19 at p = 3, count 4000,
