@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NumericalFailure
+from .linalg import InputError, NumericalFailure
 from .fuchsian import boundary_separation, fixed_points, sl2_eigenbasis
 from .principal_rep import Representation, sym_power_rep
 from .surface_group import cyclic_reduce, extend_cocycle
@@ -56,7 +56,7 @@ class Cocycle:
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, float)
         if self.vectors.shape[-1] != self.rho.dim:
-            raise ValueError("cocycle vectors must match the representation dimension")
+            raise InputError("cocycle vectors must match the representation dimension")
 
     def value(self, word):
         """Cocycle value ω_w by the left-to-right cocycle rule."""
@@ -90,8 +90,11 @@ def coboundary(rho, vector):
 def margulis_invariants(rho, omegas, words, basis):
     """Margulis invariants α(w) = Q(ω_w, x_w) of several cocycles.
 
-    `words` is one word (a tuple of signed letters), giving shape
-    (n_cocycles,), or a list of words, giving (n_words, n_cocycles).
+    `omegas` is a list of Cocycles, or one Cocycle whose `vectors` are an
+    (n_cocycles, generators, dim) stack (a (generators, dim) one counts
+    as one cocycle). `words` is one word (a tuple of signed letters),
+    giving shape (n_cocycles,), or a list of words, giving (n_words,
+    n_cocycles).
     Orbit-sum evaluation over the cyclic word: each letter pairs its
     generator vector with the neutral vector of the corresponding
     rotation, so the neutral-section work is shared across cocycles and
@@ -110,13 +113,16 @@ def margulis_invariants(rho, omegas, words, basis):
     single = isinstance(words, tuple)
     reduced = [cyclic_reduce(w) for w in ([words] if single else words)]
     if not all(reduced):
-        raise ValueError("Margulis invariant of the trivial class")
+        raise InputError("Margulis invariant of the trivial class")
     if rho.base is None:
-        raise ValueError("margulis_invariants needs the SL(2,R) base representation")
+        raise InputError("margulis_invariants needs the SL(2,R) base representation")
     q = basis.form_v.matrix
     p = basis.p
-    vectors = np.array([om.vectors for om in omegas])
-    totals = np.zeros((len(reduced), len(omegas)))
+    if isinstance(omegas, Cocycle):
+        vectors = omegas.vectors.reshape((-1,) + omegas.vectors.shape[-2:])
+    else:
+        vectors = np.array([om.vectors for om in omegas])
+    totals = np.zeros((len(reduced), len(vectors)))
     by_length = {}
     for index, w in enumerate(reduced):
         by_length.setdefault(len(w), []).append(index)
@@ -137,7 +143,7 @@ def margulis_invariants(rho, omegas, words, basis):
         qx = qx_of[slot[np.arange(len(indices))[:, None], reads]]
         omega_rows = np.ascontiguousarray(vectors[:, np.abs(letters) - 1])
         dots = (omega_rows[..., None, :] @ qx[None, ..., None])[..., 0, 0]
-        sums = np.zeros((len(omegas), len(indices)))
+        sums = np.zeros((len(vectors), len(indices)))
         for j in range(m):
             sums = np.where(positive[:, j], sums + dots[:, :, j],
                             sums - dots[:, :, j])
@@ -147,7 +153,7 @@ def margulis_invariants(rho, omegas, words, basis):
 
 def margulis_invariant(rho, omega, word, basis):
     """Margulis invariant α(word) = Q(ω_word, x_word) of one cocycle."""
-    return float(margulis_invariants(rho, [omega], word, basis)[0])
+    return float(margulis_invariants(rho, omega, word, basis)[0])
 
 
 def special_shape(w, q_v):
@@ -284,7 +290,7 @@ class FiniteDeformation:
     def _factors(self, word):
         for letter in word:
             if abs(letter) not in self.letters:
-                raise ValueError(f"word leaves the free subgroup on {self.letters}")
+                raise InputError(f"word leaves the free subgroup on {self.letters}")
         return [self._generators[letter] for letter in word]
 
     def _product(self, factors):

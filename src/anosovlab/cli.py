@@ -16,8 +16,9 @@ byte-identical outputs. Outputs are byte-identical at any BLAS thread
 count; cap threads with OPENBLAS_NUM_THREADS / OMP_NUM_THREADS set before
 the process starts. Outputs are written atomically (temp file + rename)
 with 17 significant digits. Exit codes: 0 success, 1 invalid input (a
-bad flag or config key included), 2 numerical failure; errors emit
-machine-readable JSON on stderr.
+bad flag or config key, or the library's `InputError`), 2 numerical
+failure; errors emit machine-readable JSON on stderr. Any other
+exception is a bug and propagates.
 """
 
 import argparse
@@ -41,7 +42,7 @@ from .affine_deform import (
 )
 from .flag_geometry import frame_margin, fxy_frame, theta_frame
 from .fuchsian import enumerate_ball, octagon_group, sl2_eigenbasis
-from .linalg import NumericalFailure, float17, signature
+from .linalg import InputError, NumericalFailure, float17, signature
 from .principal_rep import (
     Representation,
     alpha_matrix,
@@ -583,11 +584,11 @@ def _indices_by_word(words):
 
 def _alphas_by_word(ws, words, vectors):
     """α of pair i's cocycle (`vectors[i]`) at words[i], batched per word
-    over the pairs that drew it."""
+    over the pairs that drew it, as one stacked Cocycle."""
     alphas = np.zeros(len(words))
     for word, indices in _indices_by_word(words).items():
-        omegas = [Cocycle(vectors[i], rho=ws.rho_v) for i in indices]
-        alphas[indices] = margulis_invariants(ws.rho_v, omegas, word, ws.basis)
+        alphas[indices] = margulis_invariants(
+            ws.rho_v, Cocycle(vectors[indices], rho=ws.rho_v), word, ws.basis)
     return alphas
 
 
@@ -682,11 +683,11 @@ def main(argv=None):
         out_dir = config["out"]
         os.makedirs(out_dir, exist_ok=True)
         return COMMANDS[args.command](workspace, out_dir)
-    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (NumericalFailure, MemoryError, np.linalg.LinAlgError) as exc:
         print(json.dumps({"type": "numerical", "error": str(exc)}), file=sys.stderr)
         return 2
-    except (ConfigError, ValueError) as exc:
+    # invalid input only: any other ValueError is a bug and propagates
+    except (ConfigError, InputError) as exc:
         print(json.dumps({"type": "config", "error": str(exc)}), file=sys.stderr)
         return 1
 

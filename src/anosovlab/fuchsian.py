@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import NumericalFailure
+from .linalg import InputError, NumericalFailure
 from .surface_group import GroupPresentation, _peeled
 
 # smallest |trace| margin accepted as hyperbolic
@@ -180,55 +180,44 @@ def hyperbolic_eigenbases(m):
     (|det| < 1e-14 before normalization) has ok False and NaN in h and
     λ; the other rows are as `sl2_eigenbasis` describes.
 
-    The two library steps, the vector norms (by the BLAS dot that
-    np.linalg.norm uses on a vector) and the determinants, run once over
-    the stack; the scalar arithmetic around them is done on Python
-    floats, which round exactly as numpy's float64 does and cost far less
-    per call on small stacks. Each matrix of a stack gets the bits it
-    gets alone.
+    One array pass for every stack size. Per eigenvalue μ = λ, 1/λ of a
+    positive-trace row [[a, b], [c, d]] the candidates (b, μ − a) and
+    (μ − d, c) are normed by the BLAS dot that np.linalg.norm uses on a
+    vector, the longer one over its norm is the column, and the stacked
+    determinant of the two columns fixes the orientation and the scale.
+    Elementwise float64 operations round per entry, so each matrix of a
+    stack gets the bits it gets alone.
     """
-    entries = np.asarray(m, float).reshape(-1).tolist()
-    rows, lams, candidates = [], [], []
-    for row, (a, b, c, d) in enumerate(zip(*[iter(entries)] * 4)):
-        tr = a + d
-        atr = abs(tr)
-        if atr <= 2.0 + HYPERBOLIC_MARGIN:
-            continue
-        if tr < 0:
-            a, b, c, d = -a, -b, -c, -d
-        lam = (atr + math.sqrt(atr * atr - 4.0)) / 2.0
-        inv = 1.0 / lam
-        rows.append(row)
-        lams.append(lam)
-        # per eigenvalue μ = λ, 1/λ: the candidates (b, μ - a), (μ - d, c)
-        candidates += (b, lam - a, lam - d, c, b, inv - a, inv - d, c)
-    vectors = np.array(candidates).reshape(-1, 2)
-    squares = (vectors[:, None, :] @ vectors[:, :, None]).reshape(-1).tolist()
-    columns = []  # the longer candidate of each eigenvalue, over its norm
-    for i in range(0, len(squares), 2):
-        n1, n2 = math.sqrt(squares[i]), math.sqrt(squares[i + 1])
-        if n1 >= n2:
-            columns += (candidates[2 * i] / n1, candidates[2 * i + 1] / n1)
-        else:
-            columns += (candidates[2 * i + 2] / n2, candidates[2 * i + 3] / n2)
-    h = np.array(columns).reshape(-1, 2, 2).transpose(0, 2, 1)
-    good, out = [], []
-    for j, det in enumerate(np.linalg.det(h).tolist()):
-        if abs(det) < 1e-14:
-            continue
-        x0, x1, y0, y1 = columns[4 * j: 4 * j + 4]
-        if det < 0:
-            y0, y1, det = -y0, -y1, -det
-        root = math.sqrt(det)
-        good.append(j)
-        out += (x0 / root, y0 / root, x1 / root, y1 / root)
-    kept = [rows[j] for j in good]
-    ok = np.zeros(len(entries) // 4, dtype=bool)
+    m = np.asarray(m, float).reshape(-1, 2, 2)
+    tr = m[:, 0, 0] + m[:, 1, 1]
+    atr = np.abs(tr)
+    rows = np.flatnonzero(~(atr <= 2.0 + HYPERBOLIC_MARGIN))
+    atr = atr[rows]
+    signed = m[rows]
+    np.negative(signed, out=signed, where=(tr[rows] < 0)[:, None, None])
+    a, b, c, d = signed.reshape(-1, 4).T
+    lam = (atr + np.sqrt(atr * atr - 4.0)) / 2.0
+    inv = 1.0 / lam
+    # (row, eigenvalue, candidate, component)
+    candidates = np.stack([b, lam - a, lam - d, c, b, inv - a, inv - d, c],
+                          axis=1).reshape(-1, 2, 2, 2)
+    vectors = candidates.reshape(-1, 2)
+    norms = np.sqrt(vectors[:, None, :] @ vectors[:, :, None]).reshape(-1, 2, 2)
+    longer = norms[:, :, 0] >= norms[:, :, 1]
+    # (row, eigenvalue, component): the longer candidate over its norm
+    columns = (np.where(longer[..., None], candidates[:, :, 0], candidates[:, :, 1])
+               / np.where(longer, norms[:, :, 0], norms[:, :, 1])[..., None])
+    det = np.linalg.det(columns.transpose(0, 2, 1))
+    good = ~(np.abs(det) < 1e-14)
+    np.negative(columns[:, 1], out=columns[:, 1], where=(det < 0)[:, None])
+    root = np.sqrt(np.abs(det[good]))
+    kept = rows[good]
+    ok = np.zeros(len(m), dtype=bool)
     ok[kept] = True
-    bases = np.full((len(ok), 2, 2), math.nan)
-    bases[kept] = np.array(out).reshape(-1, 2, 2)
-    eigenvalues = np.full(len(ok), math.nan)
-    eigenvalues[kept] = [lams[j] for j in good]
+    bases = np.full((len(m), 2, 2), math.nan)
+    bases[kept] = columns[good].transpose(0, 2, 1) / root[:, None, None]
+    eigenvalues = np.full(len(m), math.nan)
+    eigenvalues[kept] = lam[good]
     return bases, eigenvalues, ok
 
 
@@ -293,7 +282,7 @@ class BallEnumeration:
     def count(self, radius):
         """N(T') = number of elements with d(o, γo) ≤ T', for T' ≤ T."""
         if radius > self.radius + 1e-12:
-            raise ValueError("count requested beyond the enumerated radius")
+            raise InputError("count requested beyond the enumerated radius")
         return int(np.searchsorted(self.distances, radius, side="right"))
 
     def cyclic_words(self, radius=math.inf):
@@ -315,19 +304,28 @@ class BallEnumeration:
 
         The one rule for which ball elements are closed orbits: a |trace|
         bound over all of `matrices` at once (relative margin 1e-9), then
-        the exact test 2·acosh(t/2) ≤ radius + HYPERBOLIC_MARGIN on each
-        bounded candidate. Ball words are freely reduced, so peeling the
+        the test 2·acosh(t/2) ≤ radius + HYPERBOLIC_MARGIN, on arrays for
+        the bounded candidates and by the scalar `math.acosh` for those
+        within 1e-12 relative of the cut, so every decision is the scalar
+        rule's. Ball words are freely reduced, so peeling the
         wrap-around cyclically reduces them (`_peeled`); no matrix is
         evaluated and no tuple is built. Row j of the int8 `cyclic` holds
         its word in the first `lengths[j]` columns, zero-padded.
         """
         traces = self.matrices[:, 0, 0] + self.matrices[:, 1, 1]
         np.abs(traces, out=traces)
-        bound = 2.0 * math.cosh(0.5 * (radius + HYPERBOLIC_MARGIN)) * (1.0 + 1e-9)
+        cut = radius + HYPERBOLIC_MARGIN
+        bound = 2.0 * math.cosh(0.5 * cut) * (1.0 + 1e-9)
         rows = np.flatnonzero((traces > 2.0 + HYPERBOLIC_MARGIN) & (traces <= bound))
-        exact = [2.0 * math.acosh(t / 2.0) <= radius + HYPERBOLIC_MARGIN
-                 for t in traces[rows].tolist()]
-        rows = rows[np.array(exact, dtype=bool)]
+        lengths = 2.0 * np.arccosh(traces[rows] / 2.0)
+        inside = lengths <= cut
+        # the array arccosh may round otherwise than math.acosh by an ulp
+        # or so: lengths this near the cut take the scalar rule's decision
+        near = np.flatnonzero((lengths > cut * (1.0 - 1e-12))
+                              & (lengths <= cut * (1.0 + 1e-12)))
+        inside[near] = [2.0 * math.acosh(t / 2.0) <= cut
+                        for t in traces[rows[near]].tolist()]
+        rows = rows[inside]
         cyclic, lengths = _peeled(self.letters[rows], self.word_lengths[rows])
         return traces[rows], cyclic, lengths
 
@@ -337,7 +335,7 @@ def _letter_residues(generators):
 
     Returns an (8, 2n) int64 table: rows a, b, c, d mod p₁, then mod p₂;
     columns in letter-code order, an inverse letter taking the residues of
-    the adjugate (d, −b, −c, a). Raises ValueError unless `generators` are
+    the adjugate (d, −b, −c, a). Raises InputError unless `generators` are
     the octagon's to 1e-12, since the residues are those of
     OCTAGON_ENTRIES.
     """
@@ -345,7 +343,7 @@ def _letter_residues(generators):
     if sorted(generators) != sorted(octagon) or max(
         np.abs(np.asarray(generators[k], float) - m).max() for k, m in octagon.items()
     ) > 1e-12:
-        raise ValueError("the ball's exact keys need the octagon generators")
+        raise InputError("the ball's exact keys need the octagon generators")
     rows = []
     for p, root in KEY_PRIMES:
         powers = [pow(root, i, p) for i in range(4)]
@@ -449,7 +447,7 @@ def _stored_keys(store, offsets, rows):
     """Keys at global `rows` of the append-only store of per-level blocks."""
     level = np.searchsorted(offsets, rows, side="right") - 1
     out = np.empty((len(rows), 4), dtype=np.int64)
-    for block in np.unique(level).tolist():
+    for block in np.flatnonzero(np.bincount(level)).tolist():
         pick = level == block
         out[pick] = store[block][rows[pick] - offsets[block]]
     return out
@@ -571,22 +569,22 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
 
     Raises
     ------
-    ValueError
+    InputError
         For radius ≤ 0, slack < 0, radius + slack > KEY_HORIZON, an
         estimated (cosh(radius + slack) − 1)/2 elements above
         MAX_BALL_ELEMENTS, or generators that are not the octagon's; all
         before any allocation.
     """
     if radius <= 0 or slack < 0:
-        raise ValueError("need radius > 0 and slack >= 0")
+        raise InputError("need radius > 0 and slack >= 0")
     horizon = radius + slack
     if horizon > KEY_HORIZON:
-        raise ValueError(
+        raise InputError(
             f"radius + slack = {horizon} exceeds the exact-key horizon {KEY_HORIZON}"
         )
     estimate = (math.cosh(horizon) - 1.0) / 2.0
     if estimate > MAX_BALL_ELEMENTS:
-        raise ValueError(
+        raise InputError(
             f"radius + slack = {horizon} needs about {estimate:.3g} ball "
             f"elements, over MAX_BALL_ELEMENTS = {MAX_BALL_ELEMENTS}"
         )

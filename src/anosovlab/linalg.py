@@ -15,6 +15,11 @@ class NumericalFailure(RuntimeError):
     """A computation could not be completed at the required accuracy."""
 
 
+class InputError(ValueError):
+    """An argument the library refuses: a bad value, shape or size, as
+    opposed to a ValueError raised by a bug."""
+
+
 def orthonormal_span(vectors):
     """Orthonormal basis (columns) of the column span of `vectors`.
 

@@ -29,7 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .linalg import NumericalFailure, form_residual, orthonormal_span
+from .linalg import InputError, NumericalFailure, form_residual, orthonormal_span
 from .fuchsian import sl2_eigenbasis
 
 BASIS_TOL = 1e-10
@@ -59,14 +59,14 @@ def sym_power_rep(p, m):
         1e-10).
     """
     if p < 2:
-        raise ValueError("p must be >= 2")
+        raise InputError("p must be >= 2")
     m = np.asarray(m, float)
     single = m.ndim == 2
     m = m.reshape(-1, 2, 2)
     entries = m.reshape(-1).tolist()
     for a, b, c, d in zip(*[iter(entries)] * 4):
         if abs(a * d - b * c - 1.0) > 1e-10:
-            raise ValueError("matrix must have determinant 1")
+            raise InputError("matrix must have determinant 1")
     n = 2 * p - 1
     coefficients, first, second, groups, order = _sym_power_plan(p)
     # powers[i, entry * n + e] = (entry of matrix i) ** e, entries a, b, c, d = 0..3
@@ -160,7 +160,7 @@ class QuadraticForm:
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, float)
         if np.abs(self.matrix - self.matrix.T).max() > 1e-12:
-            raise ValueError("form matrix must be symmetric")
+            raise InputError("form matrix must be symmetric")
 
 
 def invariant_form(p):
@@ -318,7 +318,7 @@ def embed_so_pp(p, m_v):
     m_v = np.asarray(m_v, float)
     n = 2 * p - 1
     if m_v.shape != (n, n):
-        raise ValueError(f"expected a {n}x{n} matrix")
+        raise InputError(f"expected a {n}x{n} matrix")
     if form_residual(m_v, invariant_form(p).matrix) > EMBED_FORM_TOL:
         raise NumericalFailure("matrix does not preserve the (p,p-1) form")
     out = np.eye(n + 1)

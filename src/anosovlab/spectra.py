@@ -26,6 +26,7 @@ import numpy as np
 
 from .affine_deform import margulis_invariants
 from .fuchsian import hyperbolic_eigenbases
+from .linalg import InputError
 from .surface_group import (
     _first_occurrences,
     _least_rotations,
@@ -98,14 +99,14 @@ class LengthSpectrum:
         if functional.tag == "perturbed":
             values = self.lengths() + functional.scale * 0.5 * self.alphas
             if np.any(~np.isfinite(values)):
-                raise ValueError("perturbed lengths need a cocycle-bearing spectrum")
+                raise InputError("perturbed lengths need a cocycle-bearing spectrum")
             if values.min() <= 0:
                 worst = self.records[int(np.argmin(values))]
-                raise ValueError(
+                raise InputError(
                     f"perturbed length nonpositive for class {worst.word}"
                 )
             return values
-        raise ValueError(f"unknown functional {functional.tag}")
+        raise InputError(f"unknown functional {functional.tag}")
 
 
 def length_spectrum(rho, ball, basis, *, radius):
@@ -193,9 +194,11 @@ def _class_records(words, lengths, sl2, p):
     `hyperbolic_eigenbases` call over all of them gives λ and drops,
     row by row, a class that is not hyperbolic or whose eigenbasis is
     degenerate. On the Fuchsian locus the E-eigenvalues are
-    λ^(±2(p-i)), i = 1..p, the same powers `eigendata_fuchsian` writes.
-    The per-class scalars use the per-class arithmetic of
-    `translation_length` and of numpy scalars.
+    λ^(±2(p-i)), i = 1..p, the same powers `eigendata_fuchsian` writes;
+    they are Python float `**`, whose bits numpy's array `**` does not
+    always give. The lengths are array columns, 2·arccosh(|trace|/2) and
+    log λ_{p-1} + log λ_p (λ_p = λ^0 = 1), and the records are filled
+    from their lists.
     """
     products = np.empty((len(lengths), 2, 2))
     for n in np.unique(lengths).tolist():
@@ -204,18 +207,19 @@ def _class_records(words, lengths, sl2, p):
     traces = np.abs(products[:, 0, 0] + products[:, 1, 1])
     _, lams, ok = hyperbolic_eigenbases(products)
     lams = lams[ok].tolist()
+    traces = traces[ok]
     powers = [2 * (p - i) for i in range(1, p + 1)]
     lambdas = np.array([[lam ** k for k in powers] for lam in lams]).reshape(-1, p)
     lambdas_bar = np.array([[lam ** -k for k in powers] for lam in lams]).reshape(-1, p)
-    records = []
-    for word, n, trace, lam, lam_bar in zip(words[ok].tolist(), lengths[ok].tolist(),
-                                            traces[ok].tolist(), lambdas, lambdas_bar):
-        records.append(ClassRecord(
-            word=tuple(word[:n]), trace=trace,
-            length_hyp=2.0 * float(np.arccosh(trace / 2.0)),
-            length_lastroot=float(np.log(lam[p - 1]) + np.log(lam[p - 2])),
-            lambdas=lam, lambdas_bar=lam_bar,
-        ))
+    length_hyp = 2.0 * np.arccosh(traces / 2.0)
+    length_lastroot = np.log(lambdas[:, p - 1]) + np.log(lambdas[:, p - 2])
+    records = [
+        ClassRecord(word=tuple(word[:n]), trace=trace, length_hyp=hyp,
+                    length_lastroot=lastroot, lambdas=lam, lambdas_bar=lam_bar)
+        for word, n, trace, hyp, lastroot, lam, lam_bar in zip(
+            words[ok].tolist(), lengths[ok].tolist(), traces.tolist(),
+            length_hyp.tolist(), length_lastroot.tolist(), lambdas, lambdas_bar)
+    ]
     return records, int(np.count_nonzero(~ok))
 
 
@@ -264,17 +268,17 @@ def entropy_estimate(values, window, step=0.25):
     values = np.sort(np.asarray(values, float))
     t0, t1 = window
     if t1 - t0 < 2.0:
-        raise ValueError("window must span at least 2")
+        raise InputError("window must span at least 2")
     grid = _window_grid(window, step)
     counts = np.searchsorted(values, grid, side="right")
     in_window = int(counts[-1] - np.searchsorted(values, t0, side="left"))
     if in_window < MIN_WINDOW_COUNT:
-        raise ValueError(
+        raise InputError(
             f"too few values in window [{t0}, {t1}]: {in_window} found, "
             f"{MIN_WINDOW_COUNT} needed"
         )
     if counts[0] < 1:
-        raise ValueError(f"empty counting function at T0 = {t0}")
+        raise InputError(f"empty counting function at T0 = {t0}")
     logs = np.log(counts.astype(float))
     coeffs, residuals, *_ = np.polyfit(grid, logs, 1, full=True)
     slope = float(coeffs[0])
@@ -289,7 +293,7 @@ def critical_exponent(values, window):
     Finds the s at which the two half-window partial sums balance (below
     the critical exponent the far half dominates, above it the near half
     does); bisection on [0, 6] to width CRITICAL_EXPONENT_TOL. Raises
-    ValueError, naming the window and both half counts, when either half
+    InputError, naming the window and both half counts, when either half
     holds fewer than MIN_WINDOW_COUNT // 2 values.
     """
     values = np.asarray(values, float)
@@ -298,7 +302,7 @@ def critical_exponent(values, window):
     near = values[(values > t0) & (values <= tm)]
     far = values[(values > tm) & (values <= t1)]
     if len(near) < MIN_WINDOW_COUNT // 2 or len(far) < MIN_WINDOW_COUNT // 2:
-        raise ValueError(
+        raise InputError(
             f"too few values in window [{t0}, {t1}] for the critical exponent: "
             f"{len(near)} in ({t0}, {tm}] and {len(far)} in ({tm}, {t1}], "
             f"{MIN_WINDOW_COUNT // 2} needed in each half"
@@ -334,10 +338,10 @@ def bm_average(spectrum, window, weighted=False):
     lengths = spectrum.lengths()
     mask = (lengths >= t0) & (lengths <= t1)
     if not mask.any():
-        raise ValueError("empty window for bm_average")
+        raise InputError("empty window for bm_average")
     obs = spectrum.alphas[mask]
     if np.any(~np.isfinite(obs)):
-        raise ValueError("spectrum carries no Margulis invariants")
+        raise InputError("spectrum carries no Margulis invariants")
     ell = lengths[mask]
     if weighted:
         w = np.exp(-(ell - ell.min()))

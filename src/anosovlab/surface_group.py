@@ -25,11 +25,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import SVD_THRESHOLD
+from .linalg import SVD_THRESHOLD, InputError
 
 GENERATOR_LABELS = ("a1", "b1", "a2", "b2")
 
 Word = tuple  # tuple of nonzero signed ints
+
+# letters `_least_rotations` compares per step, packed in base 9: 9^19 < 2^63
+ROTATION_STEP = 19
 
 
 def free_reduce(word):
@@ -37,7 +40,7 @@ def free_reduce(word):
     out = []
     for letter in word:
         if letter == 0:
-            raise ValueError("letters are nonzero signed integers")
+            raise InputError("letters are nonzero signed integers")
         if out and out[-1] == -letter:
             out.pop()
         else:
@@ -87,9 +90,9 @@ class GroupPresentation:
 
     def __post_init__(self):
         if self.n_generators < 2:
-            raise ValueError("need at least 2 generators")
+            raise InputError("need at least 2 generators")
         if cyclic_reduce(self.relator) != self.relator or not self.relator:
-            raise ValueError("relator must be nonempty and cyclically reduced")
+            raise InputError("relator must be nonempty and cyclically reduced")
 
     @classmethod
     def genus2(cls):
@@ -183,9 +186,12 @@ class _Moves:
 def _moves(presentation):
     """`_relator_tables` of the presentation's relator as `_Moves`, built
     afresh on each call (a few dozen keys). The batched route's length
-    argument for swaps needs a relator of even length, at least 4."""
+    argument for swaps needs a relator of even length, at least 4, and
+    `_least_rotations` packs letters of at most four generators."""
     if len(presentation.relator) % 2 or len(presentation.relator) < 4:
-        raise ValueError("canonicalization needs a relator of even length ≥ 4")
+        raise InputError("canonicalization needs a relator of even length ≥ 4")
+    if presentation.n_generators > 4:
+        raise InputError("canonicalization packs the letters of at most 4 generators")
     long_moves, half_moves = _relator_tables(presentation.relator)
     n_generators = presentation.n_generators
     packing = _Moves(n_generators, (2 * n_generators - 1).bit_length(), (), ())
@@ -390,21 +396,29 @@ def _first_occurrences(rows):
 
 
 def _least_rotations(words):
-    """Lexicographically least rotation of each row of an (n, m) array.
+    """Lexicographically least rotation of each row of an (n, m) array of
+    letters ±1..±4.
 
-    The start columns of the least rotation are narrowed column by column
-    over the doubled rows: after step c only the starts whose first c + 1
-    letters are least remain. Starts tied after m steps give the same
-    rotation (a periodic word), so any of them serves.
+    The start columns of the least rotation are narrowed over the doubled
+    rows, ROTATION_STEP letters per step: the letters of each start's
+    window, as base-9 digits letter + 4 (which keeps their order), pack
+    into one int64 that compares as the window does, and after a step
+    only the starts whose packed window is least remain. Words longer
+    than ROTATION_STEP letters take further steps on the next windows.
+    Starts tied after m letters give the same rotation (a periodic word),
+    so any of them serves.
     """
     n, m = words.shape
     doubled = np.concatenate([words, words], axis=1)
+    digits = doubled.astype(np.int64) + 4
     starts = np.ones((n, m), dtype=bool)
-    for c in range(m):
-        letters = doubled[:, c:c + m]
-        least = np.where(starts, letters, np.iinfo(words.dtype).max).min(
-            axis=1, keepdims=True)
-        starts &= letters == least
+    for step in range(0, m, ROTATION_STEP):
+        packed = np.zeros((n, m), dtype=np.int64)
+        for c in range(step, min(step + ROTATION_STEP, m)):
+            packed *= 9
+            packed += digits[:, c:c + m]
+        least = np.where(starts, packed, np.iinfo(np.int64).max).min(axis=1, keepdims=True)
+        starts &= packed == least
     first = starts.argmax(axis=1) if m else np.zeros(n, dtype=np.intp)
     return np.take_along_axis(doubled, first[:, None] + np.arange(m), axis=1)
 
@@ -481,7 +495,7 @@ def extend_cocycle(omega, word, rho):
     word = free_reduce(word)
     vectors = np.asarray(omega, float)
     if vectors.ndim not in (2, 3) or vectors.shape[-1] != rho.dim:
-        raise ValueError("omega must be (n_generators, dim) or (N, n_generators, dim)")
+        raise InputError("omega must be (n_generators, dim) or (N, n_generators, dim)")
     stack = vectors if vectors.ndim == 3 else vectors[None]
     value = np.zeros((len(stack), rho.dim))
     prefix = np.eye(rho.dim)

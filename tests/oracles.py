@@ -205,6 +205,22 @@ def cyclic_dehn_step_unfiltered(word, long_moves):
     return None
 
 
+def least_rotations_per_column(words):
+    """Least rotation of each row of an (n, m) letter array, the start
+    columns narrowed one letter column at a time over the doubled rows
+    (`surface_group._least_rotations` compares 19 letters per step)."""
+    n, m = words.shape
+    doubled = np.concatenate([words, words], axis=1)
+    starts = np.ones((n, m), dtype=bool)
+    for c in range(m):
+        letters = doubled[:, c:c + m]
+        least = np.where(starts, letters, np.iinfo(words.dtype).max).min(
+            axis=1, keepdims=True)
+        starts &= letters == least
+    first = starts.argmax(axis=1) if m else np.zeros(n, dtype=np.intp)
+    return np.take_along_axis(doubled, first[:, None] + np.arange(m), axis=1)
+
+
 # --- flag geometry --------------------------------------------------------
 
 @dataclass

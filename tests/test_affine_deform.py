@@ -308,3 +308,8 @@ def test_alpha_batched_over_cocycles_has_the_bits_of_each_pair(lab, p):
         singles = [margulis_invariant(lab.rho_v[p], om, word, lab.basis[p])
                    for om in omegas]
         assert batch.tobytes() == np.array(singles).tobytes()
+        # one Cocycle holding the (N, generators, dim) stack, as the
+        # derivative check passes it
+        stacked = Cocycle(np.array([om.vectors for om in omegas]), rho=lab.rho_v[p])
+        assert margulis_invariants(lab.rho_v[p], stacked, word,
+                                   lab.basis[p]).tobytes() == batch.tobytes()

@@ -14,7 +14,7 @@ from anosovlab.affine_deform import Cocycle, FiniteDeformation, eigenvalue_deriv
 from anosovlab.cli import derivative_check, main, sample_transversality
 from anosovlab.flag_geometry import transversality_margin
 from anosovlab.fuchsian import boundary_separation, sl2_eigenbasis
-from anosovlab.linalg import NumericalFailure, float17
+from anosovlab.linalg import InputError, NumericalFailure, float17
 from anosovlab.principal_rep import eigendata_fuchsian
 from anosovlab.surface_group import format_word, solve_cocycle_space
 
@@ -257,6 +257,29 @@ def test_linalg_error_exits_as_numerical(tmp_path, capsys, monkeypatch):
     assert code == 2
     err = json.loads(capsys.readouterr().err)
     assert err == {"type": "numerical", "error": "Singular matrix"}
+
+
+def test_a_numpy_value_error_is_not_invalid_input(tmp_path, capsys, monkeypatch):
+    # only the library's InputError and ConfigError are invalid input; a
+    # ValueError from numpy is a bug and propagates with its traceback
+    def misshapen(ws, out_dir):
+        np.zeros(4).reshape(3)
+
+    monkeypatch.setitem(cli.COMMANDS, "check-rep", misshapen)
+    with pytest.raises(ValueError, match="cannot reshape") as raised:
+        run_cli(tmp_path, "check-rep")
+    assert not isinstance(raised.value, InputError)
+    assert capsys.readouterr().err == ""
+
+    # the library's own input checks still exit 1 as config errors
+    def refused(ws, out_dir):
+        ws.ball(-1.0)
+
+    monkeypatch.setitem(cli.COMMANDS, "check-rep", refused)
+    code, _ = run_cli(tmp_path, "check-rep")
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"type": "config", "error": "need radius > 0 and slack >= 0"}
 
 
 # spectrum.csv and margulis.csv of {"cocycle": "random", "seed": 3,

@@ -14,11 +14,14 @@ from anosovlab import fuchsian
 from anosovlab.linalg import NumericalFailure
 from anosovlab.fuchsian import (
     APOTHEM,
+    HYPERBOLIC_MARGIN,
     KEY_HORIZON,
     KEY_PRIMES,
     OCTAGON_ENTRIES,
+    BallEnumeration,
     enumerate_ball,
     fixed_points,
+    hyperbolic_eigenbases,
     octagon_group,
     rotation,
     sl2_eigenbasis,
@@ -532,7 +535,8 @@ def test_distance_formulas_agree():
 
 
 def _eigenbasis_formula(m):
-    """The single-matrix closed form, as written before stacking."""
+    """The single-matrix closed form, as written before stacking; None
+    for a degenerate basis (|det| < 1e-14 before normalization)."""
     tr = float(np.trace(m))
     ms = m if tr > 0 else -m
     atr = abs(tr)
@@ -547,6 +551,8 @@ def _eigenbasis_formula(m):
 
     h = np.column_stack([eigvec(lam), eigvec(1.0 / lam)])
     det = float(np.linalg.det(h))
+    if abs(det) < 1e-14:
+        return None
     if det < 0:
         h[:, 1] = -h[:, 1]
         det = -det
@@ -564,3 +570,83 @@ def test_sl2_eigenbasis_stack_has_the_bits_of_the_formula(lab):
         assert lam_row == lam_ref == lam_one and isinstance(lam_one, float)
     with pytest.raises(NumericalFailure, match="non-hyperbolic"):
         sl2_eigenbasis(np.stack([mats[0], np.eye(2)]))
+
+
+def test_eigenbases_of_mixed_stacks_match_the_per_row_formula(lab):
+    # either trace sign, |trace| at or below 2 + HYPERBOLIC_MARGIN, nearly
+    # parabolic rows with and without a degenerate basis, shuffled
+    x = 3e-6  # trace 2 + 9e-12; with b = 1e9 the eigenvectors are 6e-15 apart
+    degenerate = np.array([[1.0 + x, 1e9], [0.0, 1.0 / (1.0 + x)]])
+    # a = d and b = c: both candidates of each eigenvalue have one norm
+    tied = np.array([[math.cosh(0.4), math.sinh(0.4)], [math.sinh(0.4), math.cosh(0.4)]])
+    special = np.stack([np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), rotation(1.0),
+                        translation(1e-5), translation(2e-6), degenerate,
+                        degenerate.T, tied])
+    mats = lab.ball.matrices[::5]
+    stack = np.concatenate([mats, -mats, special, -special])
+    stack = stack[np.random.default_rng(5).permutation(len(stack))]
+    h, lams, ok = hyperbolic_eigenbases(stack)
+    assert h.shape == stack.shape and h.flags.c_contiguous
+    reasons = {"non-hyperbolic": 0, "degenerate": 0}
+    for m, h_row, lam_row, ok_row in zip(stack, h, lams, ok):
+        if abs(float(np.trace(m))) <= 2.0 + HYPERBOLIC_MARGIN:
+            reference, reason = None, "non-hyperbolic"
+        else:
+            reference, reason = _eigenbasis_formula(m), "degenerate"
+        if reference is None:
+            reasons[reason] += 1
+            assert not ok_row and np.isnan(h_row).all() and math.isnan(lam_row)
+        else:
+            assert ok_row and h_row.tobytes() == reference[0].tobytes()
+            assert lam_row == reference[1]
+    # ± the ball's identity, I, the parabolic, the rotation and
+    # translation(2e-6), whose |trace| rounds to 2 + HYPERBOLIC_MARGIN;
+    # ± both nearly parabolic bases with b or c = 1e9
+    assert reasons == {"non-hyperbolic": 10, "degenerate": 4}
+    # a row alone gets the bits it gets in the stack
+    for row in range(0, len(stack), 37):
+        alone = hyperbolic_eigenbases(stack[row])
+        assert [part.tobytes() for part in alone] == [
+            part[row:row + 1].tobytes() for part in (h, lams, ok)]
+
+
+def _scalar_cut_decisions(traces, radius):
+    """The closed-orbit rule row by row: 2·math.acosh(t/2) ≤ radius +
+    HYPERBOLIC_MARGIN for hyperbolic |trace| t."""
+    cut = radius + HYPERBOLIC_MARGIN
+    return np.array([t > 2.0 + HYPERBOLIC_MARGIN and 2.0 * math.acosh(t / 2.0) <= cut
+                     for t in np.abs(traces).tolist()])
+
+
+def test_closed_orbits_keep_the_scalar_decision_at_the_cut():
+    # traces a few ulps either side of the last one the scalar rule admits;
+    # at about 4% of radii the array arccosh decides one of them otherwise
+    disagreeing = 0
+    for radius in np.linspace(0.5, 15.5, 61).tolist():
+        cut = radius + HYPERBOLIC_MARGIN
+        t = 2.0 * math.cosh(cut / 2.0)
+        while 2.0 * math.acosh(t / 2.0) <= cut:
+            t = math.nextafter(t, math.inf)
+        traces = [t]
+        for _ in range(6):
+            traces.append(math.nextafter(traces[-1], -math.inf))
+        for _ in range(3):
+            traces.insert(0, math.nextafter(traces[0], math.inf))
+        traces = np.array(traces + [3.0, 2.0, 2.0 + 0.5 * HYPERBOLIC_MARGIN])
+        traces = np.concatenate([traces, -traces])
+        matrices = np.zeros((len(traces), 2, 2))
+        matrices[:, 0, 0] = traces
+        ball = BallEnumeration(
+            radius=radius, matrices=matrices, distances=np.zeros(len(traces)),
+            letters=np.ones((len(traces), 1), dtype=np.int8),
+            word_lengths=np.ones(len(traces), dtype=np.intp))
+        expected = _scalar_cut_decisions(traces, radius)
+        # the walk ends on the first trace the scalar rule refuses
+        assert expected[:10].tolist() == [False] * 4 + [True] * 6
+        kept, cyclic, lengths = ball.closed_orbits(radius)
+        assert kept.tobytes() == np.abs(traces[expected]).tobytes()
+        assert cyclic.shape == (expected.sum(), 1) and (lengths == 1).all()
+        array_rule = (np.abs(traces) > 2.0 + HYPERBOLIC_MARGIN) & (
+            2.0 * np.arccosh(np.abs(traces) / 2.0) <= cut)
+        disagreeing += bool((array_rule != expected).any())
+    assert disagreeing > 0

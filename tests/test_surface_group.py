@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from anosovlab import spectra, surface_group
 from anosovlab.surface_group import (
+    ROTATION_STEP,
     CocycleBasis,
     GroupPresentation,
+    _least_rotations,
     _relator_tables,
     conjugacy_canonical,
     conjugacy_canonical_rows,
@@ -22,6 +24,7 @@ from oracles import (
     conjugacy_canonical_per_word,
     cyclic_dehn_step,
     cyclic_dehn_step_unfiltered,
+    least_rotations_per_column,
 )
 
 PRES = GroupPresentation.genus2()
@@ -134,6 +137,36 @@ def test_dehn_prefilter_is_exact(word):
     long_moves, _ = _relator_tables(RELATOR)
     for w in (word, cyclic_reduce(word)):
         assert cyclic_dehn_step(w, long_moves) == cyclic_dehn_step_unfiltered(w, long_moves)
+
+
+LETTER_CODES = np.array([1, -1, 2, -2, 3, -3, 4, -4], dtype=np.int8)
+
+
+@pytest.mark.parametrize("width", [1, 2, ROTATION_STEP - 1, ROTATION_STEP, ROTATION_STEP + 1,
+                                   2 * ROTATION_STEP, 2 * ROTATION_STEP + 1])
+def test_least_rotations_match_the_per_column_oracle(width):
+    # packed steps of ROTATION_STEP letters, one step short of, at and past
+    # each boundary, against the column-by-column narrowing
+    rng = np.random.default_rng(width)
+    rows = [LETTER_CODES[rng.integers(0, 8, size=(400, width))]]
+    # ties that outlast the first steps: a run of the least letter −4 with
+    # two other letters, so several starts share a long least prefix
+    runs = np.full((400, width), -4, dtype=np.int8)
+    picks = rng.integers(0, width, size=(400, 2))
+    runs[np.arange(400)[:, None], picks] = LETTER_CODES[rng.integers(0, 8, size=(400, 2))]
+    rows.append(runs)
+    # periodic words: every period that divides the width
+    for period in range(1, width + 1):
+        if width % period == 0:
+            block = LETTER_CODES[rng.integers(0, 8, size=(50, period))]
+            rows.append(np.tile(block, (1, width // period)))
+    words = np.concatenate(rows)
+    least = _least_rotations(words)
+    assert least.dtype == words.dtype
+    assert least.tobytes() == least_rotations_per_column(words).tobytes()
+    # and it is the least rotation of the tuples
+    for word, row in zip(words[:50].tolist(), least[:50].tolist()):
+        assert tuple(row) == min_rotation(tuple(word))
 
 
 def ball_keys(lab, radius):
