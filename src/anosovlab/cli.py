@@ -302,30 +302,26 @@ def run_check_rep(ws, out_dir):
     return 0
 
 
-def spectrum_csv(spectrum, p):
+def spectrum_csv(spectrum):
     buf = io.StringIO()
     writer = csv.writer(buf)
     header = ["word", "word_length", "trace", "ell_hyp", "ell_lastroot", "alpha"]
-    header += [f"lambda_{i}" for i in range(1, p + 1)]
+    header += [f"lambda_{i}" for i in range(1, spectrum.p + 1)]
     writer.writerow(header)
-    for rec, alpha in zip(spectrum.records, spectrum.alphas.tolist()):
-        row = [
-            format_word(rec.word),
-            rec.word_length,
-            float17(rec.trace),
-            float17(rec.length_hyp),
-            float17(rec.length_lastroot),
-            "" if math.isnan(alpha) else float17(alpha),
-        ]
-        row += [float17(v) for v in rec.lambdas]
-        writer.writerow(row)
+    columns = (spectrum.traces, spectrum.length_hyp, spectrum.length_lastroot,
+               spectrum.alphas, spectrum.lambdas)
+    for word, trace, hyp, lastroot, alpha, lambdas in zip(
+            spectrum.words, *(column.tolist() for column in columns)):
+        row = [format_word(word), len(word), float17(trace), float17(hyp),
+               float17(lastroot), "" if math.isnan(alpha) else float17(alpha)]
+        writer.writerow(row + [float17(v) for v in lambdas])
     return buf.getvalue()
 
 
 def run_spectrum(ws, out_dir):
     omega = ws.cocycle() if ws.config["cocycle"] is not None else None
     spec = ws.spectrum(omega)
-    atomic_write(os.path.join(out_dir, "spectrum.csv"), spectrum_csv(spec, ws.p))
+    atomic_write(os.path.join(out_dir, "spectrum.csv"), spectrum_csv(spec))
     write_json(os.path.join(out_dir, "spectrum_meta.json"), {
         "p": ws.p,
         "radius": float17(spec.radius),
@@ -379,7 +375,7 @@ def _write_count_summary(ball, out_dir):
 def run_margulis(ws, out_dir):
     omega = ws.cocycle()
     spec = ws.spectrum(omega)
-    atomic_write(os.path.join(out_dir, "margulis.csv"), spectrum_csv(spec, ws.p))
+    atomic_write(os.path.join(out_dir, "margulis.csv"), spectrum_csv(spec))
     window = ws.window()
     payload = {
         "window": [float17(window[0]), float17(window[1])],
@@ -418,7 +414,7 @@ def sample_transversality(ws, count, seed, separation):
     `transversality_margin`).
     """
     rng = np.random.default_rng(seed)
-    pool = sorted({w for w, _ in ws.ball(6.5).cyclic_words()})
+    pool = ws.ball(6.5).cyclic_words()
     if len(pool) < 4:
         raise NumericalFailure("element pool too small for triple sampling")
     # per pool word, once drawn: its matrix, the columns x, y of its
@@ -437,7 +433,8 @@ def sample_transversality(ws, count, seed, separation):
             raise NumericalFailure("could not sample separated triples")
         attempts += block
         drawn = rng.integers(0, len(pool), size=(block, 2))
-        new = np.unique(drawn[~known[drawn]])
+        # the sorted distinct indices of np.unique, which imports numpy.ma
+        new = np.flatnonzero(np.bincount(drawn[~known[drawn]]))
         if len(new):
             matrices[new] = [ws.sl2.evaluate(pool[i]) for i in new.tolist()]
             columns[new] = sl2_eigenbasis(matrices[new])[0].transpose(0, 2, 1)
@@ -455,11 +452,12 @@ def sample_transversality(ws, count, seed, separation):
         seps[kept:kept + added] = sep[accepted]
         kept += added
     eig = {i: eigendata_fuchsian(ws.p, matrices[i], ws.basis)
-           for i in np.unique(pairs).tolist()}
-    thetas = {i: theta_frame(eig[i].theta) for i in np.unique(pairs[:, 1]).tolist()}
+           for i in np.flatnonzero(np.bincount(pairs.reshape(-1))).tolist()}
+    thetas = {i: theta_frame(eig[i].theta)
+              for i in np.flatnonzero(np.bincount(pairs[:, 1])).tolist()}
     fxys = {i: fxy_frame(eig[i].line(ws.p), eig[i].line(ws.p - 1),
                          eig[i].theta_bar, ws.basis.form_e)
-            for i in np.unique(pairs[:, 0]).tolist()}
+            for i in np.flatnonzero(np.bincount(pairs[:, 0])).tolist()}
     rows = []
     for start in range(0, count, CHUNK):
         a, b = pairs[start:start + CHUNK].T.tolist()
@@ -480,12 +478,14 @@ def run_transversality(ws, out_dir):
     for wa, wb, sep, margin in rows:
         writer.writerow([names[wa], names[wb], float17(sep), float17(margin)])
     atomic_write(os.path.join(out_dir, "transversality.csv"), buf.getvalue())
-    margins = np.array([r[3] for r in rows])
+    margins = np.sort([r[3] for r in rows])
+    # np.median's mean of the middle one or two values, without its numpy.ma import
+    middle = margins[(len(margins) - 1) // 2:len(margins) // 2 + 1]
     write_json(os.path.join(out_dir, "transversality.json"), {
         "count": len(rows),
         "separation_floor": float17(SEPARATION),
         "min_margin": float17(float(margins.min())),
-        "median_margin": float17(float(np.median(margins))),
+        "median_margin": float17(float(np.mean(middle))),
     })
     return 0
 
@@ -562,7 +562,7 @@ def draw_derivative_pairs(ws, n_pairs, seed):
     small.
     """
     rng = np.random.default_rng(seed)
-    pool = sorted({w for w, _ in ws.ball(6.0).cyclic_words()})
+    pool = ws.ball(6.0).cyclic_words()
     basis = solve_cocycle_space(ws.rho_v, ws.presentation)
     free_pool = [w for w in pool if all(abs(l) in FREE_LETTERS for l in w)]
     words, coefficients, free_words = [], [], []

@@ -285,18 +285,18 @@ class BallEnumeration:
             raise InputError("count requested beyond the enumerated radius")
         return int(np.searchsorted(self.distances, radius, side="right"))
 
-    def cyclic_words(self, radius=math.inf):
-        """Cyclically reduced word and |trace| of each hyperbolic element
-        of translation length ≤ `radius`, in ball order.
+    def cyclic_words(self):
+        """The sorted distinct cyclically reduced words of the hyperbolic
+        elements: the samplers' pools.
 
-        The tuples of `closed_orbits`, one per row, read through a
+        The rows of `closed_orbits` at no cutoff, read as tuples through a
         memoryview of its letter array; `words` is not built.
         """
-        traces, cyclic, lengths = self.closed_orbits(radius)
+        _, cyclic, lengths = self.closed_orbits(math.inf)
         width = cyclic.shape[1]
         flat = memoryview(cyclic.reshape(-1))
-        for i, (n, trace) in enumerate(zip(lengths.tolist(), traces.tolist())):
-            yield tuple(flat[i * width:i * width + n]), trace
+        return sorted({tuple(flat[i * width:i * width + n])
+                       for i, n in enumerate(lengths.tolist())})
 
     def closed_orbits(self, radius):
         """|trace|, cyclic word and its length of each hyperbolic element

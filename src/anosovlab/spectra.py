@@ -1,15 +1,15 @@
 """Length spectra, entropy estimators, and orbit-averaged invariants.
 
-A LengthSpectrum is the per-conjugacy-class digest of an orbit ball:
-hyperbolic length, last-root length (log λ_p + log λ_{p-1}) and eigenvalue
-list per class, and a Margulis-invariant column attached per cocycle. Classes
-are extracted from the ball's letter array: the closed-orbit words are
-peeled to cyclic words and reduced to their least rotations as arrays, and
-the distinct cyclic words are canonicalized in one batched call per
-spectrum. Each record comes from its class's SL(2,R) eigenvalue through
-the structural eigen route, so records stay accurate at radius 12 and
-beyond; the SL(2,R) products are stacked per word length and share one
-stacked eigenbasis.
+A LengthSpectrum holds an orbit ball's conjugacy classes as columns: the
+canonical words, |trace|, hyperbolic length, last-root length
+(log λ_p + log λ_{p-1}), the (n, p) eigenvalue tables, and a
+Margulis-invariant column attached per cocycle. Classes are extracted from
+the ball's letter array: the closed-orbit words are peeled to cyclic words
+and reduced to their least rotations as arrays, and the distinct cyclic
+words are canonicalized in one batched call per spectrum. The columns come
+from each class's SL(2,R) eigenvalue through the structural eigen route,
+so they stay accurate at radius 12 and beyond; the SL(2,R) products are
+stacked per word length and share one stacked eigenbasis.
 
 Entropy is estimated two independent ways: the least-squares slope of
 log N(T) over a window, and the critical exponent of the truncated
@@ -21,6 +21,7 @@ variant as a cross-check.
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -59,52 +60,47 @@ class LengthFunctional:
 
 
 @dataclass
-class ClassRecord:
-    """One conjugacy class: canonical word, |trace|, lengths, E-eigenvalues
-    (its α depends on a cocycle too and lives in `LengthSpectrum.alphas`)."""
-
-    word: tuple
-    trace: float
-    length_hyp: float
-    length_lastroot: float
-    lambdas: np.ndarray
-    lambdas_bar: np.ndarray
-
-    @property
-    def word_length(self):
-        return len(self.word)
-
-
-@dataclass
 class LengthSpectrum:
-    """Per-class records below a radius, sorted by hyperbolic length, and
-    `alphas`, one cocycle's Margulis invariant per record (NaN without one)."""
+    """The conjugacy classes of length ≤ `radius` as columns, sorted by
+    (ℓ_hyp, word): canonical words as tuples, arrays of |trace|, lengths
+    and one cocycle's α (NaN without one), and (n, p) tables of the
+    E-eigenvalues λ and their inverses λ̄."""
 
     p: int
     radius: float
     ball_radius: float
-    records: list
+    words: list
+    traces: np.ndarray
+    length_hyp: np.ndarray
+    length_lastroot: np.ndarray
+    lambdas: np.ndarray
+    lambdas_bar: np.ndarray
     dropped: int
     alphas: np.ndarray
 
     def __len__(self):
-        return len(self.records)
+        return len(self.words)
+
+    @property
+    def records(self):
+        """One object with a `.word` per class, in spectrum order. Only
+        benchmark/session.py reads it; once it reads `words`, this goes."""
+        return [SimpleNamespace(word=word) for word in self.words]
 
     def lengths(self, functional=None):
-        """Array of per-class values of a length functional."""
+        """Array of per-class values of a length functional; the stored
+        column itself for hyperbolic and last-root length."""
         if functional is None:
-            return np.array([r.length_hyp for r in self.records])
+            return self.length_hyp
         if functional.tag == "last_root":
-            return np.array([r.length_lastroot for r in self.records])
+            return self.length_lastroot
         if functional.tag == "perturbed":
-            values = self.lengths() + functional.scale * 0.5 * self.alphas
+            values = self.length_hyp + functional.scale * 0.5 * self.alphas
             if np.any(~np.isfinite(values)):
                 raise InputError("perturbed lengths need a cocycle-bearing spectrum")
             if values.min() <= 0:
-                worst = self.records[int(np.argmin(values))]
-                raise InputError(
-                    f"perturbed length nonpositive for class {worst.word}"
-                )
+                worst = self.words[int(np.argmin(values))]
+                raise InputError(f"perturbed length nonpositive for class {worst}")
             return values
         raise InputError(f"unknown functional {functional.tag}")
 
@@ -122,7 +118,7 @@ def length_spectrum(rho, ball, basis, *, radius):
 
     The classes come from `_ball_classes`, which reads the ball's letter
     array and canonicalizes the distinct cyclic words in one batched
-    call; the records from `_class_records`, from one stacked eigenbasis
+    call; their columns from `_class_columns`, from one stacked eigenbasis
     of the classes' SL(2,R) products. Nothing is kept between calls. The
     α column is NaN; `spectrum_with_alpha` attaches a cocycle's.
 
@@ -136,11 +132,10 @@ def length_spectrum(rho, ball, basis, *, radius):
         Class-length cutoff; required, keyword only.
     """
     words, lengths = _ball_classes(ball, radius)[:2]
-    records, dropped = _class_records(words, lengths, rho.base, basis.p)
-    records.sort(key=lambda r: (r.length_hyp, r.word))
+    columns, dropped = _class_columns(words, lengths, rho.base, basis.p)
     return LengthSpectrum(
-        p=basis.p, radius=float(radius), ball_radius=ball.radius,
-        records=records, dropped=dropped, alphas=np.full(len(records), math.nan),
+        p=basis.p, radius=float(radius), ball_radius=ball.radius, **columns,
+        dropped=dropped, alphas=np.full(len(columns["words"]), math.nan),
     )
 
 
@@ -184,10 +179,10 @@ def _cyclic_keys(cyclic, lengths):
     return least[firsts], lengths[firsts], key_of
 
 
-def _class_records(words, lengths, sl2, p):
-    """Records of classes given as zero-padded int8 rows and their
-    lengths, from each class's SL(2,R) eigenvalue λ alone: (records,
-    dropped), in row order.
+def _class_columns(words, lengths, sl2, p):
+    """The `LengthSpectrum` columns of classes given as zero-padded int8
+    rows and their lengths, from each class's SL(2,R) eigenvalue λ alone:
+    (columns, dropped), the columns a dict sorted by (ℓ_hyp, word).
 
     The SL(2,R) products are stacked per word length
     (`Representation.products`, the bits of `evaluate`); one
@@ -196,9 +191,8 @@ def _class_records(words, lengths, sl2, p):
     degenerate. On the Fuchsian locus the E-eigenvalues are
     λ^(±2(p-i)), i = 1..p, the same powers `eigendata_fuchsian` writes;
     they are Python float `**`, whose bits numpy's array `**` does not
-    always give. The lengths are array columns, 2·arccosh(|trace|/2) and
-    log λ_{p-1} + log λ_p (λ_p = λ^0 = 1), and the records are filled
-    from their lists.
+    always give. The lengths are 2·arccosh(|trace|/2) and
+    log λ_{p-1} + log λ_p (λ_p = λ^0 = 1).
     """
     products = np.empty((len(lengths), 2, 2))
     for n in np.unique(lengths).tolist():
@@ -212,15 +206,18 @@ def _class_records(words, lengths, sl2, p):
     lambdas = np.array([[lam ** k for k in powers] for lam in lams]).reshape(-1, p)
     lambdas_bar = np.array([[lam ** -k for k in powers] for lam in lams]).reshape(-1, p)
     length_hyp = 2.0 * np.arccosh(traces / 2.0)
-    length_lastroot = np.log(lambdas[:, p - 1]) + np.log(lambdas[:, p - 2])
-    records = [
-        ClassRecord(word=tuple(word[:n]), trace=trace, length_hyp=hyp,
-                    length_lastroot=lastroot, lambdas=lam, lambdas_bar=lam_bar)
-        for word, n, trace, hyp, lastroot, lam, lam_bar in zip(
-            words[ok].tolist(), lengths[ok].tolist(), traces.tolist(),
-            length_hyp.tolist(), length_lastroot.tolist(), lambdas, lambdas_bar)
-    ]
-    return records, int(np.count_nonzero(~ok))
+    words = [tuple(word[:n]) for word, n in zip(words[ok].tolist(), lengths[ok].tolist())]
+    keys = list(zip(length_hyp.tolist(), words))
+    order = sorted(range(len(words)), key=keys.__getitem__)
+    columns = {
+        "words": [words[i] for i in order],
+        "traces": traces[order],
+        "length_hyp": length_hyp[order],
+        "length_lastroot": (np.log(lambdas[:, p - 1]) + np.log(lambdas[:, p - 2]))[order],
+        "lambdas": lambdas[order],
+        "lambdas_bar": lambdas_bar[order],
+    }
+    return columns, int(np.count_nonzero(~ok))
 
 
 def multi_alphas(spectrum, rho, basis, omegas):
@@ -231,13 +228,12 @@ def multi_alphas(spectrum, rho, basis, omegas):
     are built once per rotation of each class, stacked across all classes
     of a word length, and shared across cocycles.
     """
-    return margulis_invariants(rho, omegas, [rec.word for rec in spectrum.records],
-                               basis)
+    return margulis_invariants(rho, omegas, spectrum.words, basis)
 
 
 def spectrum_with_alpha(spectrum, alphas):
     """The spectrum with its α column replaced by a copy of `alphas`, one
-    value per record; the records list is shared, not copied."""
+    value per class; every other column is shared, not copied."""
     return replace(spectrum, alphas=np.array(alphas, dtype=float))
 
 
@@ -425,9 +421,7 @@ def anosov_gap_report(spectrum, tol=1e-9):
     together on the stacked (n_classes, p) tables of λ and λ̄; a minimum
     over no classes, or over no other products (p = 2), is inf.
     """
-    p = spectrum.p
-    lam = np.reshape([rec.lambdas for rec in spectrum.records], (-1, p))
-    lam_bar = np.reshape([rec.lambdas_bar for rec in spectrum.records], (-1, p))
+    p, lam, lam_bar = spectrum.p, spectrum.lambdas, spectrum.lambdas_bar
     row_gaps = (-np.diff(lam, axis=1)).min(axis=1)
     last_root = lam[:, p - 2] * lam[:, p - 1]
     i, j = np.triu_indices(p, 1)
@@ -435,7 +429,7 @@ def anosov_gap_report(spectrum, tol=1e-9):
     product_gaps = (lam[:, i[others]] * lam[:, j[others]]).min(
         axis=1, initial=math.inf) - last_root
     return GapReport(
-        classes=len(spectrum.records),
+        classes=len(spectrum),
         unit_middle_violations=int(np.count_nonzero(np.abs(lam[:, p - 1] - 1.0) > tol)),
         pairing_violations=int(np.count_nonzero(
             np.abs(lam * lam_bar - 1.0).max(axis=1) > tol)),

@@ -205,6 +205,14 @@ def cyclic_dehn_step_unfiltered(word, long_moves):
     return None
 
 
+def closed_orbit_words(ball, radius):
+    """(cyclic word, |trace|) of each row of `ball.closed_orbits(radius)`,
+    in ball order, the word as a tuple."""
+    traces, cyclic, lengths = ball.closed_orbits(radius)
+    return [(tuple(row[:n]), trace) for row, n, trace
+            in zip(cyclic.tolist(), lengths.tolist(), traces.tolist())]
+
+
 def least_rotations_per_column(words):
     """Least rotation of each row of an (n, m) letter array, the start
     columns narrowed one letter column at a time over the doubled rows
@@ -420,7 +428,7 @@ def derivative_pairs_per_pair(ws, n_pairs, seed, free_letters):
     """The draws of `cli.draw_derivative_pairs`, each cocycle's generator
     vectors contracted from its coefficients alone (`np.tensordot`)."""
     rng = np.random.default_rng(seed)
-    pool = sorted({w for w, _ in ws.ball(6.0).cyclic_words()})
+    pool = ws.ball(6.0).cyclic_words()
     basis = solve_cocycle_space(ws.rho_v, ws.presentation)
     free_pool = [w for w in pool if all(abs(l) in free_letters for l in w)]
     words, vectors, free_words = [], [], []
@@ -458,7 +466,7 @@ def spectrum_stabilization(make_spectrum, margins):
     counts = []
     for margin in margins:
         spec = make_spectrum(margin)
-        current = {r.word for r in spec.records}
+        current = set(spec.words)
         counts.append(len(current))
         if words is not None and current != words:
             raise AssertionError(

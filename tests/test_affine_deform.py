@@ -15,7 +15,7 @@ from anosovlab.affine_deform import (
 from anosovlab.principal_rep import eigendata_fuchsian
 from anosovlab.surface_group import inverse_word
 
-from oracles import neutral_vector, value_by_adjoint
+from oracles import closed_orbit_words, neutral_vector, value_by_adjoint
 
 P_VALUES = (2, 3)
 
@@ -294,7 +294,7 @@ def test_alpha_batched_over_cocycles_has_the_bits_of_each_pair(lab, p):
     from anosovlab.surface_group import solve_cocycle_space
 
     rng = np.random.default_rng(77)
-    pool = sorted({w for w, _ in lab.ball.cyclic_words(6.0)})
+    pool = sorted({w for w, _ in closed_orbit_words(lab.ball, 6.0)})
     space = solve_cocycle_space(lab.rho_v[p], lab.presentation)
     by_word = {}
     for _ in range(800):

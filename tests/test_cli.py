@@ -299,15 +299,15 @@ def test_spectrum_csv_bytes_pinned(tmp_path, p):
         assert code == 0
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == PINNED_SPECTRUM_CSV_SHA256[p], command
-    # attaching α shares the records and copies the column
+    # attaching α shares every other column and copies the α one
     ws = cli.Workspace(dict(cli.DEFAULTS, **config))
     spec = ws.spectrum()
     alphas = spectra.multi_alphas(spec, ws.rho_v, ws.basis, [ws.cocycle()])[:, 0]
     attached = spectra.spectrum_with_alpha(spec, alphas)
-    assert attached.records is spec.records
+    assert attached.words is spec.words and attached.lambdas is spec.lambdas
     assert not np.shares_memory(attached.alphas, alphas)
     assert np.isnan(spec.alphas).all() and len(spec.alphas) == len(spec)
-    csv_bytes = cli.spectrum_csv(attached, p).encode()
+    csv_bytes = cli.spectrum_csv(attached).encode()
     assert hashlib.sha256(csv_bytes).hexdigest() == PINNED_SPECTRUM_CSV_SHA256[p]
 
 
@@ -440,12 +440,33 @@ def test_package_runs_without_scipy(tmp_path):
     assert results["1"]["codes"] == results["0"]["codes"]
 
 
+NO_MASKED_ARRAYS_SCRIPT = """
+import json, sys
+from anosovlab import cli
+out, command, config = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])
+with open(f"{out}/config.json", "w") as handle:
+    json.dump(config, handle)
+code = cli.main([command, "--config", f"{out}/config.json", "--out", f"{out}/run"])
+print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("command", ["transversality", "deriv-check", "entropy"])
+def test_commands_do_not_import_masked_arrays(tmp_path, command):
+    # importing numpy.ma costs 12-17 ms of start-up, and np.unique and
+    # np.median import it on first call
+    config = dict(TOY_RUNS)[command]
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS_SCRIPT, str(tmp_path), command,
+         json.dumps(config)],
+        env=package_env(), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"code": 0, "numpy.ma": False}
+
+
 # every parameter with a default in src/anosovlab, with the callers that
 # set it; a value no caller changes is a module constant instead
 SETTABLE_PARAMETERS = {
-    "fuchsian.BallEnumeration.cyclic_words(radius)":
-        "the samplers' pools take all; the tests pass a cutoff (the class "
-        "spectra read `closed_orbits`, whose radius has no default)",
     "fuchsian.enumerate_ball(slack)": "the tests, benchmark/session.py",
     "fuchsian.enumerate_ball(presentation)": "cli.Workspace.ball, benchmark/session.py",
     "principal_rep.Representation.__init__(form)": "sym_representation and the E one",
@@ -645,7 +666,7 @@ def reference_transversality_rows(ws, count, seed, separation):
     """The per-row formula: both drawn words evaluated and their eigendata
     and frames built again at every draw, as the sampler once did."""
     rng = np.random.default_rng(seed)
-    pool = sorted({w for w, _ in ws.ball(6.5).cyclic_words()})
+    pool = ws.ball(6.5).cyclic_words()
     q = ws.basis.form_e
     rows = []
     while len(rows) < count:

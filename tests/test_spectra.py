@@ -33,7 +33,7 @@ from anosovlab.spectra import (
     spectrum_with_alpha,
 )
 
-from oracles import spectrum_stabilization
+from oracles import closed_orbit_words, spectrum_stabilization
 
 
 @pytest.fixture(scope="module")
@@ -44,20 +44,24 @@ def spectrum8(lab):
         spec, multi_alphas(spec, lab.rho_v[2], lab.basis[2], [omega])[:, 0]), omega
 
 
+# the per-class columns of a LengthSpectrum
+COLUMNS = ("words", "traces", "length_hyp", "length_lastroot", "lambdas",
+           "lambdas_bar", "alphas")
+
+
 def test_lastroot_equals_hyperbolic_at_fuchsian_point(lab, spectrum8):
     spec, _ = spectrum8
     assert len(spec) > 100 and spec.dropped == 0
-    worst = max(abs(r.length_lastroot - r.length_hyp) for r in spec.records)
-    assert worst <= 1e-8
+    assert np.abs(spec.length_lastroot - spec.length_hyp).max() <= 1e-8
 
 
 def test_power_classes_have_multiple_lengths(lab, spectrum8):
     spec, _ = spectrum8
-    by_word = {r.word: r for r in spec.records}
-    for rec in spec.records:
-        doubled = rec.word * 2
+    by_word = dict(zip(spec.words, spec.length_hyp.tolist()))
+    for word, length in by_word.items():
+        doubled = word * 2
         if doubled in by_word:
-            assert abs(by_word[doubled].length_hyp - 2 * rec.length_hyp) <= 1e-9
+            assert abs(by_word[doubled] - 2 * length) <= 1e-9
 
 
 def test_spectrum_is_sorted_and_inverse_closed(lab, spectrum8):
@@ -66,11 +70,21 @@ def test_spectrum_is_sorted_and_inverse_closed(lab, spectrum8):
     assert np.all(np.diff(lengths) >= 0)
     from anosovlab.surface_group import conjugacy_canonical, inverse_word
 
-    words = {r.word for r in spec.records}
+    words = set(spec.words)
     sample = list(words)[:80]
     for w in sample:
         inv = conjugacy_canonical(inverse_word(w), lab.presentation).letters
         assert inv in words
+
+
+def test_columns_are_read_in_place(spectrum8):
+    spec, _ = spectrum8
+    assert spec.lengths() is spec.length_hyp
+    assert spec.lengths(LengthFunctional.last_root()) is spec.length_lastroot
+    assert {len(getattr(spec, name)) for name in COLUMNS} == {len(spec)}
+    assert spec.lambdas.shape == spec.lambdas_bar.shape == (len(spec), spec.p)
+    # the one adaptor the benchmark session still reads
+    assert [r.word for r in spec.records] == spec.words
 
 
 def test_entropy_scaling_property(lab):
@@ -187,7 +201,8 @@ def test_gap_report_clean(lab, p):
         assert report.min_product_gap > 0
     else:  # λ_1·λ_2 is the only product
         assert report.min_product_gap == math.inf
-    empty = anosov_gap_report(replace(spec, records=[]))
+    empty = anosov_gap_report(replace(spec, **{name: getattr(spec, name)[:0]
+                                               for name in COLUMNS}))
     assert (empty.classes, empty.total_violations) == (0, 0)
     assert empty.min_ordering_gap == empty.min_product_gap == math.inf
 
@@ -196,12 +211,12 @@ def test_gap_products_match_eigenvalue_law(lab):
     # lambda = 2 would give products {4, 16, 64}; verify the analogous
     # ordering lambda_2*lambda_3 < lambda_1*lambda_3 < lambda_1*lambda_2
     spec = length_spectrum(lab.rho_v[3], lab.ball, lab.basis[3], radius=7.0)
-    for rec in spec.records[:50]:
-        lam = math.exp(rec.length_hyp / 2.0)
+    for length, lambdas in zip(spec.length_hyp[:50], spec.lambdas[:50]):
+        lam = math.exp(length / 2.0)
         expected = np.array([lam ** 4, lam ** 2, 1.0])
-        assert np.allclose(rec.lambdas, expected, rtol=1e-9)
+        assert np.allclose(lambdas, expected, rtol=1e-9)
         products = sorted(
-            rec.lambdas[i] * rec.lambdas[j] for i in range(3) for j in range(i + 1, 3)
+            lambdas[i] * lambdas[j] for i in range(3) for j in range(i + 1, 3)
         )
         assert np.allclose(products, [lam ** 2, lam ** 4, lam ** 6], rtol=1e-9)
 
@@ -242,13 +257,13 @@ def _failing_rows(victim_matrix):
 
 def test_only_numerical_failures_are_dropped(lab, monkeypatch):
     full = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
-    victim = full.records[0].word
+    victim = full.words[0]
     monkeypatch.setattr(spectra, "hyperbolic_eigenbases",
                         _failing_rows(lab.sl2.evaluate(victim)))
     spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
-    # the failed class is left out of the records and counted in `dropped`
+    # the failed class is left out of the columns and counted in `dropped`
     assert spec.dropped >= 1 and len(spec) == len(full) - 1
-    assert victim not in {r.word for r in spec.records}
+    assert victim not in spec.words
 
     # any other exception is a bug and must not be counted as a dropped class
     def broken(m):
@@ -267,7 +282,7 @@ def test_failed_class_counted_once(lab, monkeypatch):
         if trace > 2.0 + 1e-12 and 2.0 * np.arccosh(trace / 2.0) <= 5.0 + 1e-12:
             letters = conjugacy_canonical(word, lab.presentation).letters
             elements[letters] = elements.get(letters, 0) + 1
-    victim = next(r.word for r in full.records if elements[r.word] >= 2)
+    victim = next(w for w in full.words if elements[w] >= 2)
     monkeypatch.setattr(spectra, "hyperbolic_eigenbases",
                         _failing_rows(lab.sl2.evaluate(victim)))
     spec = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
@@ -281,32 +296,34 @@ PINNED_NO_A1_RECORDS_SHA256 = (
 )
 
 
-def _digest_records(digest, p, records):
-    """Feed every bit of the records, in word order, to a SHA-256 digest."""
-    for rec in sorted(records, key=lambda r: r.word):
-        digest.update(f"{p} {format_word(rec.word)}\n".encode())
-        for value in (rec.trace, rec.length_hyp, rec.length_lastroot):
-            digest.update(np.float64(value).tobytes())
-        digest.update(rec.lambdas.tobytes())
-        digest.update(rec.lambdas_bar.tobytes())
+def _digest_records(digest, p, columns):
+    """Feed every bit of each class's columns, in word order, to a SHA-256
+    digest: the bytes the per-class records once gave it."""
+    words = columns["words"]
+    for i in sorted(range(len(words)), key=words.__getitem__):
+        digest.update(f"{p} {format_word(words[i])}\n".encode())
+        for name in ("traces", "length_hyp", "length_lastroot"):
+            digest.update(np.float64(columns[name][i]).tobytes())
+        digest.update(columns["lambdas"][i].tobytes())
+        digest.update(columns["lambdas_bar"][i].tobytes())
 
 
 def test_stacked_records_drop_a_non_hyperbolic_row(lab, spectrum8):
     # a1 is parabolic here, so (a1)^4 is the one non-hyperbolic class of its
     # stack; the classes without a1 keep the octagon's products
     spec, _ = spectrum8
-    words = [r.word for r in spec.records if 1 not in map(abs, r.word)]
+    words = [w for w in spec.words if 1 not in map(abs, w)]
     assert len(words) == 136 and sum(len(w) == 4 for w in words) == 40
     generators = dict(lab.sl2.generators)
     generators[1] = np.array([[1.0, 1.0], [0.0, 1.0]])
     parabolic = Representation(generators)
     bad = (1, 1, 1, 1)
     rows, lengths = _letter_rows(words[:70] + [bad] + words[70:])
-    records, dropped = spectra._class_records(rows, lengths, parabolic, 3)
-    assert dropped == 1 and len(records) == len(words)
-    assert [r.word for r in records] == words
+    columns, dropped = spectra._class_columns(rows, lengths, parabolic, 3)
+    assert dropped == 1 and columns["words"] == words
+    assert {len(column) for column in columns.values()} == {len(words)}
     digest = hashlib.sha256()
-    _digest_records(digest, 3, records)
+    _digest_records(digest, 3, columns)
     assert digest.hexdigest() == PINNED_NO_A1_RECORDS_SHA256
 
 
@@ -335,7 +352,7 @@ def test_spectrum_records_pinned(pinned_spectra):
     digest = hashlib.sha256()
     for p, spec in pinned_spectra.items():
         assert spec.dropped == 0
-        _digest_records(digest, p, spec.records)
+        _digest_records(digest, p, vars(spec))
     assert [len(s) for s in pinned_spectra.values()] == PINNED_COUNTS
     assert digest.hexdigest() == PINNED_RECORDS_SHA256
 
@@ -362,7 +379,7 @@ PINNED_SPECTRUM8_COUNTING = (430, 23, 0)
 
 def test_spectrum8_class_words_pinned(spectrum8):
     spec, _ = spectrum8
-    words = "\n".join(sorted(format_word(r.word) for r in spec.records))
+    words = "\n".join(sorted(map(format_word, spec.words)))
     assert hashlib.sha256(words.encode()).hexdigest() == PINNED_SPECTRUM8_WORDS_SHA256
 
 
@@ -379,7 +396,7 @@ def parity_spectra(lab):
         spec = length_spectrum(lab.rho_v[p], lab.ball, lab.basis[p], radius=8.0)
         omega = lab.random_cocycle(p, 1)
         alphas = multi_alphas(spec, lab.rho_v[p], lab.basis[p], [omega])[:, 0]
-        out[p] = dict(zip((r.word for r in spec.records), alphas.tolist()))
+        out[p] = dict(zip(spec.words, alphas.tolist()))
     return out
 
 
@@ -432,7 +449,7 @@ def test_one_canonicalization_per_distinct_cyclic_key(lab, monkeypatch):
 
     monkeypatch.setattr(spectra, "conjugacy_canonical_rows", counting)
     length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=8.0)
-    in_ball_order = [min_rotation(w) for w, _ in lab.ball.cyclic_words(8.0)]
+    in_ball_order = [min_rotation(w) for w, _ in closed_orbit_words(lab.ball, 8.0)]
     assert calls == [list(dict.fromkeys(in_ball_order))]
 
 
