@@ -19,16 +19,16 @@ residues modulo two primes at which f has a root. Equal keys mean equal
 elements at search horizons up to KEY_HORIZON (proof in
 `enumerate_ball`), so there is no tolerance and no merge pass. Keys are
 sorted and looked up by their first 64-bit column, and every hash match
-is confirmed on the whole key. Words are kept as int8 letter arrays
-during the search and in the returned ball; they become tuples only when
-`BallEnumeration.words` is first read, and the closed orbits with their
-cyclic words (`BallEnumeration.closed_orbits`) are selected and peeled on
-the arrays. The traversal is level-synchronous with canonical
-tie-breaks, so the output is independent of internal evaluation order.
+is confirmed on the whole key. Words are int8 letter arrays during the
+search and in the returned ball, and the closed orbits with their cyclic
+words (`BallEnumeration.closed_orbits`) are selected and peeled on the
+arrays. The ball's sorted distances are built at once; its order of
+matrices and words is assembled on first read, so counting never sorts
+the ball. The traversal is level-synchronous with canonical tie-breaks,
+so the output is independent of internal evaluation order.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -61,13 +61,16 @@ KEY_HORIZON = 31.88
 # largest orbit count (cosh H − 1)/2 at H = radius + slack enumerate_ball
 # takes. Budget: 4 GB, half of the 8 GB machine the lab is sized for. At
 # slack 0 every explored element is kept; the peak RSS of a process that
-# builds one ball, over its 32 MB base, measured 243 to 265 B per element
-# at R = 13 to 16.5 (2-core Xeon, numpy 2.4.6). At 270 B per element the
-# largest admitted ball (horizon 17.84) peaks near 1.4e7 · 270 B + 32 MB
-# ≈ 3.8 GB. The class-spectrum commands (spectrum, margulis, scan), which
-# build one ball at radius + margin and then their classes, measured end
-# to end 245 B per ball element at R = 16 and 233 B at R = 17 (margulis
-# --p 3), so the same budget covers them.
+# builds one ball and reads its order, over its 32 MB base, measured 243
+# to 265 B per element at R = 13 to 16.5 (2-core Xeon, numpy 2.4.6). At
+# 270 B per element the largest admitted ball (horizon 17.84) peaks near
+# 1.4e7 · 270 B + 32 MB ≈ 3.8 GB. These figures cover the commands that
+# read the ball order: the class-spectrum commands (spectrum, margulis,
+# scan, entropy from classes), which build one ball at radius + margin
+# and then their classes, measured end to end 245 B per ball element at
+# R = 16 and 233 B at R = 17 (margulis --p 3), and the samplers, whose
+# balls are small. `entropy` from elements reads only the sorted
+# distances and peaked at 123 B per element at R = 14 and 15.
 MAX_BALL_ELEMENTS = 14_000_000
 
 
@@ -240,44 +243,86 @@ def boundary_separation(u, v):
     return abs(u[0] * v[1] - u[1] * v[0]) / (np.linalg.norm(u) * np.linalg.norm(v))
 
 
-@dataclass
 class BallEnumeration:
     """Orbit ball: group elements γ with d(o, γo) ≤ T.
 
     Each element appears once: elements are deduplicated by exact residue
     keys, keeping the code-smallest of the shortest words. −I is not in
-    the group, so each isometry has one matrix here. `matrices`,
-    `distances`, `letters`, `word_lengths` and `words` are aligned and
-    sorted by (distance, word length, word).
+    the group, so each isometry has one matrix here. `distances` is
+    sorted, and `matrices`, `letters` and `word_lengths` are aligned with
+    it in ball order: sorted by (distance, word length, word).
 
     `letters` holds each word as an int8 row of letters (±1..±4),
     zero-padded to the longest word, and `word_lengths` its length.
-    `words`, the same words as tuples, is built once, on first read, so
-    callers that count, read distances or take closed orbits never pay
-    for the tuples.
+
+    A ball from `enumerate_ball` holds its sorted `distances` and the
+    search's per-level blocks. The first read of `matrices`, `letters` or
+    `word_lengths` assembles all three in ball order and drops the blocks,
+    so `len`, `count` and the entropy estimates never sort the ball. A
+    ball built directly is given all four arrays in ball order, and no
+    presentation.
     """
 
-    radius: float
-    matrices: np.ndarray
-    distances: np.ndarray
-    letters: np.ndarray = field(repr=False)
-    word_lengths: np.ndarray = field(repr=False)
-    presentation: GroupPresentation = field(repr=False, default=None)
+    def __init__(self, radius, matrices, distances, letters, word_lengths):
+        self.radius = radius
+        self.distances = distances
+        self.presentation = None
+        self.matrices, self.letters, self.word_lengths = matrices, letters, word_lengths
+
+    @classmethod
+    def _from_levels(cls, radius, level_mats, level_dists, level_words, presentation):
+        """A ball whose order is assembled on first read, from the search's
+        levels: entry-major (4, n) matrices, distances and (n, depth) int8
+        words, each level in code-lexicographic word order."""
+        ball = cls.__new__(cls)
+        ball.radius, ball.presentation = float(radius), presentation
+        dists = np.concatenate(level_dists)
+        # the distance is the first sort key of the ball order, and equal
+        # floats ≥ +0 have equal bytes: these are the ordered distances
+        ball.distances = np.sort(dists)
+        ball._levels = (level_mats, dists, level_words)
+        return ball
+
+    def _assemble(self):
+        """Set `matrices`, `letters` and `word_lengths` in ball order from
+        the level blocks, and drop the blocks: one lexsort by (distance,
+        word length, word) over the concatenated, zero-padded levels."""
+        level_mats, dists, level_words = vars(self).pop("_levels")
+        mats = np.concatenate(level_mats, axis=1)
+        del level_mats
+        word_lengths = np.repeat([level.shape[1] for level in level_words],
+                                 [len(level) for level in level_words])
+        padded = np.zeros((len(dists), level_words[-1].shape[1]), dtype=np.int8)
+        start = 0
+        for level in level_words:
+            padded[start:start + len(level), :level.shape[1]] = level
+            start += len(level)
+        del level_words
+        order = np.lexsort(tuple(padded.T[::-1]) + (word_lengths, dists))
+        del dists
+        self.matrices = np.ascontiguousarray(mats.T[order]).reshape(-1, 2, 2)
+        self.letters, self.word_lengths = padded[order], word_lengths[order]
+
+    @cached_property
+    def matrices(self):
+        """(N, 2, 2) matrices in ball order."""
+        self._assemble()
+        return vars(self)["matrices"]
+
+    @cached_property
+    def letters(self):
+        """(N, width) int8 letter rows in ball order, zero-padded."""
+        self._assemble()
+        return vars(self)["letters"]
+
+    @cached_property
+    def word_lengths(self):
+        """(N,) word lengths in ball order."""
+        self._assemble()
+        return vars(self)["word_lengths"]
 
     def __len__(self):
         return len(self.distances)
-
-    @cached_property
-    def words(self):
-        """The word of each element as a tuple of letters.
-
-        Read row by row through a memoryview of the int8 letters, so no
-        list of every padded row is held while the tuples are built.
-        """
-        width = self.letters.shape[1]
-        flat = memoryview(self.letters.reshape(-1))
-        return [tuple(flat[i * width:i * width + n])
-                for i, n in enumerate(self.word_lengths.tolist())]
 
     def count(self, radius):
         """N(T') = number of elements with d(o, γo) ≤ T', for T' ≤ T."""
@@ -290,7 +335,7 @@ class BallEnumeration:
         elements: the samplers' pools.
 
         The rows of `closed_orbits` at no cutoff, read as tuples through a
-        memoryview of its letter array; `words` is not built.
+        memoryview of its letter array.
         """
         _, cyclic, lengths = self.closed_orbits(math.inf)
         width = cyclic.shape[1]
@@ -500,8 +545,13 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
     order, so the element kept for a key is the code-smallest of its
     shortest words (a1 < b1 < a2 < b2 < a1⁻¹ < … < b2⁻¹). A level's
     matrices are entry-major and its temporaries are released before the
-    next level allocates. Words are int8 letter rows throughout; the
-    returned ball builds tuples only when `words` is first read.
+    next level allocates. Words are int8 letter rows throughout.
+
+    The returned ball is built in two stages. At once: its `distances`,
+    one sort of the kept levels' distances. On the first read of
+    `matrices`, `letters` or `word_lengths`: all three, in ball order, by
+    one lexsort of the levels (`BallEnumeration`). Counting and the
+    entropy estimates read only the distances.
 
     Why pruning at the radius reaches the whole ball (Dirichlet descent;
     Beardon, The Geometry of Discrete Groups, §9.4). The octagon D is the
@@ -717,23 +767,7 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
         del dists, inside
 
     # the keys and their index are dead once the search ends; free them
-    # before the assembly below, where the level arrays, their
-    # concatenation and the sorted copies make the enumeration's peak
+    # before the ball sorts its distances
     del store, offsets, index_hashes, index_rows
-    mats = np.concatenate(ball_mats, axis=1)
-    dists = np.concatenate(ball_dists)
-    word_lengths = np.repeat([level.shape[1] for level in ball_words],
-                             [len(level) for level in ball_words])
-    padded = np.zeros((len(dists), ball_words[-1].shape[1]), dtype=np.int8)
-    start = 0
-    for level in ball_words:
-        padded[start:start + len(level), :level.shape[1]] = level
-        start += len(level)
-
-    order = np.lexsort(tuple(padded.T[::-1]) + (word_lengths, dists))
-    return BallEnumeration(
-        radius=float(radius),
-        matrices=np.ascontiguousarray(mats.T[order]).reshape(-1, 2, 2),
-        distances=dists[order], letters=padded[order],
-        word_lengths=word_lengths[order], presentation=presentation,
-    )
+    return BallEnumeration._from_levels(radius, ball_mats, ball_dists, ball_words,
+                                        presentation)

@@ -172,7 +172,7 @@ def _cyclic_keys(cyclic, lengths):
     (keys, key_lengths, key_of), the keys zero-padded as `cyclic` is.
     """
     least = np.zeros_like(cyclic)
-    for n in np.unique(lengths).tolist():
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
         rows = np.flatnonzero(lengths == n)
         least[rows, :n] = _least_rotations(cyclic[rows, :n])
     firsts, key_of = _first_occurrences(least)
@@ -195,7 +195,7 @@ def _class_columns(words, lengths, sl2, p):
     log λ_{p-1} + log λ_p (λ_p = λ^0 = 1).
     """
     products = np.empty((len(lengths), 2, 2))
-    for n in np.unique(lengths).tolist():
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
         rows = np.flatnonzero(lengths == n)
         products[rows] = sl2.products(words[rows, :n])
     traces = np.abs(products[:, 0, 0] + products[:, 1, 1])

@@ -275,7 +275,7 @@ def conjugacy_canonical_rows(keys, lengths, presentation):
 
 def _file(pending, rows, words, lengths):
     """File rows by word length: pending[n] lists (rows, (m, n) words)."""
-    for n in np.unique(lengths).tolist():
+    for n in np.flatnonzero(np.bincount(lengths)).tolist():
         chosen = lengths == n
         pending.setdefault(n, []).append((rows[chosen], words[chosen, :n]))
 
@@ -305,7 +305,7 @@ def _dehn_steps(words, moves):
         results.append(np.pad(joined, ((0, 0), (0, n - joined.shape[1]))))
         lengths.append(length)
     rows, results, lengths = map(np.concatenate, (rows, results, lengths))
-    for length in np.unique(lengths).tolist():
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
         chosen = lengths == length
         results[chosen, :length] = _least_rotations(results[chosen, :length])
     first = _least_per_row(rows, lengths, *results.T)

@@ -15,6 +15,7 @@ from anosovlab.principal_rep import (
     sym_representation,
 )
 from anosovlab.surface_group import GENERATOR_LABELS
+from oracles import ball_words
 
 
 class Lab:
@@ -32,7 +33,7 @@ class Lab:
 
     def hyperbolic_words(self, max_count=None, rng=None):
         words = [
-            w for w, m in zip(self.ball.words, self.ball.matrices)
+            w for w, m in zip(ball_words(self.ball), self.ball.matrices)
             if w and abs(float(np.trace(m))) > 2.001
         ]
         if rng is not None:

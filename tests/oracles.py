@@ -205,6 +205,18 @@ def cyclic_dehn_step_unfiltered(word, long_moves):
     return None
 
 
+def ball_words(ball):
+    """The word of each ball element as a tuple of letters, in ball order.
+
+    Read row by row through a memoryview of the int8 letters, so no list
+    of every padded row is held while the tuples are built.
+    """
+    width = ball.letters.shape[1]
+    flat = memoryview(ball.letters.reshape(-1))
+    return [tuple(flat[i * width:i * width + n])
+            for i, n in enumerate(ball.word_lengths.tolist())]
+
+
 def closed_orbit_words(ball, radius):
     """(cyclic word, |trace|) of each row of `ball.closed_orbits(radius)`,
     in ball order, the word as a tuple."""

@@ -54,7 +54,7 @@ from anosovlab.spectra import (
 from anosovlab.surface_group import inverse_word
 
 from conftest import THREAD_SETTINGS, Lab, run_cli_process
-from oracles import random_form_isometry, span_distance, tuples_match
+from oracles import ball_words, random_form_isometry, span_distance, tuples_match
 
 RADIUS = 12.0
 BALL_RADIUS = 15.0
@@ -366,6 +366,6 @@ def test_ball_radius_15_counts_each_element_once(big):
     # one matrix over Q(θ), whose float entries sat one grid cell apart
     lab, _, _, _ = big
     assert len(lab.ball) == 817_433
-    words = set(lab.ball.words)
+    words = set(ball_words(lab.ball))
     assert (-4, 2, -1, 2, -1, -2, -4, 1, 2, -1) not in words
     assert (-4, 2, -1, 2, -1, -2, 3, -4, -3, 2) in words

@@ -451,7 +451,8 @@ print(json.dumps({"code": code, "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
-@pytest.mark.parametrize("command", ["transversality", "deriv-check", "entropy"])
+@pytest.mark.parametrize("command", ["transversality", "deriv-check", "entropy",
+                                     "spectrum", "margulis", "scan"])
 def test_commands_do_not_import_masked_arrays(tmp_path, command):
     # importing numpy.ma costs 12-17 ms of start-up, and np.unique and
     # np.median import it on first call

@@ -29,13 +29,14 @@ from anosovlab.fuchsian import (
     translation_length,
 )
 from anosovlab.principal_rep import Representation
+from anosovlab.spectra import critical_exponent, entropy_estimate
 from anosovlab.surface_group import (
     cyclic_reduce,
     format_word,
     inverse_word,
 )
 
-from oracles import closed_orbit_words, distance, mobius, orbit_distance
+from oracles import ball_words, closed_orbit_words, distance, mobius, orbit_distance
 
 
 def test_relator_holonomy_is_identity():
@@ -116,7 +117,7 @@ def test_sl2_eigenbasis_contract():
 
 def test_ball_identity_only_below_systole(lab):
     ball = enumerate_ball(lab.sl2.generators, 2.9, 1.0)
-    assert len(ball) == 1 and ball.words[0] == ()
+    assert len(ball) == 1 and ball_words(ball) == [()]
     # smallest displacement is twice the apothem
     systole = 2 * APOTHEM
     ball2 = enumerate_ball(lab.sl2.generators, systole + 0.01, 1.0)
@@ -164,16 +165,18 @@ def test_ball_matrices_match_their_words(lab):
     rng = np.random.default_rng(7)
     idx = rng.permutation(len(lab.ball))[:300]
     rep = Representation(lab.sl2.generators)
+    words = ball_words(lab.ball)
     for i in idx:
-        m = rep.evaluate(lab.ball.words[i])
+        m = rep.evaluate(words[i])
         stored = lab.ball.matrices[i]
         assert min(np.abs(m - stored).max(), np.abs(m + stored).max()) <= 1e-9
 
 
 def test_ball_inverse_symmetry(lab):
     rep = Representation(lab.sl2.generators)
+    words = ball_words(lab.ball)
     for i in np.random.default_rng(11).permutation(len(lab.ball))[:200]:
-        w = lab.ball.words[i]
+        w = words[i]
         d = lab.ball.distances[i]
         d_inv = orbit_distance(rep.evaluate(inverse_word(w)))
         assert abs(d - d_inv) <= 1e-9
@@ -182,7 +185,7 @@ def test_ball_inverse_symmetry(lab):
 def test_ball_deterministic(lab):
     again = enumerate_ball(lab.sl2.generators, 6.5, 2.0)
     reference = enumerate_ball(lab.sl2.generators, 6.5, 2.0)
-    assert again.words == reference.words
+    assert ball_words(again) == ball_words(reference)
     assert np.array_equal(again.matrices, reference.matrices)
 
 
@@ -190,7 +193,7 @@ def test_cyclic_words_are_the_hyperbolic_pool(lab):
     # the reference is the samplers' former pool: every ball word cyclically
     # reduced, evaluated, and kept when its |trace| exceeds 2.001
     reference = {
-        w for w in {cyclic_reduce(w) for w in lab.ball.words} - {()}
+        w for w in {cyclic_reduce(w) for w in ball_words(lab.ball)} - {()}
         if abs(float(np.trace(lab.sl2.evaluate(w)))) > 2.001
     }
     assert lab.ball.cyclic_words() == sorted(reference)
@@ -200,7 +203,7 @@ def test_cyclic_words_within_a_radius(lab):
     # the closed orbits the class spectra read: exact length test on the
     # ball's own traces, in ball order, wrap-around peeled
     expected = []
-    for word, m in zip(lab.ball.words, lab.ball.matrices):
+    for word, m in zip(ball_words(lab.ball), lab.ball.matrices):
         trace = abs(float(m[0, 0] + m[1, 1]))
         if trace > 2.0 + 1e-12 and 2.0 * math.acosh(trace / 2.0) <= 7.0 + 1e-12:
             expected.append((cyclic_reduce(word), trace))
@@ -224,7 +227,6 @@ def test_sampler_pools_pinned(radius):
     pool = ball.cyclic_words()
     digest = hashlib.sha256("\n".join(map(format_word, pool)).encode()).hexdigest()
     assert (len(pool), digest) == PINNED_POOLS[radius]
-    assert "words" not in vars(ball)
 
 
 def test_ball_independent_of_key_hash(monkeypatch):
@@ -235,7 +237,7 @@ def test_ball_independent_of_key_hash(monkeypatch):
     monkeypatch.setattr(fuchsian, "_key_hash",
                         lambda keys: (keys[:, 0] & 3).astype(np.uint64))
     degenerate = enumerate_ball(gens, 8.0, 2.0)
-    assert degenerate.words == reference.words
+    assert ball_words(degenerate) == ball_words(reference)
     assert degenerate.matrices.tobytes() == reference.matrices.tobytes()
     assert degenerate.distances.tobytes() == reference.distances.tobytes()
 
@@ -244,7 +246,7 @@ def test_ball_radius_11_pinned():
     _, gens = octagon_group()
     ball = enumerate_ball(gens, 11.0)
     assert len(ball) == 15_337
-    text = "\n".join(sorted(format_word(w) for w in ball.words))
+    text = "\n".join(sorted(format_word(w) for w in ball_words(ball)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "c2158cf2a400299c84d1d83a4f28e8be94ebfcc9b5a2ca3e526fe7d6a7ea40aa"
     )
@@ -254,7 +256,7 @@ def test_ball_radius_11_bits_pinned():
     # the ball in its own order, bit for bit: words, matrices and distances
     _, gens = octagon_group()
     ball = enumerate_ball(gens, 11.0)
-    words = "\n".join(format_word(w) for w in ball.words)
+    words = "\n".join(format_word(w) for w in ball_words(ball))
     digests = [hashlib.sha256(blob).hexdigest() for blob in (
         words.encode(), ball.matrices.tobytes(), ball.distances.tobytes())]
     assert digests == [
@@ -268,19 +270,57 @@ def test_ball_letters_spell_the_words(lab):
     ball = lab.ball
     assert ball.letters.dtype == np.int8 and len(ball.letters) == len(ball)
     width = ball.letters.shape[1]
-    assert width == max(len(w) for w in ball.words)
-    for row, length, word in zip(ball.letters.tolist(), ball.word_lengths.tolist(),
-                                 ball.words):
-        assert tuple(row[:length]) == word and row[length:] == [0] * (width - length)
+    assert width == ball.word_lengths.max()
+    for row, length in zip(ball.letters.tolist(), ball.word_lengths.tolist()):
+        word = row[:length]
+        assert all(1 <= abs(letter) <= 4 for letter in word)
+        assert all(x != -y for x, y in zip(word, word[1:]))  # freely reduced
+        assert row[length:] == [0] * (width - length)
+
+
+def test_counting_never_sorts_the_ball(monkeypatch):
+    # len, count and the entropy estimates read only the sorted distances;
+    # the ball order, one lexsort, is assembled on the first read of the
+    # matrices, letters or word lengths, to the bytes of a ball read at once
+    _, gens = octagon_group()
+    reference = enumerate_ball(gens, 10.0)
+    arrays = ("matrices", "distances", "letters", "word_lengths")
+    expected = [getattr(reference, name) for name in arrays]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("np.lexsort called")
+
+    monkeypatch.setattr(fuchsian.np, "lexsort", refused)
+    ball = enumerate_ball(gens, 10.0)
+    distances = ball.distances
+    assert distances.tobytes() == expected[1].tobytes()
+    assert len(ball) == len(reference) and ball.count(8.0) == reference.count(8.0)
+    window = (6.0, 10.0)
+    assert entropy_estimate(distances, window) == entropy_estimate(expected[1], window)
+    assert critical_exponent(distances, window) == critical_exponent(expected[1], window)
+    monkeypatch.undo()
+    ball.matrices
+    assert {"matrices", "letters", "word_lengths"} <= set(vars(ball))
+    assert "_levels" not in vars(ball) and ball.distances is distances
+    for name, theirs in zip(arrays, expected):
+        mine = getattr(ball, name)
+        assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape), name
+        assert mine.tobytes() == theirs.tobytes(), name
+    # the sorted distances are those of the ordered matrices, row by row
+    m = ball.matrices.reshape(-1, 4).T
+    ordered = np.arccosh(np.maximum(1.0, (m[0] ** 2 + m[1] ** 2 + m[2] ** 2 + m[3] ** 2) / 2.0))
+    assert ordered.tobytes() == distances.tobytes()
 
 
 def test_ball_memory_peak():
     # tracemalloc sees numpy's buffers: the search's peak at R = 12 was
-    # 28.97 MiB before each level released its temporaries, 23.17 MiB after
+    # 28.97 MiB before each level released its temporaries, 23.17 MiB after;
+    # reading the matrices puts the assembly of the ball order in the bound
     _, gens = octagon_group()
     tracemalloc.start()
     try:
         ball = enumerate_ball(gens, 12.0, 2.0)
+        ball.matrices
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -33,7 +33,7 @@ from anosovlab.spectra import (
     spectrum_with_alpha,
 )
 
-from oracles import closed_orbit_words, spectrum_stabilization
+from oracles import ball_words, closed_orbit_words, spectrum_stabilization
 
 
 @pytest.fixture(scope="module")
@@ -277,7 +277,7 @@ def test_only_numerical_failures_are_dropped(lab, monkeypatch):
 def test_failed_class_counted_once(lab, monkeypatch):
     full = length_spectrum(lab.rho_v[2], lab.ball, lab.basis[2], radius=5.0)
     elements = {}
-    for word, mat in zip(lab.ball.words, lab.ball.matrices):
+    for word, mat in zip(ball_words(lab.ball), lab.ball.matrices):
         trace = abs(float(np.trace(mat)))
         if trace > 2.0 + 1e-12 and 2.0 * np.arccosh(trace / 2.0) <= 5.0 + 1e-12:
             letters = conjugacy_canonical(word, lab.presentation).letters
