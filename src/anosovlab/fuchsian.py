@@ -11,21 +11,24 @@ The group lies in SL(2) of the quartic field Q(θ), f(θ) = θ⁴ + 8θ³ +
 12θ² + 16θ + 4 = 0: OCTAGON_ENTRIES holds 8·(each generator entry) in Z[θ]
 (Takeuchi, J. Math. Soc. Japan 27, 1975, for the arithmetic background).
 
-Ball enumeration is a breadth-first search over freely reduced words,
-pruned at the ball's own radius (the octagon is the Dirichlet domain of
-o, so every ball element has a neighbour in the ball closer to o; proof
-in `enumerate_ball`) and deduplicated by exact keys: the entries'
-residues modulo two primes at which f has a root. Equal keys mean equal
-elements at search horizons up to KEY_HORIZON (proof in
-`enumerate_ball`), so there is no tolerance and no merge pass. Keys are
-sorted and looked up by their first 64-bit column, and every hash match
-is confirmed on the whole key. Words are int8 letter arrays during the
-search and in the returned ball, and the closed orbits with their cyclic
-words (`BallEnumeration.closed_orbits`) are selected and peeled on the
-arrays. The ball's sorted distances are built at once; its order of
-matrices and words is assembled on first read, so counting never sorts
-the ball. The traversal is level-synchronous with canonical tie-breaks,
-so the output is independent of internal evaluation order.
+Ball enumeration is a level-by-level search over words, pruned at the
+ball's own radius (the octagon is the Dirichlet domain of o, so every
+ball element has a neighbour in the ball closer to o; proof in
+`enumerate_ball`). A child is new exactly when it lies farther from o
+than its parent, a float comparison with a gap of 4·sinh² of the apothem
+(proof in `enumerate_ball`), so no earlier level is looked up. Inside a
+level, children are deduplicated by exact keys: the entries' residues
+modulo two primes at which f has a root. Equal keys mean equal elements
+at search horizons up to KEY_HORIZON (proof in `enumerate_ball`), so
+there is no tolerance and no merge pass. Keys are sorted by their first
+64-bit column, and every hash tie is confirmed on the whole key. Words
+are int8 letter arrays during the search and in the returned ball, and
+the closed orbits with their cyclic words (`BallEnumeration.closed_orbits`)
+are selected and peeled on the arrays. The ball's sorted distances are
+built at once; its order of matrices and words is assembled on first
+read, so counting never sorts the ball. The traversal is
+level-synchronous with canonical tie-breaks, so the output is
+independent of internal evaluation order.
 """
 
 import math
@@ -61,16 +64,17 @@ KEY_HORIZON = 31.88
 # largest orbit count (cosh H − 1)/2 at H = radius + slack enumerate_ball
 # takes. Budget: 4 GB, half of the 8 GB machine the lab is sized for. At
 # slack 0 every explored element is kept; the peak RSS of a process that
-# builds one ball and reads its order, over its 32 MB base, measured 243
-# to 265 B per element at R = 13 to 16.5 (2-core Xeon, numpy 2.4.6). At
+# builds one ball and reads its order, over its 30 MB base, measured 119
+# to 161 B per element at R = 13 to 16.5 (2-core Xeon, numpy 2.4.6). At
 # 270 B per element the largest admitted ball (horizon 17.84) peaks near
 # 1.4e7 · 270 B + 32 MB ≈ 3.8 GB. These figures cover the commands that
 # read the ball order: the class-spectrum commands (spectrum, margulis,
 # scan, entropy from classes), which build one ball at radius + margin
-# and then their classes, measured end to end 245 B per ball element at
-# R = 16 and 233 B at R = 17 (margulis --p 3), and the samplers, whose
-# balls are small. `entropy` from elements reads only the sorted
-# distances and peaked at 123 B per element at R = 14 and 15.
+# and then their classes, measured end to end 122 B (spectrum --p 3) and
+# 150 B (margulis --p 3) per ball element at R = 16, and 233 B at R = 17
+# (margulis --p 3, not measured again), and the samplers, whose balls are
+# small. `entropy` from elements reads only the sorted distances and
+# peaked at 102 and 93 B per element at R = 14 and 15.
 MAX_BALL_ELEMENTS = 14_000_000
 
 
@@ -246,8 +250,8 @@ def boundary_separation(u, v):
 class BallEnumeration:
     """Orbit ball: group elements γ with d(o, γo) ≤ T.
 
-    Each element appears once: elements are deduplicated by exact residue
-    keys, keeping the code-smallest of the shortest words. −I is not in
+    Each element appears once, spelled by the code-smallest of its
+    shortest words (see `enumerate_ball`). −I is not in
     the group, so each isometry has one matrix here. `distances` is
     sorted, and `matrices`, `letters` and `word_lengths` are aligned with
     it in ball order: sorted by (distance, word length, word).
@@ -301,6 +305,7 @@ class BallEnumeration:
         order = np.lexsort(tuple(padded.T[::-1]) + (word_lengths, dists))
         del dists
         self.matrices = np.ascontiguousarray(mats.T[order]).reshape(-1, 2, 2)
+        del mats
         self.letters, self.word_lengths = padded[order], word_lengths[order]
 
     @cached_property
@@ -410,8 +415,8 @@ _KEY_CHUNK = 4096
 def _child_keys(parent_keys, parent_rows, codes, residues):
     """Exact keys of the products parent·letter, (n, 4) int64.
 
-    Child i is the parent at row `parent_rows[i]` of the store block
-    `parent_keys` times the letter `codes[i]`; `residues` is the
+    Child i is the parent at row `parent_rows[i]` of the parent level's
+    keys `parent_keys` times the letter `codes[i]`; `residues` is the
     `_letter_residues` table. Each key holds 8 int32 values, a, b, c, d
     mod p₁ then mod p₂. Chunks are laid out entry-major (8 × chunk), so
     each step runs on contiguous rows; products stay below 2·(p − 1)² <
@@ -424,13 +429,18 @@ def _child_keys(parent_keys, parent_rows, codes, residues):
         left = np.take(parents, parent_rows[chunk], axis=0).T.astype(np.int64, order="C")
         right = np.take(residues, codes[chunk], axis=1)
         child = np.empty_like(left)
+        quotient = np.empty_like(left[0])
         for j, (p, _) in enumerate(KEY_PRIMES):
             for i in range(2):
                 for k in range(2):
                     entry = child[4 * j + 2 * i + k]
                     np.multiply(left[4 * j + 2 * i], right[4 * j + k], out=entry)
                     entry += left[4 * j + 2 * i + 1] * right[4 * j + 2 + k]
-                    entry %= p
+                    # entry mod p: floor division by a scalar is faster
+                    # than the remainder, and entries are nonnegative
+                    np.floor_divide(entry, p, out=quotient)
+                    quotient *= p
+                    entry -= quotient
         out[chunk] = child.T
     return out.view(np.int64)
 
@@ -488,64 +498,24 @@ def _first_occurrences(hashes, keys):
     return order[first]
 
 
-def _stored_keys(store, offsets, rows):
-    """Keys at global `rows` of the append-only store of per-level blocks."""
-    level = np.searchsorted(offsets, rows, side="right") - 1
-    out = np.empty((len(rows), 4), dtype=np.int64)
-    for block in np.flatnonzero(np.bincount(level)).tolist():
-        pick = level == block
-        out[pick] = store[block][rows[pick] - offsets[block]]
-    return out
-
-
-def _contained(index_hashes, index_rows, store, offsets, hashes, keys, rows):
-    """Mask of the keys `keys[rows]`, whose hashes are `hashes`, present in
-    the `seen` store (exact compare), and the positions
-    `np.searchsorted(index_hashes, hashes)` it looked them up at.
-
-    `index_hashes` is sorted and `index_rows` holds the global store row of
-    each entry; every entry with a matching hash is compared on its key,
-    and only the keys with a match are gathered.
-    """
-    positions = np.searchsorted(index_hashes, hashes)
-    last = len(index_hashes) - 1
-    at = np.minimum(positions, last)
-    found = np.zeros(len(hashes), dtype=bool)
-    pending = np.flatnonzero(index_hashes[at] == hashes)
-    while len(pending):
-        # compare with the next seen entry of the same hash
-        stored = _stored_keys(store, offsets, index_rows[at[pending]])
-        found[pending] = (stored == keys[rows[pending]]).all(axis=1)
-        pending = pending[~found[pending] & (at[pending] < last)]
-        at[pending] += 1
-        pending = pending[index_hashes[at[pending]] == hashes[pending]]
-    return found, positions
-
-
-def _merged(old, kept, slots, values):
-    """`old` at the positions `kept` and `values` at `slots` of a new array."""
-    out = np.empty(len(kept), dtype=old.dtype)
-    out[slots] = values
-    out[kept] = old
-    return out
-
-
 def enumerate_ball(generators, radius, slack=0.0, presentation=None):
     """Enumerate the orbit ball of radius `radius` around o = i.
 
-    Breadth-first search over freely reduced words pruned at orbit
-    distance radius + slack, deduplicated by exact keys: the residues of
-    the entries modulo the two KEY_PRIMES (see `_child_keys`). Keys are
-    sorted and looked up by their first int64 column, and every hash
-    match is confirmed on the whole key. Keys of earlier levels live in
-    an append-only store of per-level blocks, each in its level's frontier
-    order, so the frontier's keys are the last block; only a hash-sorted
-    (hash, row) index is merged level by level, at the positions the
-    lookup already found. Each level is kept in code-lexicographic word
-    order, so the element kept for a key is the code-smallest of its
-    shortest words (a1 < b1 < a2 < b2 < a1⁻¹ < … < b2⁻¹). A level's
-    matrices are entry-major and its temporaries are released before the
-    next level allocates. Words are int8 letter rows throughout.
+    Level-by-level search over words pruned at orbit distance radius +
+    slack: level L holds the elements first reached by words of L
+    letters. A child t·s of a level-(L − 1) element t is formed only when
+    it lies farther from o than t, ‖t·s‖² > ‖t‖², one more comparison in
+    the Gram prefilter that bounds its norm; every other child lies at
+    level L − 2 (proof below), so no earlier level is held or looked up.
+    Inside the level, children are deduplicated by exact keys: the
+    residues of the entries modulo the two KEY_PRIMES (see
+    `_child_keys`), sorted by their first int64 column, every hash tie
+    confirmed on the whole key. Only the parent level's keys are held.
+    Each level is kept in code-lexicographic word order, so the element
+    kept for a key is the code-smallest of its shortest words (a1 < b1 <
+    a2 < b2 < a1⁻¹ < … < b2⁻¹). A level's matrices are entry-major and
+    its temporaries are released before the next level allocates. Words
+    are int8 letter rows throughout.
 
     The returned ball is built in two stages. At once: its `distances`,
     one sort of the kept levels' distances. On the first read of
@@ -566,17 +536,54 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
     reaches e. Read backwards, g is spelled from e one letter at a time
     through elements no farther from o than g: the ball pruned at its own
     radius is connected, and slack 0 reaches every element. Floats enter
-    only through the pruning test at the horizon radius + slack, which is
-    guarded by 1e-9 relative, so an intermediate element whose computed
-    distance rounds just past it is still expanded; the ball keeps only
-    distances ≤ radius.
-    The argument fixes the set of elements. That each kept word, the
-    code-smallest shortest word spelled within the horizon, is the same
-    at any slack is measured, not proved: the slack equality test holds
-    it at seven radii up to 13, and it was checked bit for bit up to
-    R = 16 against a search to the largest admitted horizon 17.84, not
-    at the larger radii the size limit admits. The class outputs do not
-    depend on the representative word.
+    the descent only through the pruning test at the horizon radius +
+    slack, which is guarded by 1e-9 relative, so an intermediate element
+    whose computed distance rounds just past it is still expanded; the
+    ball keeps only distances ≤ radius.
+
+    Why a child is new exactly when it is farther from o. Eight tiles
+    meet at each vertex of the {8,8} tiling by the g·D, at angle π/4
+    each, so each edge continues straight through its vertices and the
+    edges make up complete geodesics, the tiling's lines; none meets the
+    interior of a tile. Let |g| be the number of lines that separate D
+    from g·D. The tiles g·D and gs·D share a side, and its line ℓ is the
+    only one that separates them, so |gs| = |g| ± 1, with −1 exactly when
+    ℓ separates D from g·D. As ℓ is the bisector of g·o and gs·o, that is
+    when o lies on the side of gs·o: d(o, gs·o) < d(o, g·o). So every
+    word for g has at least |g| letters, and the descent chain above
+    spells g with |g| letters through elements within the horizon: the
+    search reaches each element at level |g|. A child t·s of a
+    level-(L − 1) element therefore lies at level L − 2, the step back
+    to the element t was spelled from included, exactly when
+    ‖ts‖² < ‖t‖², and at level L otherwise (‖M‖² = 2·cosh d(o, M·o)).
+
+    Why floats decide it. D holds the disc of radius a (the apothem)
+    about o, so ℓ lies at a distance r ≥ a from o, and t·o and ts·o are
+    mirror images at distance a from ℓ over one foot. In Fermi
+    coordinates along ℓ their cosh-distances to o differ by
+    2·sinh r·sinh a, so |‖ts‖² − ‖t‖²| ≥ 4·sinh² a = 4(cot²(π/8) − 1)
+    = 19.3137, with equality at t = e. Both squared norms are at most
+    2·cosh H·(1 + 1e-9) ≈ 5.6e7 at the largest horizon H = 17.84 that
+    MAX_BALL_ELEMENTS admits, so there the gap is 3.4e-7 of ‖M‖², and the
+    comparison is exact while each computed squared norm is within
+    1.7e-7 relative of the exact one. The Gram form's rounding is a few
+    ulp of its absolute terms, which Cauchy–Schwarz bounds by
+    2·‖s‖²·‖t‖² < 43·‖t‖²: below 1e-13 of ‖t‖². The float entries' error
+    is measured, not proved: a test checks at 50 digits, from the exact
+    entries in Z[θ], that the farthest elements of the R = 15 ball have
+    ‖M‖² within 1e-12 relative (measured 6e-15), and another that every
+    gap of the R = 12 ball is 19.3137 less 1e-9 relative or more. The
+    pruning's 1e-9 guard on distances already assumes ‖M‖² within 2e-8
+    relative at H = 17.84.
+
+    The kept words follow. The prefix of length |g| − 1 of a shortest
+    word for g spells an element at level |g| − 1, closer to o than g, so
+    every shortest word runs through the ball. By induction on the
+    level, the word kept for g, the code-smallest (kept word of t)·s over
+    its neighbours t = g·s⁻¹ at level |g| − 1, is the code-smallest of all
+    shortest words for g, at any slack. The slack equality tests check
+    this bit for bit at seven radii up to 13, and CI at 14. The class
+    outputs do not depend on the representative word.
 
     Why equal keys mean equal elements. Write K = Q(θ) with f(θ) = 0.
     Every group element has its 8·entries in Z[θ] (the lattice
@@ -662,53 +669,44 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
     codes = np.arange(n_codes, dtype=np.int16)
     letters = np.where(codes < n_gen, codes + 1, -(codes - n_gen + 1)).astype(np.int8)
 
-    # the frontier is kept in code-lexicographic word order
+    # the frontier is kept in code-lexicographic word order, with its keys
     frontier_mats = np.eye(2).reshape(4, 1)
-    frontier_codes = np.full(1, -1, dtype=np.int16)  # last letter codes
     frontier_words = np.zeros((1, 0), dtype=np.int8)  # letters
+    keys = np.array([[1, 0, 0, 1] * len(KEY_PRIMES)], dtype=np.int32).view(np.int64)
 
     ball_mats = [frontier_mats]
     ball_dists = [np.zeros(1)]
     ball_words = [frontier_words]
-
-    # `seen`: append-only blocks of keys, one per level and each in its
-    # level's frontier order, and a hash-sorted index of (hash, global row)
-    # that new keys are merged into
-    identity = np.array([[1, 0, 0, 1] * len(KEY_PRIMES)], dtype=np.int32)
-    store = [identity.view(np.int64)]
-    offsets = np.zeros(1, dtype=np.int64)
-    index_hashes = _key_hash(store[0])
-    # the count estimate bounds the store well below 2^31 rows
-    index_rows = np.zeros(1, dtype=np.int32)
-    total = 1
-    depth = 0
-    while len(frontier_codes):
-        depth += 1
+    while frontier_mats.shape[1]:
         # ‖F·g‖² = Σ_jl (FᵀF)_jl (g gᵀ)_jl: the squared norms of all
-        # children from the Gram matrix of each parent, one letter at a time
+        # children from the Gram matrix of each parent, one letter at a
+        # time. A child is new exactly when it is farther from o than its
+        # parent, ‖F·g‖² > ‖F‖² (the level proof in the docstring)
         f = frontier_mats
         diagonal0 = f[0] ** 2 + f[2] ** 2
         off_diagonal = 2.0 * (f[0] * f[1] + f[2] * f[3])
         diagonal1 = f[1] ** 2 + f[3] ** 2
-        keep = np.empty((len(frontier_codes), n_codes), dtype=bool)
+        norm = diagonal0 + diagonal1
+        keep = np.empty((f.shape[1], n_codes), dtype=bool)
         for c in range(n_codes):
-            keep[:, c] = (diagonal0 * gram[c, 0, 0] + off_diagonal * gram[c, 0, 1]
-                          + diagonal1 * gram[c, 1, 1]) <= norm_cap
-        del f, diagonal0, off_diagonal, diagonal1
-        if depth > 1:
-            keep &= codes != (frontier_codes[:, None] + n_gen) % n_codes
+            child = (diagonal0 * gram[c, 0, 0] + off_diagonal * gram[c, 0, 1]
+                     + diagonal1 * gram[c, 1, 1])
+            keep[:, c] = (child <= norm_cap) & (child > norm)
+        del f, diagonal0, off_diagonal, diagonal1, norm, child
         # row-major order: children stay in code-lexicographic order
         parent_idx, code_idx = np.divmod(np.flatnonzero(keep), n_codes)
         del keep
         # only the survivors are formed, by the explicit 2×2 product
         left = np.take(frontier_mats, parent_idx, axis=1)
         mats = np.empty_like(left)
-        for i in range(2):
-            for k in range(2):
-                entry = mats[2 * i + k]
-                np.multiply(left[2 * i], gen_entries[k][code_idx], out=entry)
-                entry += left[2 * i + 1] * gen_entries[2 + k][code_idx]
-        del left
+        for k in range(2):
+            right = gen_entries[k][code_idx]
+            for i in range(2):
+                np.multiply(left[2 * i], right, out=mats[2 * i + k])
+            right = gen_entries[2 + k][code_idx]
+            for i in range(2):
+                mats[2 * i + k] += left[2 * i + 1] * right
+        del left, right
         # ‖M‖², summed in the entry order of (M**2).sum(axis=(1, 2))
         dists = np.arccosh(np.maximum(
             1.0, (mats[0] ** 2 + mats[1] ** 2 + mats[2] ** 2 + mats[3] ** 2) / 2.0))
@@ -717,47 +715,21 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
             mats, dists = mats[:, within], dists[within]
             parent_idx, code_idx = parent_idx[within], code_idx[within]
 
-        keys = _child_keys(store[-1], parent_idx, code_idx, residues)
-        hashes = _key_hash(keys)
-        # in-level dedup keeps the first, i.e. code-smallest, word per key;
-        # cross-level dedup drops keys of earlier levels (shorter words)
-        firsts = _first_occurrences(hashes, keys)
-        first_hashes = hashes[firsts]
-        found, positions = _contained(index_hashes, index_rows, store, offsets,
-                                      first_hashes, keys, firsts)
-        absent = ~found
-        fresh, fresh_hashes = firsts[absent], first_hashes[absent]  # hash order
-        # index entry j of the new keys goes to positions[j] + j
-        slots = positions[absent] + np.arange(len(fresh))
-        del hashes, firsts, first_hashes, found, positions, absent
-
-        # a scatter puts the new children back in code-lexicographic order;
-        # they become the frontier and, in that order, the next store block
-        rank = np.zeros(len(code_idx), dtype=np.int32)
-        rank[fresh] = 1
-        new = np.flatnonzero(rank)
-        rank[new] = np.arange(len(new), dtype=np.int32)
-        fresh_rows = total + rank[fresh]
-        del fresh, rank
-        store.append(keys[new])
-        offsets = np.append(offsets, total)
-        total += len(new)
-        del keys
+        # the children's keys replace the parents'; the first, i.e.
+        # code-smallest, word of each key in the level is kept, and a mask
+        # puts the kept children back in code-lexicographic order
+        keys = _child_keys(keys, parent_idx, code_idx, residues)
+        first = np.zeros(len(code_idx), dtype=bool)
+        first[_first_occurrences(_key_hash(keys), keys)] = True
+        new = np.flatnonzero(first)
+        del first
+        keys = keys[new]
         frontier_mats, dists = np.take(mats, new, axis=1), dists[new]
         del mats
-        frontier_codes = code_idx[new].astype(np.int16)
         frontier_words = np.column_stack(
-            [frontier_words[parent_idx[new]], letters[frontier_codes]]
+            [frontier_words[parent_idx[new]], letters[code_idx[new]]]
         )
         del parent_idx, code_idx, new
-
-        # merge the new (hash, row) entries, already in hash order, into the
-        # index at the positions `_contained` found
-        kept = np.ones(len(index_hashes) + len(slots), dtype=bool)
-        kept[slots] = False
-        index_hashes = _merged(index_hashes, kept, slots, fresh_hashes)
-        index_rows = _merged(index_rows, kept, slots, fresh_rows)
-        del slots, fresh_hashes, fresh_rows, kept
 
         inside = dists <= radius
         if inside.any():
@@ -766,8 +738,5 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
             ball_words.append(frontier_words[inside])
         del dists, inside
 
-    # the keys and their index are dead once the search ends; free them
-    # before the ball sorts its distances
-    del store, offsets, index_hashes, index_rows
     return BallEnumeration._from_levels(radius, ball_mats, ball_dists, ball_words,
                                         presentation)

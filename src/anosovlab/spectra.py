@@ -261,7 +261,10 @@ def entropy_estimate(values, window, step=0.25):
     raise, naming the window and the count found. The window must end
     within the enumerated radius (the CLI checks its configuration).
     """
-    values = np.sort(np.asarray(values, float))
+    values = np.asarray(values, float)
+    # a ball's distances come sorted
+    if not (values[1:] >= values[:-1]).all():
+        values = np.sort(values)
     t0, t1 = window
     if t1 - t0 < 2.0:
         raise InputError("window must span at least 2")
@@ -304,8 +307,14 @@ def critical_exponent(values, window):
             f"{MIN_WINDOW_COUNT // 2} needed in each half"
         )
 
+    far, near = far - tm, near - tm
+    far_terms, near_terms = np.empty_like(far), np.empty_like(near)
+
     def imbalance(s):
-        return np.exp(-s * (far - tm)).sum() - np.exp(-s * (near - tm)).sum()
+        np.multiply(far, -s, out=far_terms)
+        np.multiply(near, -s, out=near_terms)
+        return (np.exp(far_terms, out=far_terms).sum()
+                - np.exp(near_terms, out=near_terms).sum())
 
     lo, hi = 0.0, 6.0
     if imbalance(lo) < 0:

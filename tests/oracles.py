@@ -2,20 +2,21 @@
 
 Each oracle computes a quantity by a second, more literal route than the
 package does (a direct neutral vector, the literal Ad-cocycle sum, the
-upper half-plane distance, one pair at a time where the package works
-on stacks) or supplies test data the package never needs
-(random form isometries, an orientation reference), or checks a claim the
-package relies on (the spectra's margin). None of them is on a path the
+upper half-plane distance, a ball search that keys every level, one pair
+at a time where the package works on stacks) or supplies test data the
+package never needs (random form isometries, an orientation reference), or
+checks a claim the package relies on (the spectra's margin). None of them is on a path the
 CLI runs, so they live here rather than in ``src/``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from anosovlab.affine_deform import special_shape
-from anosovlab.fuchsian import sl2_eigenbasis
+from anosovlab.fuchsian import KEY_PRIMES, OCTAGON_ENTRIES, sl2_eigenbasis
 from anosovlab.linalg import NumericalFailure, orthonormal_span
 from anosovlab.principal_rep import sym_power_rep
 from anosovlab.surface_group import (
@@ -78,6 +79,70 @@ def orbit_distance(m):
     """d(i, M·i) = arccosh(‖M‖_F² / 2) for M in SL(2,R)."""
     m = np.asarray(m, float)
     return float(np.arccosh(max(1.0, (m * m).sum() / 2.0)))
+
+
+# --- orbit ball ------------------------------------------------------------
+
+def keyed_ball_search(generators, radius, slack=0.0):
+    """{word: (a, b, c, d)} of the orbit ball d(o, γo) ≤ radius, by a
+    level-by-level search in plain Python that deduplicates on exact keys.
+
+    Every child t·s of the previous level within the horizon radius +
+    slack (guarded by 1e-9 relative) is keyed by its entries modulo both
+    KEY_PRIMES, computed here from OCTAGON_ENTRIES, and kept only when no
+    earlier level and no earlier child of its own level has its key;
+    `fuchsian.enumerate_ball` instead tells an element of an earlier level
+    by its descent gap and keys only within a level. Parents are taken in their level's
+    order and letters in code order (a1, b1, a2, b2, then the inverses), so
+    each element keeps the code-smallest of its shortest words. Entries are
+    formed by the search's explicit formula m_ik = t_i0·s_0k + t_i1·s_1k
+    from the generators and their `np.linalg.inv`, and distances by
+    `math.acosh`.
+    """
+    n = len(generators)
+    letters = list(range(1, n + 1)) + [-k for k in range(1, n + 1)]
+    floats = [np.asarray(generators[k], float) for k in range(1, n + 1)]
+    floats += [np.linalg.inv(g) for g in floats]
+    letter_entries = [tuple(g.reshape(-1).tolist()) for g in floats]
+    letter_keys = []
+    for letter in letters:
+        key = ()
+        for p, root in KEY_PRIMES:
+            a, b, c, d = (sum(x * pow(root, i, p) for i, x in enumerate(entry))
+                          * pow(8, -1, p) % p
+                          for entry in OCTAGON_ENTRIES[abs(letter)])
+            key += (d, -b % p, -c % p, a) if letter < 0 else (a, b, c, d)
+        letter_keys.append(key)
+    primes = [p for p, _ in KEY_PRIMES]
+    reach = (radius + slack) * (1.0 + 1e-9)
+    identity = ((), (1.0, 0.0, 0.0, 1.0), (1, 0, 0, 1) * len(primes))
+    seen = {identity[2]}
+    ball = {(): identity[1]}
+    frontier = [identity]
+    while frontier:
+        level = []
+        for word, (a, b, c, d), key in frontier:
+            for letter, (e, f, g, h), right in zip(letters, letter_entries,
+                                                   letter_keys):
+                m = (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                dist = math.acosh(max(
+                    1.0, (m[0] * m[0] + m[1] * m[1] + m[2] * m[2] + m[3] * m[3]) / 2.0))
+                if dist > reach:
+                    continue
+                child = ()
+                for j, p in enumerate(primes):
+                    w, x, y, z = key[4 * j:4 * j + 4]
+                    e_, f_, g_, h_ = right[4 * j:4 * j + 4]
+                    child += ((w * e_ + x * g_) % p, (w * f_ + x * h_) % p,
+                              (y * e_ + z * g_) % p, (y * f_ + z * h_) % p)
+                if child in seen:
+                    continue
+                seen.add(child)
+                level.append((word + (letter,), m, child))
+                if dist <= radius:
+                    ball[word + (letter,)] = m
+        frontier = level
+    return ball
 
 
 # --- words -----------------------------------------------------------------

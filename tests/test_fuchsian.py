@@ -36,7 +36,14 @@ from anosovlab.surface_group import (
     inverse_word,
 )
 
-from oracles import ball_words, closed_orbit_words, distance, mobius, orbit_distance
+from oracles import (
+    ball_words,
+    closed_orbit_words,
+    distance,
+    keyed_ball_search,
+    mobius,
+    orbit_distance,
+)
 
 
 def test_relator_holonomy_is_identity():
@@ -148,8 +155,8 @@ def test_ball_slack_stabilization(lab):
 
 @pytest.mark.parametrize("radius", [4.0, 6.0, 6.5, 8.0, 9.5, 11.0, 13.0])
 def test_ball_at_slack_zero_is_the_slack_two_ball(radius):
-    # the descent proof covers the set of elements; that the kept words,
-    # and so every bit of the ball, are the same is measured here at the
+    # the level proof in enumerate_ball fixes the elements and their kept
+    # words at any slack; every bit of the ball is checked here at the
     # samplers' pools, the lab fixture, the pinned R = 11 ball and the
     # benchmark's set-up radii
     _, gens = octagon_group()
@@ -159,6 +166,64 @@ def test_ball_at_slack_zero_is_the_slack_two_ball(radius):
         mine, theirs = getattr(pruned, name), getattr(wide, name)
         assert (mine.dtype, mine.shape) == (theirs.dtype, theirs.shape)
         assert mine.tobytes() == theirs.tobytes()
+
+
+@pytest.mark.parametrize("radius, slack", [(9.0, 0.0), (8.0, 2.0)])
+def test_ball_is_the_keyed_search(radius, slack):
+    # the search tells an old element from a new one by its descent gap and
+    # keys only within a level; the oracle keys across levels as well
+    _, gens = octagon_group()
+    ball = enumerate_ball(gens, radius, slack)
+    expected = keyed_ball_search(gens, radius, slack)
+    found = dict(zip(ball_words(ball), (m.tobytes() for m in ball.matrices)))
+    assert len(found) == len(ball) == len(expected)
+    assert found == {word: np.array(m).tobytes() for word, m in expected.items()}
+
+
+def test_descent_gaps_are_at_least_four_sinh_squared_apothem():
+    # |‖gs‖² − ‖g‖²| ≥ 4·sinh² a for every element g and letter s (the level
+    # proof in enumerate_ball), from the search's Gram form, less 1e-9 of
+    # the two squared norms; the bound is met at g = e
+    _, gens = octagon_group()
+    ball = enumerate_ball(gens, 12.0)
+    f = ball.matrices.reshape(-1, 4).T
+    diagonal0 = f[0] ** 2 + f[2] ** 2
+    off_diagonal = 2.0 * (f[0] * f[1] + f[2] * f[3])
+    diagonal1 = f[1] ** 2 + f[3] ** 2
+    norm = diagonal0 + diagonal1
+    bound = 4.0 * math.sinh(APOTHEM) ** 2
+    assert abs(bound - 19.3137085) < 1e-7
+    smallest = math.inf
+    for g in list(gens.values()) + [np.linalg.inv(g) for g in gens.values()]:
+        gram = g @ g.T
+        child = (diagonal0 * gram[0, 0] + off_diagonal * gram[0, 1]
+                 + diagonal1 * gram[1, 1])
+        gap = np.abs(child - norm)
+        assert (gap >= bound - 1e-9 * (child + norm)).all()
+        smallest = min(smallest, float(gap.min()))
+    assert abs(smallest - bound) <= 1e-9 * bound
+
+
+def test_farthest_squared_norms_are_exact():
+    # the descent-gap comparison needs each float ‖M‖² within 1.7e-7 of the
+    # exact one at the largest admitted horizon; at R = 15 the farthest
+    # elements are within 1e-12 of their exact entries in Z[θ] (measured
+    # 6e-15), at 50 digits
+    _, gens = octagon_group()
+    ball = enumerate_ball(gens, 15.0)
+    assert len(ball) == 817_433
+    words, mats = ball_words(ball)[-32:], ball.matrices[-32:]
+    with mpmath.workdps(50):
+        roots = mpmath.polyroots([1, 8, 12, 16, 4], maxsteps=200, extraprec=200)
+        theta = min(mpmath.re(r) for r in roots if abs(mpmath.im(r)) < 1e-30)
+        for word, m in zip(words, mats):
+            exact = sum(sum(mpmath.mpf(x.numerator) / x.denominator * theta**i
+                            for i, x in enumerate(entry)) ** 2
+                        for entry in _exact_word(word))
+            a, b, c, d = m.reshape(-1)
+            computed = a ** 2 + b ** 2 + c ** 2 + d ** 2
+            assert abs(computed - exact) <= 1e-12 * exact
+            assert math.acosh(computed / 2.0) > 14.99
 
 
 def test_ball_matrices_match_their_words(lab):
@@ -314,8 +379,9 @@ def test_counting_never_sorts_the_ball(monkeypatch):
 
 def test_ball_memory_peak():
     # tracemalloc sees numpy's buffers: the search's peak at R = 12 was
-    # 28.97 MiB before each level released its temporaries, 23.17 MiB after;
-    # reading the matrices puts the assembly of the ball order in the bound
+    # 28.97 MiB before each level released its temporaries, 23.17 MiB after,
+    # and 15.29 MiB once it held no keys of earlier levels (the bound is 14%
+    # over that); reading the matrices puts the assembly of the ball order in it
     _, gens = octagon_group()
     tracemalloc.start()
     try:
@@ -325,7 +391,7 @@ def test_ball_memory_peak():
     finally:
         tracemalloc.stop()
     assert len(ball) == 40_905
-    assert peak < 26.0 * 2**20
+    assert peak < 17.5 * 2**20
 
 
 @st.composite
