@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import InputError, NumericalFailure
 from .fuchsian import boundary_separation, fixed_points, sl2_eigenbasis
-from .principal_rep import Representation, sym_power_rep
+from .principal_rep import Representation, sym_power_middle_column
 from .surface_group import cyclic_reduce, extend_cocycle
 
 PING_PONG_SEPARATION = 0.05
@@ -105,8 +105,11 @@ def margulis_invariants(rho, omegas, words, basis):
     product of every rotation the sum reads is built left to right as one
     stacked product per letter position (`Representation.products`), the
     neutral vectors of all those rotations come from one stacked
-    `sl2_eigenbasis` and `sym_power_rep`, and the pairings are stacked
-    dot products summed letter by letter.
+    `sl2_eigenbasis`, and the pairings are stacked dot products summed
+    letter by letter. The neutral vector sym(h)·eps_p is c_p times column
+    p-1 of sym(h), since the weight basis `basis.eps` is diagonal; only
+    that column is built (`sym_power_middle_column`, with the bits of the
+    full `sym_power_rep`).
     These are the per-word products, dots and summation order, so every
     α has the bits of the word evaluated alone.
     """
@@ -136,7 +139,8 @@ def margulis_invariants(rho, omegas, words, basis):
         word_of, start = np.nonzero(needed)
         spelled = letters[word_of[:, None], (start[:, None] + np.arange(m)) % m]
         h, _ = sl2_eigenbasis(rho.base.products(spelled))
-        x = sym_power_rep(p, h) @ basis.eps[:, p - 1]
+        # sym(h)·eps_p, with eps diagonal: c_p times column p-1 of sym(h)
+        x = sym_power_middle_column(p, h) * basis.eps[p - 1, p - 1]
         qx_of = (q @ x[:, :, None])[:, :, 0]
         slot = np.zeros(letters.shape, dtype=np.intp)
         slot[word_of, start] = np.arange(len(start))
@@ -266,32 +270,45 @@ class FiniteDeformation:
     (N, n_generators, dim) array; the words are evaluated as (N, 2p, 2p)
     stacks. The letters are taken as free; the caller certifies that
     (`ping_pong_certificate`).
+
+    A signed generator is built on the first word that reads it: the
+    exponential, its form check and, for an inverse letter, the inverse
+    of the positive one. Each is the same stacked call whenever it runs.
     """
 
     def __init__(self, rho_e, vectors, letters, t):
         self.letters = tuple(letters)
         self.t = float(t)
         self.form = rho_e.form.matrix
+        self._rho_e = rho_e
         n = self.form.shape[0] - 1
         # ½·X_{ω_g} of the chosen letters only, Q_V the V block of the form
-        tangents = 0.5 * special_shape(
+        self._tangents = 0.5 * special_shape(
             np.asarray(vectors, float)[:, [g - 1 for g in self.letters]],
             self.form[:n, :n])
         self._generators = {}
-        for letter, x in zip(self.letters, tangents.transpose(1, 0, 2, 3)):
-            g = _expm(self.t * x) @ rho_e.generator(letter)
+
+    def _generator(self, letter):
+        g = self._generators.get(letter)
+        if g is not None:
+            return g
+        if letter < 0:
+            g = np.linalg.inv(self._generator(-letter))
+        else:
+            x = self._tangents[:, self.letters.index(letter)]
+            g = _expm(self.t * x) @ self._rho_e.generator(letter)
             residual = np.abs(g.transpose(0, 2, 1) @ self.form @ g - self.form)
             scale = np.maximum(1.0, np.abs(g).max(axis=(1, 2)) ** 2)
             if (residual.max(axis=(1, 2)) > 1e-10 * scale).any():
                 raise NumericalFailure(f"generator {letter} does not preserve the form")
-            self._generators[letter] = g
-            self._generators[-letter] = np.linalg.inv(g)
+        self._generators[letter] = g
+        return g
 
     def _factors(self, word):
         for letter in word:
             if abs(letter) not in self.letters:
                 raise InputError(f"word leaves the free subgroup on {self.letters}")
-        return [self._generators[letter] for letter in word]
+        return [self._generator(letter) for letter in word]
 
     def _product(self, factors):
         n = self.form.shape[0]

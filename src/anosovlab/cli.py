@@ -86,6 +86,8 @@ SEPARATION = 0.2
 # wider, and check-rep passes when its residuals are at most CHECK_REP_TOL
 SPECTRUM_MARGIN = 3.0
 CHECK_REP_TOL = 1e-9
+# the line ending of `csv.writer`, which the CSV outputs keep
+CSV_EOL = csv.excel.lineterminator
 
 
 DEFAULTS = {
@@ -303,19 +305,20 @@ def run_check_rep(ws, out_dir):
 
 
 def spectrum_csv(spectrum):
-    buf = io.StringIO()
-    writer = csv.writer(buf)
+    """The spectrum as CSV text, one row per class: the bytes `csv.writer`
+    writes for these rows (no field needs quoting), joined at once."""
     header = ["word", "word_length", "trace", "ell_hyp", "ell_lastroot", "alpha"]
     header += [f"lambda_{i}" for i in range(1, spectrum.p + 1)]
-    writer.writerow(header)
+    rows = [",".join(header) + CSV_EOL]
     columns = (spectrum.traces, spectrum.length_hyp, spectrum.length_lastroot,
                spectrum.alphas, spectrum.lambdas)
     for word, trace, hyp, lastroot, alpha, lambdas in zip(
             spectrum.words, *(column.tolist() for column in columns)):
-        row = [format_word(word), len(word), float17(trace), float17(hyp),
-               float17(lastroot), "" if math.isnan(alpha) else float17(alpha)]
-        writer.writerow(row + [float17(v) for v in lambdas])
-    return buf.getvalue()
+        alpha = "" if math.isnan(alpha) else f"{alpha:.17g}"
+        rows.append(f"{format_word(word)},{len(word)},{trace:.17g},{hyp:.17g},"
+                    f"{lastroot:.17g},{alpha}"
+                    + "".join(f",{v:.17g}" for v in lambdas) + CSV_EOL)
+    return "".join(rows)
 
 
 def run_spectrum(ws, out_dir):
@@ -468,16 +471,20 @@ def sample_transversality(ws, count, seed, separation):
     return rows
 
 
+def transversality_csv(rows):
+    """The sampled triples as CSV text, one row each: the bytes `csv.writer`
+    writes for these rows (no field needs quoting), joined at once."""
+    names = {w: format_word(w) for w in dict.fromkeys(w for row in rows for w in row[:2])}
+    lines = ["word_xy,word_z,separation,margin" + CSV_EOL]
+    lines += [f"{names[wa]},{names[wb]},{sep:.17g},{margin:.17g}{CSV_EOL}"
+              for wa, wb, sep, margin in rows]
+    return "".join(lines)
+
+
 def run_transversality(ws, out_dir):
     seed = need_seed(ws.config, "triple sampling")
     rows = sample_transversality(ws, int(ws.config["count"]), seed, SEPARATION)
-    names = {w: format_word(w) for w in dict.fromkeys(w for row in rows for w in row[:2])}
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["word_xy", "word_z", "separation", "margin"])
-    for wa, wb, sep, margin in rows:
-        writer.writerow([names[wa], names[wb], float17(sep), float17(margin)])
-    atomic_write(os.path.join(out_dir, "transversality.csv"), buf.getvalue())
+    atomic_write(os.path.join(out_dir, "transversality.csv"), transversality_csv(rows))
     margins = np.sort([r[3] for r in rows])
     # np.median's mean of the middle one or two values, without its numpy.ma import
     middle = margins[(len(margins) - 1) // 2:len(margins) // 2 + 1]

@@ -62,11 +62,8 @@ def sym_power_rep(p, m):
         raise InputError("p must be >= 2")
     m = np.asarray(m, float)
     single = m.ndim == 2
-    m = m.reshape(-1, 2, 2)
+    m = _unit_determinants(m)
     entries = m.reshape(-1).tolist()
-    for a, b, c, d in zip(*[iter(entries)] * 4):
-        if abs(a * d - b * c - 1.0) > 1e-10:
-            raise InputError("matrix must have determinant 1")
     n = 2 * p - 1
     coefficients, first, second, groups, order = _sym_power_plan(p)
     # powers[i, entry * n + e] = (entry of matrix i) ** e, entries a, b, c, d = 0..3
@@ -74,6 +71,49 @@ def sym_power_rep(p, m):
                        for e in range(n)])
     powers = powers.reshape(n, -1, 4).transpose(1, 2, 0).reshape(len(m), 4 * n)
     slots = coefficients * powers[:, first] * powers[:, second]
+    out = _plan_sums(slots, groups)[:, order].reshape(len(m), n, n)
+    return out[0] if single else out
+
+
+def sym_power_middle_column(p, m):
+    """Column p-1 of `sym_power_rep(p, m)` for an (N, 2, 2) stack, as an
+    (N, 2p-1) array with the bits of that column.
+
+    The column's entries are the same slots and sums of `_sym_power_plan`
+    (`_middle_column_plan` picks them out). Its slots read only the powers
+    0 .. p-1 of the entries: power 0 is 1.0 and power 1 the entry itself,
+    exactly as the C library ``pow`` gives them; higher powers go through
+    ``pow`` as in `sym_power_rep`.
+    """
+    m = _unit_determinants(np.asarray(m, float))
+    coefficients, first, second, groups, order = _middle_column_plan(p)
+    entries = m.reshape(-1, 4)
+    flat = entries.reshape(-1).tolist()
+    # powers[i, entry * p + e] = (entry of matrix i) ** e, entries a, b, c, d = 0..3
+    powers = np.empty((len(m), 4, p))
+    powers[:, :, 0] = 1.0
+    powers[:, :, 1] = entries
+    for e in range(2, p):
+        powers[:, :, e] = np.reshape(list(map(math.pow, flat, itertools.repeat(float(e)))),
+                                     (len(m), 4))
+    powers = powers.reshape(len(m), 4 * p)
+    slots = coefficients * powers[:, first] * powers[:, second]
+    return _plan_sums(slots, groups)[:, order]
+
+
+def _unit_determinants(m):
+    """`m` as an (N, 2, 2) stack, each determinant checked to be 1 to
+    1e-10."""
+    m = m.reshape(-1, 2, 2)
+    a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
+    if (np.abs(a * d - b * c - 1.0) > 1e-10).any():
+        raise InputError("matrix must have determinant 1")
+    return m
+
+
+def _plan_sums(slots, groups):
+    """The values of a plan's groups over the (N, slots) products, in
+    group order: BLAS dots and running sums, as `_sym_power_plan` says."""
     values = []
     for by_dot, xs, ys in groups:
         if by_dot:
@@ -86,8 +126,7 @@ def sym_power_rep(p, m):
             for t in range(terms.shape[2]):
                 value = value + terms[..., t]
             values.append(value)
-    out = np.concatenate(values, axis=1)[:, order].reshape(len(m), n, n)
-    return out[0] if single else out
+    return np.concatenate(values, axis=1)
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +188,36 @@ def _sym_power_plan(p):
     columns = np.array(slots).T
     return (columns[0].astype(float), columns[1] * n + columns[2],
             columns[3] * n + columns[4], tuple(groups), np.argsort(positions))
+
+
+@lru_cache(maxsize=None)
+def _middle_column_plan(p):
+    """`_sym_power_plan` restricted to column p-1, for
+    `sym_power_middle_column`.
+
+    Each group keeps the entries (r, p-1) it holds, in its own order, and
+    their slots; a power index entry·(2p-1) + e becomes entry·p + e (the
+    column's exponents are at most p-1). Returns (coefficients, first,
+    second, groups, order) as `_sym_power_plan` does, `order` taking the
+    concatenated group values to rows r = 0 .. 2p-2.
+    """
+    n = 2 * p - 1
+    coefficients, first, second, groups, order = _sym_power_plan(p)
+    wanted = order[np.arange(n) * n + p - 1]  # concatenated index of entry (r, p-1)
+    kept, rows, offset = [], [], 0
+    for by_dot, xs, ys in groups:
+        here = np.flatnonzero((wanted >= offset) & (wanted < offset + len(xs)))
+        if len(here):
+            local = wanted[here] - offset
+            kept.append((by_dot, xs[local], ys[local]))
+            rows += here.tolist()
+        offset += len(xs)
+    used = np.array(sorted({int(slot) for _, xs, ys in kept for slot in [*xs.flat, *ys.flat]}))
+    kept = tuple((by_dot, np.searchsorted(used, xs), np.searchsorted(used, ys))
+                 for by_dot, xs, ys in kept)
+    first, second = first[used], second[used]
+    return (coefficients[used], first // n * p + first % n,
+            second // n * p + second % n, kept, np.argsort(rows))
 
 
 @dataclass

@@ -21,6 +21,7 @@ variant as a cross-check.
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from types import SimpleNamespace
 
 import numpy as np
@@ -31,6 +32,7 @@ from .linalg import InputError
 from .surface_group import (
     _first_occurrences,
     _least_rotations,
+    _packed_keys,
     conjugacy_canonical_rows,
 )
 # not called here: benchmark/test_harness.py reads spectra.conjugacy_canonical
@@ -157,7 +159,7 @@ def _ball_classes(ball, radius):
     traces, cyclic, lengths = ball.closed_orbits(radius)
     keys, key_lengths, key_of = _cyclic_keys(cyclic, lengths)
     words, word_lengths = conjugacy_canonical_rows(keys, key_lengths, ball.presentation)
-    firsts, class_of_key = _first_occurrences(words)
+    firsts, class_of_key = _first_occurrences(_packed_keys(words))
     return words[firsts], word_lengths[firsts], class_of_key[key_of], traces
 
 
@@ -168,14 +170,15 @@ def _cyclic_keys(cyclic, lengths):
     Row j of the int8 `cyclic` holds a word in its first lengths[j]
     columns. Rows are grouped by length and the least rotation of every
     row of a group is found at once (`_least_rotations`); the rows are
-    then deduplicated over their bytes (`_first_occurrences`). Returns
+    then deduplicated on their packed int64 keys (`_packed_keys`,
+    `_first_occurrences`). Returns
     (keys, key_lengths, key_of), the keys zero-padded as `cyclic` is.
     """
     least = np.zeros_like(cyclic)
     for n in np.flatnonzero(np.bincount(lengths)).tolist():
         rows = np.flatnonzero(lengths == n)
         least[rows, :n] = _least_rotations(cyclic[rows, :n])
-    firsts, key_of = _first_occurrences(least)
+    firsts, key_of = _first_occurrences(_packed_keys(least))
     return least[firsts], lengths[firsts], key_of
 
 
@@ -189,10 +192,11 @@ def _class_columns(words, lengths, sl2, p):
     `hyperbolic_eigenbases` call over all of them gives λ and drops,
     row by row, a class that is not hyperbolic or whose eigenbasis is
     degenerate. On the Fuchsian locus the E-eigenvalues are
-    λ^(±2(p-i)), i = 1..p, the same powers `eigendata_fuchsian` writes;
-    they are Python float `**`, whose bits numpy's array `**` does not
-    always give. The lengths are 2·arccosh(|trace|/2) and
-    log λ_{p-1} + log λ_p (λ_p = λ^0 = 1).
+    λ^(±2(p-i)), i = 1..p, the same powers `eigendata_fuchsian` writes
+    with Python float `**`: each column is one ``map(math.pow, ...)`` over
+    the λs, the C library ``pow`` that `**` calls, whose bits numpy's
+    array `**` does not always give. The lengths are 2·arccosh(|trace|/2)
+    and log λ_{p-1} + log λ_p (λ_p = λ^0 = 1). The order is `_class_order`.
     """
     products = np.empty((len(lengths), 2, 2))
     for n in np.flatnonzero(np.bincount(lengths)).tolist():
@@ -202,15 +206,19 @@ def _class_columns(words, lengths, sl2, p):
     _, lams, ok = hyperbolic_eigenbases(products)
     lams = lams[ok].tolist()
     traces = traces[ok]
-    powers = [2 * (p - i) for i in range(1, p + 1)]
-    lambdas = np.array([[lam ** k for k in powers] for lam in lams]).reshape(-1, p)
-    lambdas_bar = np.array([[lam ** -k for k in powers] for lam in lams]).reshape(-1, p)
+    words, lengths = words[ok], lengths[ok]
+    exponents = [2 * (p - i) for i in range(1, p + 1)]
+
+    def powers(sign):
+        return np.array([list(map(math.pow, lams, repeat(float(sign * k))))
+                         for k in exponents]).T
+
+    lambdas, lambdas_bar = powers(1), powers(-1)
     length_hyp = 2.0 * np.arccosh(traces / 2.0)
-    words = [tuple(word[:n]) for word, n in zip(words[ok].tolist(), lengths[ok].tolist())]
-    keys = list(zip(length_hyp.tolist(), words))
-    order = sorted(range(len(words)), key=keys.__getitem__)
+    order = _class_order(length_hyp, words)
     columns = {
-        "words": [words[i] for i in order],
+        "words": [tuple(word[:n]) for word, n
+                  in zip(words[order].tolist(), lengths[order].tolist())],
         "traces": traces[order],
         "length_hyp": length_hyp[order],
         "length_lastroot": (np.log(lambdas[:, p - 1]) + np.log(lambdas[:, p - 2]))[order],
@@ -218,6 +226,15 @@ def _class_columns(words, lengths, sl2, p):
         "lambdas_bar": lambdas_bar[order],
     }
     return columns, int(np.count_nonzero(~ok))
+
+
+def _class_order(length_hyp, words):
+    """The indices that sort classes by (ℓ_hyp, word), the words zero-padded
+    integer rows compared as tuples: one stable `np.lexsort` over ℓ_hyp and
+    the letter columns, the padding replaced by a value below every letter
+    so that a word sorts before its extensions."""
+    padded = np.where(words == 0, np.iinfo(words.dtype).min, words)
+    return np.lexsort([*padded.T[::-1], length_hyp])
 
 
 def multi_alphas(spectrum, rho, basis, omegas):

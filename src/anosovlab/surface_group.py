@@ -33,6 +33,8 @@ Word = tuple  # tuple of nonzero signed ints
 
 # letters `_least_rotations` compares per step, packed in base 9: 9^19 < 2^63
 ROTATION_STEP = 19
+# letters per int64 key of `_packed_keys`, 4 bits each: 2^60 < 2^63
+KEY_LETTERS = 15
 
 
 def free_reduce(word):
@@ -344,7 +346,7 @@ def _half_swap_closure(words, moves):
 
     A batched frontier: each round takes every half-relator swap of the
     frontier's words, in least rotation, and the (row, word) pairs not
-    seen before, found over their bytes (`_first_occurrences`), are the
+    seen before, found on their packed keys (`_first_occurrences`), are the
     next frontier. A swap keeps the length of a Dehn-reduced word: a
     cancellation at either junction would need a window of the shortest
     long move. Returns (words, restart): a row none of whose reachable
@@ -365,10 +367,9 @@ def _half_swap_closure(words, moves):
         result[restarted] = swapped[steps][first]
         live[restarted] = False
         keep = live[row]
-        rows = np.concatenate([seen_rows, row[keep]]).astype(np.int64)
+        rows = np.concatenate([seen_rows, row[keep]])
         both = np.concatenate([seen, swapped[keep]])
-        firsts, _ = _first_occurrences(
-            np.concatenate([rows[:, None].view(np.int8), both], axis=1))
+        firsts, _ = _first_occurrences(np.column_stack([rows, _packed_keys(both)]))
         new = firsts[firsts >= len(seen_rows)]
         front_rows, front = rows[new], both[new]
         seen_rows = np.concatenate([seen_rows, front_rows])
@@ -380,19 +381,40 @@ def _half_swap_closure(words, moves):
     return result, ~live
 
 
-def _first_occurrences(rows):
+def _first_occurrences(keys):
     """(firsts, index): the row of the first occurrence of each distinct
-    row of a 2-D array, in order of first occurrence, and for each row
-    the index of its value among them. Rows are compared by their bytes,
-    which works at any width."""
-    flat = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
-    if not rows.shape[1]:
-        flat = np.zeros(len(rows))
-    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse.reshape(-1)]
+    row of an (n, k) integer array, k ≥ 1, in order of first occurrence,
+    and for each row the index of its value among them.
+
+    The rows are keys, such as `_packed_keys` of letter rows. One stable
+    `np.lexsort` over the key columns brings equal rows together, each
+    run led by its first occurrence.
+    """
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(order), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    firsts = order[starts]
+    by_first = np.argsort(firsts)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    index = np.empty_like(order)
+    index[order] = rank[np.cumsum(starts) - 1]
+    return firsts[by_first], index
+
+
+def _packed_keys(words):
+    """(n, k) int64 keys of the rows of an (n, m) array of letters ±1..±4
+    and zero padding, equal exactly when the rows are: KEY_LETTERS letters
+    per key, 4 bits each (a letter's low nibble), k = ⌈m / KEY_LETTERS⌉,
+    and one zero key for m = 0."""
+    n, m = words.shape
+    keys = np.zeros((n, max(1, -(-m // KEY_LETTERS))), dtype=np.int64)
+    for c in range(m):
+        key = keys[:, c // KEY_LETTERS]
+        key <<= 4
+        key |= words[:, c] & 15
+    return keys
 
 
 def _least_rotations(words):

@@ -306,6 +306,20 @@ def least_rotations_per_column(words):
     return np.take_along_axis(doubled, first[:, None] + np.arange(m), axis=1)
 
 
+def first_occurrences_by_bytes(rows):
+    """(firsts, index) of `surface_group._first_occurrences` for a 2-D
+    array, the rows compared by their bytes: `np.unique` over a void view
+    (the package packs letter rows into int64 keys instead)."""
+    flat = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.shape[1]))).ravel()
+    if not rows.shape[1]:
+        flat = np.zeros(len(rows))
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse.reshape(-1)]
+
+
 # --- flag geometry --------------------------------------------------------
 
 @dataclass
@@ -528,6 +542,39 @@ def formula_route_per_pair(ws, words, vectors, eig):
             eig[word], 0.5 * special_shape(extend_cocycle_per_row(row, word, ws.rho_v), q_v))[0]
         for word, row in zip(words, vectors)
     ])
+
+
+def margulis_invariants_full_sym_power(rho, vectors, words, basis):
+    """α of each word (rows) and cocycle (columns) by the orbit sum of
+    `affine_deform.margulis_invariants`, each rotation's neutral vector
+    read off the full symmetric power, sym(h)·eps_p (the package builds
+    only column p-1 of sym(h)). `vectors` is an (n_cocycles, generators,
+    dim) stack.
+
+    Per word length the products of every rotation of every word are one
+    stack, as are their eigenbases and symmetric powers; the pairings and
+    the letter-by-letter sums are those of the package.
+    """
+    p, q = basis.p, basis.form_v.matrix
+    reduced = [cyclic_reduce(w) for w in words]
+    totals = np.zeros((len(words), len(vectors)))
+    for m in sorted({len(w) for w in reduced}):
+        rows = [i for i, w in enumerate(reduced) if len(w) == m]
+        letters = np.array([reduced[i] for i in rows])
+        rotations = letters[:, (np.arange(m)[:, None] + np.arange(m)) % m]
+        h, _ = sl2_eigenbasis(rho.base.products(rotations.reshape(-1, m)))
+        x = sym_power_rep(p, h) @ basis.eps[:, p - 1]
+        qx = (q @ x[:, :, None])[:, :, 0].reshape(len(rows), m, -1)
+        # a positive letter j reads rotation j, a negative one rotation j + 1
+        reads = np.where(letters > 0, np.arange(m), (np.arange(m) + 1) % m)
+        qx = np.take_along_axis(qx, reads[:, :, None], axis=1)
+        omega = np.ascontiguousarray(vectors[:, np.abs(letters) - 1])
+        dots = (omega[..., None, :] @ qx[None, ..., None])[..., 0, 0]
+        sums = np.zeros((len(vectors), len(rows)))
+        for j in range(m):
+            sums = np.where(letters[:, j] > 0, sums + dots[:, :, j], sums - dots[:, :, j])
+        totals[rows] = sums.T
+    return totals
 
 
 # --- spectra ---------------------------------------------------------------

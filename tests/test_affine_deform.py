@@ -12,10 +12,15 @@ from anosovlab.affine_deform import (
     margulis_invariants,
     ping_pong_certificate,
 )
-from anosovlab.principal_rep import eigendata_fuchsian
+from anosovlab.principal_rep import eigendata_fuchsian, sym_representation
 from anosovlab.surface_group import inverse_word
 
-from oracles import closed_orbit_words, neutral_vector, value_by_adjoint
+from oracles import (
+    closed_orbit_words,
+    margulis_invariants_full_sym_power,
+    neutral_vector,
+    value_by_adjoint,
+)
 
 P_VALUES = (2, 3)
 
@@ -226,6 +231,26 @@ class TestFiniteDeformation:
         for w in [(1,), (2,), (1, 2, -1)]:
             assert form_residual(fin.evaluate(w)[0], qe) <= 1e-10
 
+    def test_builds_only_the_generators_a_word_reads(self, lab, p, monkeypatch):
+        omega = make_cocycle(lab, p, 35)
+        built = []
+        expm, inv = affine_deform._expm, np.linalg.inv
+        monkeypatch.setattr(affine_deform, "_expm", lambda a: built.append("exp") or expm(a))
+        monkeypatch.setattr(np.linalg, "inv", lambda a: built.append("inv") or inv(a))
+        fin = FiniteDeformation(lab.rho_e[p], omega.vectors[None], (1, 2), 1e-4)
+        assert built == []
+        fin.evaluate((1, 1, 1))
+        assert built == ["exp"]
+        fin.evaluate((1, 2, 2, 1))
+        assert built == ["exp", "exp"]
+        # the inverse of a built generator, once however often it is read
+        value = fin.evaluate((1, -2, -2))
+        assert built == ["exp", "exp", "inv"]
+        fin.evaluate((-2, 1))
+        assert built == ["exp", "exp", "inv"]
+        g1, g2 = fin.evaluate((1,)), fin.evaluate((2,))
+        assert value.tobytes() == (g1 @ inv(g2) @ inv(g2)).tobytes()
+
     def test_rejects_words_outside_the_subgroup(self, lab, p):
         omega = make_cocycle(lab, p, 33)
         fin = FiniteDeformation(lab.rho_e[p], omega.vectors[None], (1, 2), 1e-4)
@@ -285,6 +310,20 @@ def test_margulis_invariants_batch_has_the_bits_of_each_word(lab, p):
         single = margulis_invariants(lab.rho_v[p], omegas, w, lab.basis[p])
         assert row.tobytes() == single.tobytes()
     assert margulis_invariants(lab.rho_v[p], omegas, [], lab.basis[p]).shape == (0, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_alpha_has_the_bits_of_the_full_symmetric_power(lab, p):
+    # margulis_invariants builds only column p-1 of each sym(h); the oracle
+    # reads the neutral vectors off the full power
+    rho_v, basis = lab.rho_v.get(p) or sym_representation(p, lab.sl2), lab.basis[p]
+    vectors = np.random.default_rng(p).standard_normal((3, 4, 2 * p - 1))
+    words = sorted({w for w, _ in closed_orbit_words(lab.ball, 7.0)})
+    words += [w + (1, 2) + inverse_word(w) for w in words[:20]]  # not cyclically reduced
+    alphas = margulis_invariants(rho_v, Cocycle(vectors, rho=rho_v), words, basis)
+    expected = margulis_invariants_full_sym_power(rho_v, vectors, words, basis)
+    assert alphas.shape == expected.shape == (len(words), 3)
+    assert alphas.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("p", P_VALUES)

@@ -1,5 +1,7 @@
 import ast
+import csv
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -309,6 +311,38 @@ def test_spectrum_csv_bytes_pinned(tmp_path, p):
     assert np.isnan(spec.alphas).all() and len(spec.alphas) == len(spec)
     csv_bytes = cli.spectrum_csv(attached).encode()
     assert hashlib.sha256(csv_bytes).hexdigest() == PINNED_SPECTRUM_CSV_SHA256[p]
+
+
+def csv_writer_text(rows):
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def test_csv_outputs_are_the_csv_writer_bytes(tmp_path):
+    # spectrum.csv and transversality.csv are joined f-strings; these are
+    # the rows csv.writer wrote for them
+    ws = cli.Workspace(dict(cli.DEFAULTS, cocycle="random", seed=3, radius=8.0, p=3))
+    spec = ws.spectrum()
+    alphas = spectra.multi_alphas(spec, ws.rho_v, ws.basis, [ws.cocycle()])[:, 0]
+    alphas[::7] = np.nan
+    header = ["word", "word_length", "trace", "ell_hyp", "ell_lastroot", "alpha",
+              "lambda_1", "lambda_2", "lambda_3"]
+    for table in (spec, spectra.spectrum_with_alpha(spec, alphas)):
+        rows = [[format_word(w), len(w), float17(t), float17(h), float17(r),
+                 "" if np.isnan(a) else float17(a)] + [float17(v) for v in lam]
+                for w, t, h, r, a, lam in zip(table.words, table.traces, table.length_hyp,
+                                              table.length_lastroot, table.alphas,
+                                              table.lambdas)]
+        assert cli.spectrum_csv(table) == csv_writer_text([header] + rows)
+    config = {"seed": 4, "count": 300, "p": 3}
+    code, out = run_cli(tmp_path, "transversality", config)
+    assert code == 0
+    ws = cli.Workspace(dict(cli.DEFAULTS, **config))
+    rows = [[format_word(a), format_word(b), float17(sep), float17(margin)]
+            for a, b, sep, margin in sample_transversality(ws, 300, 4, cli.SEPARATION)]
+    expected = csv_writer_text([["word_xy", "word_z", "separation", "margin"]] + rows)
+    assert (out / "transversality.csv").read_bytes() == expected.encode()
 
 
 def test_entropy_names_a_thin_default_window(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from anosovlab.fuchsian import sl2_eigenbasis
 from anosovlab.linalg import NumericalFailure, form_residual, orthonormal_span, signature
 from anosovlab.principal_rep import (
     alpha_matrix,
@@ -9,6 +10,7 @@ from anosovlab.principal_rep import (
     form_on_e,
     invariant_form,
     principal_basis,
+    sym_power_middle_column,
     sym_power_rep,
 )
 
@@ -30,6 +32,26 @@ def test_sym_power_identity():
         sym_power_rep(1, np.eye(2))
     with pytest.raises(ValueError):
         sym_power_rep(2, np.diag([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 4])
+def test_middle_column_has_the_bits_of_the_full_power(lab, p):
+    # α reads sym(h)·eps_p; eps is diagonal, so it is c_p times column p-1,
+    # which must carry the bits of the full power's column
+    rng = np.random.default_rng(p)
+    basis = principal_basis(p)
+    stacks = [np.array([random_sl2(rng, scale) for _ in range(300) for scale in (0.8, 4.0)]),
+              np.array([random_sl2(rng)])]
+    # the eigenbases the orbit sums feed it, entries of every sign and scale
+    words = lab.hyperbolic_words(max_count=200, rng=rng)
+    stacks.append(np.array([sl2_eigenbasis(lab.sl2.evaluate(w))[0] for w in words]))
+    for h in stacks:
+        column = sym_power_middle_column(p, h) * basis.eps[p - 1, p - 1]
+        full = sym_power_rep(p, h) @ basis.eps[:, p - 1]
+        assert column.shape == full.shape == (len(h), 2 * p - 1)
+        assert column.tobytes() == full.tobytes()
+    with pytest.raises(ValueError):
+        sym_power_middle_column(p, np.diag([2.0, 1.0])[None])
 
 
 def test_sym_power_unipotent_matrix():

@@ -77,6 +77,30 @@ def test_spectrum_is_sorted_and_inverse_closed(lab, spectrum8):
         assert inv in words
 
 
+def test_class_order_is_the_tuple_sort():
+    # planted ties: four lengths for 400 classes, and words that are
+    # prefixes of one another, as (1, 2) of (1, 2, -3)
+    rng = np.random.default_rng(8)
+    words = [(1, 2), (1, 2, -3), (1,), (1, 2, 3), (-4,), (-4, -4), (1, -2), (2, 1, 1, 1)]
+    words += [tuple(rng.choice([1, -1, 2, -2], size=n).tolist())
+              for n in rng.integers(1, 6, size=392)]
+    lengths = rng.choice([1.5, 2.0, 2.0 + 2.0**-50, 3.25], size=len(words))
+    lengths[:2] = 2.0
+    rows = np.zeros((len(words), max(map(len, words))), dtype=np.int8)
+    for row, word in zip(rows, words):
+        row[:len(word)] = word
+    order = spectra._class_order(lengths, rows)
+    expected = sorted(range(len(words)), key=lambda i: (lengths[i], words[i]))
+    assert order.tolist() == expected
+    assert order.tolist().index(0) < order.tolist().index(1)
+
+
+def test_spectrum_is_in_length_then_word_order(spectrum8):
+    spec, _ = spectrum8
+    keys = list(zip(spec.length_hyp.tolist(), spec.words))
+    assert keys == sorted(keys)
+
+
 def test_columns_are_read_in_place(spectrum8):
     spec, _ = spectrum8
     assert spec.lengths() is spec.length_hyp

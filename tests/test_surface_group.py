@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from anosovlab import spectra, surface_group
 from anosovlab.surface_group import (
+    KEY_LETTERS,
     ROTATION_STEP,
     CocycleBasis,
     GroupPresentation,
+    _first_occurrences,
     _least_rotations,
+    _packed_keys,
     _relator_tables,
     conjugacy_canonical,
     conjugacy_canonical_rows,
@@ -24,6 +27,7 @@ from oracles import (
     conjugacy_canonical_per_word,
     cyclic_dehn_step,
     cyclic_dehn_step_unfiltered,
+    first_occurrences_by_bytes,
     least_rotations_per_column,
 )
 
@@ -167,6 +171,26 @@ def test_least_rotations_match_the_per_column_oracle(width):
     # and it is the least rotation of the tuples
     for word, row in zip(words[:50].tolist(), least[:50].tolist()):
         assert tuple(row) == min_rotation(tuple(word))
+
+
+@pytest.mark.parametrize("width", [0, 1, KEY_LETTERS - 1, KEY_LETTERS, KEY_LETTERS + 1,
+                                   2 * KEY_LETTERS, 2 * KEY_LETTERS + 1])
+def test_packed_first_occurrences_match_the_bytes_route(width):
+    # zero-padded rows of mixed lengths, over three letters (so many repeat
+    # and many are prefixes of others) and over all eight, then copies of
+    # earlier rows
+    rng = np.random.default_rng(width)
+    rows = np.concatenate([LETTER_CODES[rng.integers(0, 3, size=(600, width))],
+                           LETTER_CODES[rng.integers(0, 8, size=(200, width))]])
+    rows[np.arange(width) >= rng.integers(0, width + 1, size=(800, 1))] = 0
+    rows = np.concatenate([rows, rows[rng.integers(0, 800, size=200)]])
+    keys = _packed_keys(rows)
+    assert keys.dtype == np.int64 and keys.shape == (len(rows), max(1, -(-width // KEY_LETTERS)))
+    firsts, index = _first_occurrences(keys)
+    expected_firsts, expected_index = first_occurrences_by_bytes(rows)
+    assert firsts.tolist() == expected_firsts.tolist()
+    assert index.tolist() == expected_index.tolist()
+    assert rows[firsts][index].tobytes() == rows.tobytes()
 
 
 def ball_keys(lab, radius):
