@@ -32,7 +32,7 @@ import numpy as np
 
 from .linalg import InputError, NumericalFailure
 from .fuchsian import boundary_separation, fixed_points, sl2_eigenbasis
-from .principal_rep import Representation, sym_power_middle_column
+from .principal_rep import Representation, _sym_power_columns
 from .surface_group import cyclic_reduce, extend_cocycle
 
 PING_PONG_SEPARATION = 0.05
@@ -108,8 +108,9 @@ def margulis_invariants(rho, omegas, words, basis):
     `sl2_eigenbasis`, and the pairings are stacked dot products summed
     letter by letter. The neutral vector sym(h)·eps_p is c_p times column
     p-1 of sym(h), since the weight basis `basis.eps` is diagonal; only
-    that column is built (`sym_power_middle_column`, with the bits of the
-    full `sym_power_rep`).
+    that column is built, from the plan and evaluator of `sym_power_rep`
+    (`_sym_power_columns` with columns (p-1,)), so it has the bits of the
+    full power's column.
     These are the per-word products, dots and summation order, so every
     α has the bits of the word evaluated alone.
     """
@@ -140,7 +141,7 @@ def margulis_invariants(rho, omegas, words, basis):
         spelled = letters[word_of[:, None], (start[:, None] + np.arange(m)) % m]
         h, _ = sl2_eigenbasis(rho.base.products(spelled))
         # sym(h)·eps_p, with eps diagonal: c_p times column p-1 of sym(h)
-        x = sym_power_middle_column(p, h) * basis.eps[p - 1, p - 1]
+        x = _sym_power_columns(p, h, (p - 1,))[:, :, 0] * basis.eps[p - 1, p - 1]
         qx_of = (q @ x[:, :, None])[:, :, 0]
         slot = np.zeros(letters.shape, dtype=np.intp)
         slot[word_of, start] = np.arange(len(start))

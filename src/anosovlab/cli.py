@@ -5,7 +5,7 @@ Subcommands
 check-rep       construction report: relator residuals, signatures, basis
 spectrum        per-class CSV (lengths, eigenvalues, Margulis invariant)
 entropy         growth-rate estimates (slope + critical exponent), JSON
-margulis        per-class invariants CSV + Bowen-Margulis averages JSON
+margulis        Bowen-Margulis averages JSON (per-class alpha: spectrum)
 transversality  margins over sampled boundary triples, CSV + summary
 deriv-check     eigenvalue-derivative identity, two independent routes
 scan            entropy of perturbed length functionals over an s-grid
@@ -23,7 +23,6 @@ exception is a bug and propagates.
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
@@ -111,6 +110,8 @@ def load_config(args):
                 loaded = json.load(handle)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError("config must be a JSON object")
         unknown = set(loaded) - set(DEFAULTS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -363,22 +364,18 @@ def run_entropy(ws, out_dir):
 
 
 def _write_count_summary(ball, out_dir):
-    """Counting-function stream: columns T, N(T), log N(T)/T."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["T", "N", "log_N_over_T"])
-    grid = np.arange(1.0, ball.radius + 1e-9, 0.5)
-    for t in grid:
-        n = ball.count(float(t))
-        rate = math.log(n) / t if n else float("-inf")
-        writer.writerow([float17(float(t)), n, float17(rate)])
-    atomic_write(os.path.join(out_dir, "entropy_counts.csv"), buf.getvalue())
+    """Counting-function stream: columns T, N(T), log N(T)/T. The identity
+    lies at distance 0, so N(T) >= 1 at every grid point T >= 1."""
+    rows = ["T,N,log_N_over_T" + CSV_EOL]
+    for t in np.arange(1.0, ball.radius + 1e-9, 0.5).tolist():
+        n = ball.count(t)
+        rows.append(f"{t:.17g},{n},{math.log(n) / t:.17g}{CSV_EOL}")
+    atomic_write(os.path.join(out_dir, "entropy_counts.csv"), "".join(rows))
 
 
 def run_margulis(ws, out_dir):
     omega = ws.cocycle()
     spec = ws.spectrum(omega)
-    atomic_write(os.path.join(out_dir, "margulis.csv"), spectrum_csv(spec))
     window = ws.window()
     payload = {
         "window": [float17(window[0]), float17(window[1])],
@@ -625,13 +622,10 @@ def run_scan(ws, out_dir):
     spec = ws.spectrum(omega)
     window = ws.window()
     scan = perturbed_entropy_scan(spec, S_GRID, window)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["s", "estimate", "residual", "count"])
-    for s, est in scan.table:
-        writer.writerow([float17(s), float17(est.estimate),
-                         float17(est.residual), est.count])
-    atomic_write(os.path.join(out_dir, "scan.csv"), buf.getvalue())
+    rows = ["s,estimate,residual,count" + CSV_EOL]
+    rows += [f"{s:.17g},{est.estimate:.17g},{est.residual:.17g},{est.count}{CSV_EOL}"
+             for s, est in scan.table]
+    atomic_write(os.path.join(out_dir, "scan.csv"), "".join(rows))
     half_alpha_avg = 0.5 * bm_average(spec, window)
     residual = dict(scan.table)[0.0].residual
     write_json(os.path.join(out_dir, "scan.json"), {

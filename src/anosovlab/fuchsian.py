@@ -331,7 +331,7 @@ class BallEnumeration:
 
     def count(self, radius):
         """N(T') = number of elements with d(o, γo) ≤ T', for T' ≤ T."""
-        if radius > self.radius + 1e-12:
+        if not radius <= self.radius + 1e-12:  # NaN fails it too
             raise InputError("count requested beyond the enumerated radius")
         return int(np.searchsorted(self.distances, radius, side="right"))
 
@@ -627,12 +627,13 @@ def enumerate_ball(generators, radius, slack=0.0, presentation=None):
     Raises
     ------
     InputError
-        For radius ≤ 0, slack < 0, radius + slack > KEY_HORIZON, an
-        estimated (cosh(radius + slack) − 1)/2 elements above
-        MAX_BALL_ELEMENTS, or generators that are not the octagon's; all
-        before any allocation.
+        For radius ≤ 0, slack < 0, a NaN radius or slack, radius + slack
+        > KEY_HORIZON, an estimated (cosh(radius + slack) − 1)/2 elements
+        above MAX_BALL_ELEMENTS, or generators that are not the octagon's;
+        all before any allocation.
     """
-    if radius <= 0 or slack < 0:
+    # written so that a NaN radius or slack fails it
+    if not (radius > 0 and slack >= 0):
         raise InputError("need radius > 0 and slack >= 0")
     horizon = radius + slack
     if horizon > KEY_HORIZON:

@@ -48,7 +48,9 @@ def sym_power_rep(p, m):
     lists C(d-k, i) a^(d-k-i) c^i and C(k, j) b^(k-j) d^j, evaluated the
     way ``np.convolve`` evaluates it (see `_sym_power_plan`), with powers
     taken by the C library ``pow`` like Python's float power, so every
-    matrix gets the bits of that one-matrix formula.
+    matrix gets the bits of that one-matrix formula. All columns come
+    from `_sym_power_columns`, which also builds any of them alone with
+    the same bits.
 
     Parameters
     ----------
@@ -58,62 +60,39 @@ def sym_power_rep(p, m):
         2x2 real matrix, or stack of them, with determinant 1 (checked to
         1e-10).
     """
+    m = np.asarray(m, float)
+    out = _sym_power_columns(p, m, tuple(range(2 * p - 1)))
+    return out[0] if m.ndim == 2 else out
+
+
+def _sym_power_columns(p, m, columns):
+    """Columns `columns` (a tuple of indices) of `sym_power_rep(p, m)` for
+    a float array of 2x2 matrices, as an (N, 2p-1, len(columns)) array.
+
+    Evaluates `_sym_power_plan(p, columns)`: power 0 of an entry is 1.0
+    and power 1 the entry itself, which is what the C library ``pow``
+    returns for them, and higher powers go through ``pow``. The running
+    sums and BLAS dots are the plan's groups, so a column has the same
+    bits whichever other columns are built with it. Each determinant is
+    checked to be 1 to 1e-10.
+    """
     if p < 2:
         raise InputError("p must be >= 2")
-    m = np.asarray(m, float)
-    single = m.ndim == 2
-    m = _unit_determinants(m)
-    entries = m.reshape(-1).tolist()
-    n = 2 * p - 1
-    coefficients, first, second, groups, order = _sym_power_plan(p)
-    # powers[i, entry * n + e] = (entry of matrix i) ** e, entries a, b, c, d = 0..3
-    powers = np.array([list(map(math.pow, entries, itertools.repeat(float(e))))
-                       for e in range(n)])
-    powers = powers.reshape(n, -1, 4).transpose(1, 2, 0).reshape(len(m), 4 * n)
-    slots = coefficients * powers[:, first] * powers[:, second]
-    out = _plan_sums(slots, groups)[:, order].reshape(len(m), n, n)
-    return out[0] if single else out
-
-
-def sym_power_middle_column(p, m):
-    """Column p-1 of `sym_power_rep(p, m)` for an (N, 2, 2) stack, as an
-    (N, 2p-1) array with the bits of that column.
-
-    The column's entries are the same slots and sums of `_sym_power_plan`
-    (`_middle_column_plan` picks them out). Its slots read only the powers
-    0 .. p-1 of the entries: power 0 is 1.0 and power 1 the entry itself,
-    exactly as the C library ``pow`` gives them; higher powers go through
-    ``pow`` as in `sym_power_rep`.
-    """
-    m = _unit_determinants(np.asarray(m, float))
-    coefficients, first, second, groups, order = _middle_column_plan(p)
-    entries = m.reshape(-1, 4)
-    flat = entries.reshape(-1).tolist()
-    # powers[i, entry * p + e] = (entry of matrix i) ** e, entries a, b, c, d = 0..3
-    powers = np.empty((len(m), 4, p))
-    powers[:, :, 0] = 1.0
-    powers[:, :, 1] = entries
-    for e in range(2, p):
-        powers[:, :, e] = np.reshape(list(map(math.pow, flat, itertools.repeat(float(e)))),
-                                     (len(m), 4))
-    powers = powers.reshape(len(m), 4 * p)
-    slots = coefficients * powers[:, first] * powers[:, second]
-    return _plan_sums(slots, groups)[:, order]
-
-
-def _unit_determinants(m):
-    """`m` as an (N, 2, 2) stack, each determinant checked to be 1 to
-    1e-10."""
     m = m.reshape(-1, 2, 2)
     a, b, c, d = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     if (np.abs(a * d - b * c - 1.0) > 1e-10).any():
         raise InputError("matrix must have determinant 1")
-    return m
-
-
-def _plan_sums(slots, groups):
-    """The values of a plan's groups over the (N, slots) products, in
-    group order: BLAS dots and running sums, as `_sym_power_plan` says."""
+    width, coefficients, first, second, groups, order = _sym_power_plan(p, columns)
+    entries = m.reshape(-1, 4)
+    flat = entries.reshape(-1).tolist()
+    # powers[i, entry * width + e] = (entry of matrix i) ** e, entries a, b, c, d = 0..3
+    higher = [list(map(math.pow, flat, itertools.repeat(float(e)))) for e in range(2, width)]
+    powers = np.empty((len(m), 4, width))
+    powers[:, :, 0] = 1.0
+    powers[:, :, 1] = entries
+    powers[:, :, 2:] = np.reshape(higher, (width - 2, len(m), 4)).transpose(1, 2, 0)
+    powers = powers.reshape(len(m), 4 * width)
+    slots = coefficients * powers[:, first] * powers[:, second]
     values = []
     for by_dot, xs, ys in groups:
         if by_dot:
@@ -126,33 +105,39 @@ def _plan_sums(slots, groups):
             for t in range(terms.shape[2]):
                 value = value + terms[..., t]
             values.append(value)
-    return np.concatenate(values, axis=1)
+    return np.concatenate(values, axis=1)[:, order].reshape(len(m), 2 * p - 1, len(columns))
 
 
 @lru_cache(maxsize=None)
-def _sym_power_plan(p):
-    """Evaluation plan of `sym_power_rep` for one p.
+def _sym_power_plan(p, columns):
+    """Evaluation plan of the columns `columns` (a tuple of indices) of
+    `sym_power_rep` for one p.
 
     Column k of the degree-d power is ``np.convolve(left_k, right_k)``.
     With a the longer list (the left one on a tie) and v the other,
     np.convolve forms entry r as the sum over i ascending of a[i]·v[r-i]:
     a running sum from 0.0 where v fits inside a, and a BLAS dot product
-    in the overhang at both ends. The running sums of all columns form one
+    in the overhang at both ends. The running sums of the columns form one
     group, padded in front with zero terms (0.0 + 0.0·0.0 leaves the sum
     at 0.0); the dot products are grouped by their number of terms (they
-    cannot be padded).
+    cannot be padded). Every entry keeps its terms, their order and its
+    kind of sum whichever columns are asked for.
 
-    Returns (coefficients, first, second, groups, order): slot s holds
-    coefficients[s]·powers[first[s]]·powers[second[s]] (binomials of the
-    left then the right lists, then a zero slot); each group is (by_dot,
-    xs, ys) with xs, ys the (entries, terms) slots of the two factors; and
-    `order` takes the concatenated group values to row-major matrix order.
+    Returns (width, coefficients, first, second, groups, order): width is
+    1 + the largest exponent the columns read (2p-1 for all columns, p for
+    column p-1 alone); slot s holds coefficients[s]·powers[first[s]]·
+    powers[second[s]], a power index being entry·width + exponent
+    (binomials of the left then the right lists, then a zero slot); each
+    group is (by_dot, xs, ys) with xs, ys the (entries, terms) slots of
+    the two factors; and `order` takes the concatenated group values to
+    row-major order of the (2p-1, len(columns)) result.
     """
     d = 2 * p - 2
     n = d + 1
+    width = 1 + max(max(d - k, k) for k in columns)
     slots, at = [], {}
     # slot: (binomial, entry, exponent, entry, exponent), entries a, b, c, d = 0..3
-    for k in range(n):
+    for k in columns:
         for i in range(d - k + 1):
             at["left", k, i] = len(slots)
             slots.append((comb(d - k, i), 0, d - k - i, 2, i))
@@ -162,7 +147,7 @@ def _sym_power_plan(p):
     zero = len(slots)
     slots.append((0, 0, 0, 0, 0))
     grouped = {}
-    for k in range(n):
+    for place, k in enumerate(columns):
         n_left, n_right = d - k + 1, k + 1
         short, long = min(n_left, n_right), max(n_left, n_right)
         for r in range(n):
@@ -174,50 +159,20 @@ def _sym_power_plan(p):
                     terms.append((at["left", k, left], at["right", k, right]))
             by_dot = len(terms) > 1 and not short - 1 <= r <= long - 1
             group = grouped.setdefault(len(terms) if by_dot else 0, ([], [], []))
-            group[0].append(r * n + k)
+            group[0].append(r * len(columns) + place)
             group[1].append([t[0] for t in terms])
             group[2].append([t[1] for t in terms])
     groups, positions = [], []
     for size, (where, xs, ys) in sorted(grouped.items()):
         if size == 0:
-            width = max(len(x) for x in xs)
-            xs = [[zero] * (width - len(x)) + x for x in xs]
-            ys = [[zero] * (width - len(y)) + y for y in ys]
+            longest = max(len(x) for x in xs)
+            xs = [[zero] * (longest - len(x)) + x for x in xs]
+            ys = [[zero] * (longest - len(y)) + y for y in ys]
         groups.append((size > 0, np.array(xs), np.array(ys)))
         positions += where
-    columns = np.array(slots).T
-    return (columns[0].astype(float), columns[1] * n + columns[2],
-            columns[3] * n + columns[4], tuple(groups), np.argsort(positions))
-
-
-@lru_cache(maxsize=None)
-def _middle_column_plan(p):
-    """`_sym_power_plan` restricted to column p-1, for
-    `sym_power_middle_column`.
-
-    Each group keeps the entries (r, p-1) it holds, in its own order, and
-    their slots; a power index entry·(2p-1) + e becomes entry·p + e (the
-    column's exponents are at most p-1). Returns (coefficients, first,
-    second, groups, order) as `_sym_power_plan` does, `order` taking the
-    concatenated group values to rows r = 0 .. 2p-2.
-    """
-    n = 2 * p - 1
-    coefficients, first, second, groups, order = _sym_power_plan(p)
-    wanted = order[np.arange(n) * n + p - 1]  # concatenated index of entry (r, p-1)
-    kept, rows, offset = [], [], 0
-    for by_dot, xs, ys in groups:
-        here = np.flatnonzero((wanted >= offset) & (wanted < offset + len(xs)))
-        if len(here):
-            local = wanted[here] - offset
-            kept.append((by_dot, xs[local], ys[local]))
-            rows += here.tolist()
-        offset += len(xs)
-    used = np.array(sorted({int(slot) for _, xs, ys in kept for slot in [*xs.flat, *ys.flat]}))
-    kept = tuple((by_dot, np.searchsorted(used, xs), np.searchsorted(used, ys))
-                 for by_dot, xs, ys in kept)
-    first, second = first[used], second[used]
-    return (coefficients[used], first // n * p + first % n,
-            second // n * p + second % n, kept, np.argsort(rows))
+    table = np.array(slots).T
+    return (width, table[0].astype(float), table[1] * width + table[2],
+            table[3] * width + table[4], tuple(groups), np.argsort(positions))
 
 
 @dataclass

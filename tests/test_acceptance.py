@@ -338,10 +338,12 @@ def test_criterion_10_constant_entropy_first_order(big):
 def test_criterion_11_determinism(tmp_path):
     # the BLAS thread count is fixed when a process starts, so each thread
     # setting runs the CLI in its own process; the samplers run stacked
-    # products and determinants, margulis the class spectrum
+    # products and determinants, spectrum and margulis the class spectrum
+    # (margulis writes only its averages; the per-class table is spectrum's)
+    spectra_config = {"seed": 11, "radius": 7.0, "window": [4.0, 7.0], "cocycle": "random"}
     runs = (
-        ("margulis", {"seed": 11, "radius": 7.0, "window": [4.0, 7.0],
-                      "cocycle": "random"}, ("margulis.csv", "margulis.json")),
+        ("spectrum", spectra_config, ("spectrum.csv", "spectrum_meta.json")),
+        ("margulis", spectra_config, ("margulis.json",)),
         ("transversality", {"seed": 11, "p": 3, "count": 500},
          ("transversality.csv", "transversality.json")),
         ("deriv-check", {"seed": 11, "p": 3, "count": 200}, ("deriv_check.json",)),

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import pathlib
 import subprocess
 import sys
@@ -69,8 +70,8 @@ def test_margulis_coboundary_control(tmp_path):
     assert code == 0
     report = read_json(out / "margulis.json")
     assert abs(float(report["bm_average"])) <= 1e-8
-    csv_text = (out / "margulis.csv").read_text()
-    assert csv_text.splitlines()[0].startswith("word,word_length,trace")
+    # the per-class table is spectrum.csv; margulis writes only its averages
+    assert sorted(path.name for path in out.iterdir()) == ["margulis.json"]
 
 
 def test_entropy_report(tmp_path):
@@ -230,6 +231,18 @@ def test_invalid_config_rejected(tmp_path, capsys, monkeypatch):
     assert err["type"] == "config" and "MAX_BALL_ELEMENTS" in err["error"]
 
 
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    # a number, null or a list of pairs once raised a TypeError, and [] and
+    # "pr" were read as no keys and as the keys p and r
+    for i, text in enumerate(("5", "null", '[["radius", 3]]', "[]", '"pr"')):
+        path = tmp_path / f"config{i}.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["entropy", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"type": "config", "error": "config must be a JSON object"}, text
+
+
 def test_smallest_refused_spectrum_radius(tmp_path, capsys, monkeypatch):
     # radius 15 with SPECTRUM_MARGIN 3 asks for an R = 18 ball, (cosh 18 −
     # 1)/2 ≈ 1.64e7 elements or about 4.4 GB: the smallest whole radius
@@ -284,9 +297,8 @@ def test_a_numpy_value_error_is_not_invalid_input(tmp_path, capsys, monkeypatch)
     assert err == {"type": "config", "error": "need radius > 0 and slack >= 0"}
 
 
-# spectrum.csv and margulis.csv of {"cocycle": "random", "seed": 3,
-# "radius": 8.0}, measured while α was still a field of every class record
-# (the two files are the same table)
+# spectrum.csv of {"cocycle": "random", "seed": 3, "radius": 8.0},
+# measured while α was still a field of every class record
 PINNED_SPECTRUM_CSV_SHA256 = {
     2: "95cbaed57113a8ddad8846f57ed5cd4ed0aaa71b87a1a841a70f57cada6e95b5",
     3: "a1e34761418340f0e3c98eea97163a00840a70162fc6a7b2a94e253cc13364c0",
@@ -296,11 +308,10 @@ PINNED_SPECTRUM_CSV_SHA256 = {
 @pytest.mark.parametrize("p", [2, 3])
 def test_spectrum_csv_bytes_pinned(tmp_path, p):
     config = {"cocycle": "random", "seed": 3, "radius": 8.0, "p": p}
-    for command, name in (("spectrum", "spectrum.csv"), ("margulis", "margulis.csv")):
-        code, out = run_cli(tmp_path / command, command, config)
-        assert code == 0
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        assert digest == PINNED_SPECTRUM_CSV_SHA256[p], command
+    code, out = run_cli(tmp_path, "spectrum", config)
+    assert code == 0
+    digest = hashlib.sha256((out / "spectrum.csv").read_bytes()).hexdigest()
+    assert digest == PINNED_SPECTRUM_CSV_SHA256[p]
     # attaching α shares every other column and copies the α one
     ws = cli.Workspace(dict(cli.DEFAULTS, **config))
     spec = ws.spectrum()
@@ -320,8 +331,8 @@ def csv_writer_text(rows):
 
 
 def test_csv_outputs_are_the_csv_writer_bytes(tmp_path):
-    # spectrum.csv and transversality.csv are joined f-strings; these are
-    # the rows csv.writer wrote for them
+    # spectrum.csv, transversality.csv, entropy_counts.csv and scan.csv are
+    # joined f-strings; these are the rows csv.writer wrote for them
     ws = cli.Workspace(dict(cli.DEFAULTS, cocycle="random", seed=3, radius=8.0, p=3))
     spec = ws.spectrum()
     alphas = spectra.multi_alphas(spec, ws.rho_v, ws.basis, [ws.cocycle()])[:, 0]
@@ -343,6 +354,23 @@ def test_csv_outputs_are_the_csv_writer_bytes(tmp_path):
             for a, b, sep, margin in sample_transversality(ws, 300, 4, cli.SEPARATION)]
     expected = csv_writer_text([["word_xy", "word_z", "separation", "margin"]] + rows)
     assert (out / "transversality.csv").read_bytes() == expected.encode()
+    config = {"radius": 9.0}
+    code, out = run_cli(tmp_path / "entropy", "entropy", config)
+    assert code == 0
+    ball = cli.Workspace(dict(cli.DEFAULTS, **config)).ball()
+    rows = [[float17(t), ball.count(t), float17(math.log(ball.count(t)) / t)]
+            for t in np.arange(1.0, 9.0 + 1e-9, 0.5).tolist()]
+    expected = csv_writer_text([["T", "N", "log_N_over_T"]] + rows)
+    assert (out / "entropy_counts.csv").read_bytes() == expected.encode()
+    config = {"seed": 7, "radius": 8.0, "window": [5.0, 8.0], "cocycle": "random"}
+    code, out = run_cli(tmp_path / "scan", "scan", config)
+    assert code == 0
+    ws = cli.Workspace(dict(cli.DEFAULTS, **config))
+    scan = spectra.perturbed_entropy_scan(ws.spectrum(ws.cocycle()), cli.S_GRID, (5.0, 8.0))
+    rows = [[float17(s), float17(est.estimate), float17(est.residual), est.count]
+            for s, est in scan.table]
+    expected = csv_writer_text([["s", "estimate", "residual", "count"]] + rows)
+    assert (out / "scan.csv").read_bytes() == expected.encode()
 
 
 def test_entropy_names_a_thin_default_window(tmp_path, capsys):

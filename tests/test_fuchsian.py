@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from anosovlab import fuchsian
-from anosovlab.linalg import NumericalFailure
+from anosovlab.linalg import InputError, NumericalFailure
 from anosovlab.fuchsian import (
     APOTHEM,
     HYPERBOLIC_MARGIN,
@@ -595,6 +595,23 @@ def test_ball_refuses_uncertified_input(monkeypatch):
     turned = {k: rotation(0.1) @ m @ rotation(-0.1) for k, m in gens.items()}
     with pytest.raises(ValueError, match="octagon"):
         enumerate_ball(turned, 5.0, 2.0)
+
+
+def test_ball_refuses_nan_radius_and_slack(monkeypatch):
+    _, gens = octagon_group()
+    ball = enumerate_ball(gens, 5.0)
+    assert len(ball) == ball.count(5.0) == 49
+    with pytest.raises(InputError, match="beyond the enumerated radius"):
+        ball.count(math.nan)
+
+    def allocated(keys):
+        raise AssertionError("the ball started before refusing")
+
+    # NaN compares false both ways, so the checks must refuse it by name
+    monkeypatch.setattr(fuchsian, "_key_hash", allocated)
+    for radius, slack in ((math.nan, 0.0), (5.0, math.nan), (math.nan, math.nan)):
+        with pytest.raises(InputError, match="need radius > 0 and slack >= 0"):
+            enumerate_ball(gens, radius, slack)
 
 
 def test_ball_memory_budget(monkeypatch):

@@ -10,8 +10,8 @@ from anosovlab.principal_rep import (
     form_on_e,
     invariant_form,
     principal_basis,
-    sym_power_middle_column,
     sym_power_rep,
+    _sym_power_columns,
 )
 
 from oracles import classify_orientation, span_distance, standard_reference
@@ -37,7 +37,8 @@ def test_sym_power_identity():
 @pytest.mark.parametrize("p", [2, 3, 4])
 def test_middle_column_has_the_bits_of_the_full_power(lab, p):
     # α reads sym(h)·eps_p; eps is diagonal, so it is c_p times column p-1,
-    # which must carry the bits of the full power's column
+    # which must carry the bits of the full power's column. Every column
+    # built alone, from its own plan, must have them too
     rng = np.random.default_rng(p)
     basis = principal_basis(p)
     stacks = [np.array([random_sl2(rng, scale) for _ in range(300) for scale in (0.8, 4.0)]),
@@ -46,12 +47,16 @@ def test_middle_column_has_the_bits_of_the_full_power(lab, p):
     words = lab.hyperbolic_words(max_count=200, rng=rng)
     stacks.append(np.array([sl2_eigenbasis(lab.sl2.evaluate(w))[0] for w in words]))
     for h in stacks:
-        column = sym_power_middle_column(p, h) * basis.eps[p - 1, p - 1]
-        full = sym_power_rep(p, h) @ basis.eps[:, p - 1]
-        assert column.shape == full.shape == (len(h), 2 * p - 1)
-        assert column.tobytes() == full.tobytes()
+        full = sym_power_rep(p, h)
+        middle = _sym_power_columns(p, h, (p - 1,))[:, :, 0] * basis.eps[p - 1, p - 1]
+        assert middle.shape == (len(h), 2 * p - 1)
+        assert middle.tobytes() == (full @ basis.eps[:, p - 1]).tobytes()
+        for k in range(2 * p - 1):
+            column = _sym_power_columns(p, h, (k,))
+            assert column.shape == (len(h), 2 * p - 1, 1)
+            assert column[:, :, 0].tobytes() == full[:, :, k].tobytes()
     with pytest.raises(ValueError):
-        sym_power_middle_column(p, np.diag([2.0, 1.0])[None])
+        _sym_power_columns(p, np.diag([2.0, 1.0])[None], (p - 1,))
 
 
 def test_sym_power_unipotent_matrix():
